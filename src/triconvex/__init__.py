@@ -24,7 +24,6 @@ from .decomposition import (
     decompose,
     is_prime,
     pivots,
-    pivots_bfs,
     verify_d_ordering,
 )
 from .errors import (
@@ -89,7 +88,6 @@ __all__ = [
     "load_graph",
     "parse_graph",
     "pivots",
-    "pivots_bfs",
     "prime_is_t_convex",
     "prime_t_hull",
     "satisfies",

@@ -19,7 +19,7 @@ from .bitset import VertexSet
 from .convexity import is_t_convex, t_convex_hull
 from .convexity_number import convexity_number
 from .decomposition import decompose
-from .errors import Error
+from .errors import Error, ValidationError
 from .generators import all_connected_graphs, from_spec, random_connected_graph
 from .graph import FORMATS, Graph, load_graph, to_edge_list
 from .hull_number import hull_number
@@ -53,7 +53,6 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--checked", action="store_true", help="enable contract checks")
-    p.add_argument("--threads", type=int, default=1, help="worker bound (currently sequential)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,10 +125,21 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     return from_spec(args.generate, default_seed=args.seed)
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    """Comma-separated integers, or a ValidationError naming ``what``."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_vertices(text: str, n: int) -> VertexSet:
     if not text.strip():
         return VertexSet(n, 0)
-    return VertexSet.from_iterable(n, (int(tok) for tok in text.split(",")))
+    try:
+        return VertexSet.from_iterable(n, _parse_ints(text, "--vertices"))
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _witness_json(witness) -> dict | None:
@@ -147,16 +157,21 @@ def _witness_json(witness) -> dict | None:
 
 def _corpus_graphs(spec: str, default_seed: int) -> list[Graph]:
     kind, _, argtext = spec.partition(":")
-    args = [a for a in argtext.split(",") if a] if argtext else []
+    fields = ",".join(a for a in argtext.split(",") if a)
+    args = _parse_ints(fields, f"corpus spec {spec!r}") if fields else []
     if kind == "exhaustive":
-        limit = int(args[0])
+        if len(args) != 1:
+            raise ValidationError(f"corpus spec {spec!r} needs exhaustive:N")
+        limit = args[0]
         graphs: list[Graph] = []
         for n in range(1, limit + 1):
             graphs.extend(all_connected_graphs(n))
         return graphs
     if kind == "random":
-        n, count = int(args[0]), int(args[1])
-        seed0 = int(args[2]) if len(args) > 2 else default_seed
+        if len(args) not in (2, 3):
+            raise ValidationError(f"corpus spec {spec!r} needs random:N,COUNT[,SEED]")
+        n, count = args[0], args[1]
+        seed0 = args[2] if len(args) > 2 else default_seed
         probs = (0.2, 0.3, 0.4, 0.5, 0.6)
         return [
             random_connected_graph(n, probs[i % len(probs)], seed0 + i) for i in range(count)
@@ -233,8 +248,7 @@ def _run_bench(args: argparse.Namespace) -> dict:
     }
     run = runners[args.algorithm]
     rows = []
-    for size_text in args.sizes.split(","):
-        n = int(size_text)
+    for n in _parse_ints(args.sizes, "--sizes"):
         g = random_connected_graph(n, args.p, args.seed)
         times = []
         for _ in range(max(1, args.reps)):
@@ -294,8 +308,6 @@ def _print_human(args: argparse.Namespace, payload: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     started = time.perf_counter()
     try:
         payload, code, g, atom_count = _run_command(args)

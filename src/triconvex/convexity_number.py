@@ -1,9 +1,18 @@
 """Maximum proper convex set of a connected graph.
 
 Every maximum proper convex set arises from a convex set C of a single
-atom, extended by the components of G - C that avoid the rest of that
-atom. Scanning the atoms' (small) convex families and keeping the largest
+atom F_i, extended by the components of G - C that avoid F_i minus C.
+Scanning the atoms' (small) convex families and keeping the largest
 extension therefore solves the problem in polynomial time.
+
+For C inside F_i, the components of G - C that avoid F_i minus C are
+exactly the components D of G - F_i whose neighbourhood N(D) lies inside
+C: such a component of G - C misses F_i, so it sits in one D and, being
+closed in G - C, equals it; conversely N(D) inside C makes D a component
+of G - C. So each atom needs one search of G - F_i, O(n + m), that lists
+its (D, N(D)) pairs, and each seed is then extended in O(#pairs) mask
+tests. When the graph is a single atom the list is empty and every
+extension is the seed itself.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from .bitset import VertexSet
 from .convexity import is_t_convex
 from .decomposition import Decomposition, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
-from .graph import Graph, _components_bits, is_connected
+from .graph import Graph, _components_with_boundary, is_connected
+from .graph import _components_bits  # noqa: F401  (benchmark/tracer.py wraps this name)
 from .prime import enumerate_prime_convex_sets, prime_is_t_convex
 
 
@@ -32,27 +42,35 @@ class ConvexityNumberResult:
     seed: VertexSet
 
 
+def _extend(c_bits: int, outside: list[tuple[int, int]]) -> int:
+    """c plus every component D of G - F_i with N(D) inside c."""
+    out = c_bits
+    for comp, boundary in outside:
+        if not boundary & ~c_bits:
+            out |= comp
+    return out
+
+
 def convex_extension(
     g: Graph, dec: Decomposition, i: int, c: VertexSet, checked: bool = False
 ) -> VertexSet:
     """Extend a convex set of atom i by the components of G - c that avoid
     the rest of the atom. The result is convex in G whenever c is convex
-    in the atom."""
+    in the atom. Raises ContractViolationError when c is not inside the
+    atom; checked=True also rejects a c that is not convex in the atom."""
     f_bits = dec.atoms[i].bits
+    if c.bits & ~f_bits:
+        raise ContractViolationError("seed is not inside the atom")
     if checked:
         sub, vertices = g.induced(dec.atoms[i])
         local = 0
         for pos, v in enumerate(vertices):
             if (c.bits >> v) & 1:
                 local |= 1 << pos
-        if c.bits & ~f_bits or not prime_is_t_convex(sub, VertexSet(sub.n, local)):
+        if not prime_is_t_convex(sub, VertexSet(sub.n, local)):
             raise ContractViolationError("seed is not a convex set of the atom")
-    out = c.bits
-    remainder = f_bits & ~c.bits
-    for comp in _components_bits(g._adj, ((1 << g.n) - 1) & ~c.bits):
-        if not comp & remainder:
-            out |= comp
-    return VertexSet(g.n, out)
+    outside = _components_with_boundary(g._adj, ((1 << g.n) - 1) & ~f_bits)
+    return VertexSet(g.n, _extend(c.bits, outside))
 
 
 def convexity_number(g: Graph) -> ConvexityNumberResult:
@@ -71,16 +89,19 @@ def convexity_number(g: Graph) -> ConvexityNumberResult:
     best = ConvexityNumberResult(0, VertexSet(g.n, 0), -1, VertexSet(g.n, 0))
     for i, atom in enumerate(dec.atoms):
         sub, vertices = g.induced(atom)
+        outside = _components_with_boundary(g._adj, full & ~atom.bits)
         for local in enumerate_prime_convex_sets(sub):
             if local.bits == (1 << sub.n) - 1:
                 continue
             seed_bits = 0
             for pos in local:
                 seed_bits |= 1 << vertices[pos]
-            seed = VertexSet(g.n, seed_bits)
-            extended = convex_extension(g, dec, i, seed)
-            if len(extended) > best.value:
-                best = ConvexityNumberResult(len(extended), extended, i, seed)
+            extended = _extend(seed_bits, outside)
+            size = extended.bit_count()
+            if size > best.value:
+                best = ConvexityNumberResult(
+                    size, VertexSet(g.n, extended), i, VertexSet(g.n, seed_bits)
+                )
     if best.value < 1 or best.witness.bits == full:
         raise AlgorithmError("no proper convex witness found")
     convex, _ = is_t_convex(g, best.witness)

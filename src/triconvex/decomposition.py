@@ -338,44 +338,3 @@ def pivots(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
     for _, shared in _pivot_details(g, dec, i, s):
         out |= shared
     return VertexSet(g.n, out)
-
-
-def pivots_bfs(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
-    """Pivot computation by layered search towards the atom.
-
-    Breadth-first layering from an implicit root adjacent to all of F_i
-    (members of F_i sit at depth 1), then a closure that repeatedly adds
-    depth-decreasing neighbours of reached s-vertices; the reached members
-    of F_i lying in some overlap set are reported. Strictly descending
-    chains cannot cross equal-depth ridges, so this can undershoot
-    :func:`pivots` when the witnessing component only reaches the atom via
-    such a detour; it never reports a non-pivot. Kept for comparison, the
-    algorithms all use the exact definitional route.
-    """
-    n = g.n
-    adj = g._adj
-    f_bits = dec.atoms[i].bits
-    depth = [0] * n  # 0 = unreachable
-    frontier = f_bits
-    seen = f_bits
-    d = 1
-    while frontier:
-        for v in bit_members(frontier):
-            depth[v] = d
-        nxt = 0
-        for v in bit_members(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-    grown = s.bits
-    queue = list(bit_members(s.bits))
-    while queue:
-        u = queue.pop()
-        if depth[u] <= 1:
-            continue
-        for w in bit_members(adj[u] & ~grown):
-            if depth[w] == depth[u] - 1:
-                grown |= 1 << w
-                queue.append(w)
-    return VertexSet(n, grown & dec.r_union.bits & f_bits)

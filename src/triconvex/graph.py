@@ -150,6 +150,26 @@ def _components_bits(adj: list[int], alive: int) -> list[int]:
     return comps
 
 
+def _components_with_boundary(adj: list[int], alive: int) -> list[tuple[int, int]]:
+    """Components of the subgraph induced on ``alive``, by min vertex id, each
+    paired with its neighbours outside ``alive``.
+
+    Only members adjacent to the outside can contribute such a neighbour,
+    so the neighbour masks cost O(|outside| + |N(outside)|) on top of the
+    search.
+    """
+    touch = 0
+    for v in bit_members(((1 << len(adj)) - 1) & ~alive):
+        touch |= adj[v]
+    out = []
+    for comp in _components_bits(adj, alive):
+        reach = 0
+        for u in bit_members(comp & touch):
+            reach |= adj[u]
+        out.append((comp, reach & ~alive))
+    return out
+
+
 def connected_components(g: Graph, removed: VertexSet | None = None) -> list[VertexSet]:
     """Components of ``G - removed``, ordered by their minimum vertex id."""
     mask = (1 << g.n) - 1

@@ -1,9 +1,15 @@
 """Fast convexity routines for prime graphs (no clique separator).
 
 On a prime graph a proper convex set is exactly a clique whose outside
-vertices see at most one of its members, which collapses the convexity
-test and the hull to quadratic bit work and makes the convex family small
-enough to enumerate outright.
+vertices see at most one of its members, which makes the convex family
+small enough to enumerate outright. Both halves of that test come from one
+fold over the members u of S, never over the vertices outside it:
+
+    twice |= once & adj[u]; once |= adj[u]      (clique: S inside N[u])
+
+after which the doubly-seen outside vertices are ``twice & ~S``. The
+convexity test and the hull's single closure round, ``S | twice``, thus
+cost O(|S|) mask operations instead of O(n).
 """
 
 from __future__ import annotations
@@ -35,25 +41,32 @@ def _require_prime(g: Graph) -> None:
         raise ContractViolationError("graph is not prime")
 
 
-def _is_clique(adj: list[int], bits: int) -> bool:
-    for v in bit_members(bits):
-        if bits & ~adj[v] & ~(1 << v):
-            return False
-    return True
+def _twice_seen(adj: list[int], bits: int) -> int | None:
+    """Vertices with two or more neighbours in ``bits``, or None when
+    ``bits`` is not a clique.
+
+    One pass over the members: ``twice |= once & adj[u]; once |= adj[u]``,
+    with the clique test on the same row, so the cost is O(|bits|) mask
+    operations however many vertices lie outside.
+    """
+    once = twice = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1]
+        if bits & ~row & ~low:
+            return None
+        twice |= once & row
+        once |= row
+    return twice
 
 
 def _prime_convex_bits(adj: list[int], full: int, bits: int) -> bool:
     if bits == full:
         return True
-    if not _is_clique(adj, bits):
-        return False
-    outside = full & ~bits
-    while outside:
-        low = outside & -outside
-        outside ^= low
-        if (adj[low.bit_length() - 1] & bits).bit_count() >= 2:
-            return False
-    return True
+    twice = _twice_seen(adj, bits)
+    return twice is not None and not twice & ~bits
 
 
 def prime_is_t_convex(g: Graph, s: VertexSet, checked: bool = False) -> bool:
@@ -70,9 +83,9 @@ def prime_is_t_convex(g: Graph, s: VertexSet, checked: bool = False) -> bool:
 def prime_t_hull(g: Graph, s: VertexSet, checked: bool = False) -> VertexSet:
     """Hull in a prime graph: one closure round decides everything.
 
-    A non-clique seed already hulls to V. Otherwise add the outside
-    vertices with two neighbours in the seed; if that is convex it is the
-    hull, and if not the hull is V.
+    A non-clique seed already hulls to V. Otherwise add the vertices
+    with two neighbours in the seed (``S | twice``); if that is convex it
+    is the hull, and if not the hull is V.
     """
     if checked:
         _require_prime(g)
@@ -81,15 +94,10 @@ def prime_t_hull(g: Graph, s: VertexSet, checked: bool = False) -> VertexSet:
     bits = s.bits
     if bits == full:
         return VertexSet(g.n, full)
-    if not _is_clique(adj, bits):
+    twice = _twice_seen(adj, bits)
+    if twice is None:
         return VertexSet(g.n, full)
-    ext = bits
-    outside = full & ~bits
-    while outside:
-        low = outside & -outside
-        outside ^= low
-        if (adj[low.bit_length() - 1] & bits).bit_count() >= 2:
-            ext |= low
+    ext = bits | twice
     if _prime_convex_bits(adj, full, ext):
         return VertexSet(g.n, ext)
     return VertexSet(g.n, full)

@@ -157,6 +157,26 @@ class TestExitCodes:
         code = cli.main(["oracle-compare", "--generate", "cycle:5"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convex-test", "--generate", "cycle:5", "--vertices", "a"],
+            ["hull", "--generate", "cycle:5", "--vertices", "1,x"],
+            ["hull", "--generate", "cycle:5", "--vertices", "9"],
+            ["oracle-compare", "--corpus", "random:12"],
+            ["oracle-compare", "--corpus", "exhaustive:x"],
+            ["bench", "--algorithm", "hull", "--sizes", "a"],
+        ],
+    )
+    def test_malformed_argument_is_a_one_line_error(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_oracle_compare_random_corpus(self, capsys):
         code, report = run_json(
             capsys, "oracle-compare", "--corpus", "random:7,10", "--seed", "3"

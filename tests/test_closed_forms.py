@@ -1,0 +1,83 @@
+"""Closed-form answers on graph families, beyond the oracles' reach.
+
+Triangle paths in a tree are its unique paths, so a tree's hull number is
+its number of leaves and its convexity number is n - 1 (drop one leaf).
+A cycle C_n with n >= 4 has convex edges but no larger proper convex set,
+and any two non-adjacent vertices hull to everything: both numbers are 2.
+In K_n with n >= 3 every pair hulls to V through a triangle and a single
+vertex is convex: convexity number 1, hull number 2.
+
+Each form is first confirmed against the brute-force oracles on small
+members of its family, then asserted at sizes the oracles cannot reach.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from triconvex.convexity_number import convexity_number
+from triconvex.generators import complete_graph, cycle_graph, path_graph, star_graph
+from triconvex.graph import Graph
+from triconvex.hull_number import hull_number
+from triconvex.oracle import brute_convexity_number, brute_hull_number
+
+
+def random_recursive_tree(n: int, seed: int) -> Graph:
+    """Vertex v joins a uniformly random earlier vertex."""
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def leaves(g: Graph) -> int:
+    return sum(1 for v in range(g.n) if g.degree(v) == 1)
+
+
+def tree_forms(g: Graph) -> tuple[int, int]:
+    return leaves(g), g.n - 1
+
+
+def cycle_forms(g: Graph) -> tuple[int, int]:
+    return 2, 2
+
+
+def complete_forms(g: Graph) -> tuple[int, int]:
+    return 2, 1
+
+
+SMALL = {
+    "random recursive tree": (
+        [random_recursive_tree(n, seed) for n in range(2, 9) for seed in range(3)],
+        tree_forms,
+    ),
+    "path": ([path_graph(n) for n in range(2, 9)], tree_forms),
+    "star": ([star_graph(k) for k in range(1, 8)], tree_forms),
+    "cycle": ([cycle_graph(n) for n in range(4, 9)], cycle_forms),
+    "complete": ([complete_graph(n) for n in range(3, 9)], complete_forms),
+}
+
+LARGE = {
+    "random recursive tree:1000": (random_recursive_tree(1000, 0), tree_forms),
+    "path:400": (path_graph(400), tree_forms),
+    "star:200": (star_graph(200), tree_forms),
+    "cycle:1000": (cycle_graph(1000), cycle_forms),
+    "complete:150": (complete_graph(150), complete_forms),
+}
+
+
+@pytest.mark.parametrize("family", SMALL)
+def test_form_matches_oracle_on_small_members(family):
+    graphs, forms = SMALL[family]
+    for g in graphs:
+        assert (brute_hull_number(g), brute_convexity_number(g)) == forms(g), sorted(g.edges())
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_form_holds_at_scale(name):
+    g, forms = LARGE[name]
+    hull = hull_number(g)
+    convex = convexity_number(g)
+    assert (hull.value, convex.value) == forms(g)
+    assert len(hull.hull_set) == hull.value
+    assert len(convex.witness) == convex.value

@@ -7,14 +7,67 @@ from triconvex.convexity import is_t_convex
 from triconvex.convexity_number import convex_extension, convexity_number
 from triconvex.decomposition import decompose
 from triconvex.errors import ContractViolationError, ValidationError
-from triconvex.generators import path_graph
-from triconvex.graph import Graph, is_connected
+from triconvex.generators import (
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    triangle_star_graph,
+)
+from triconvex.graph import Graph, connected_components, is_connected
 from triconvex.oracle import brute_convexity_number
 from triconvex.prime import enumerate_prime_convex_sets
 
 
 def vs(n, items):
     return VertexSet.from_iterable(n, items)
+
+
+def bfs_extension(g, dec, i, c):
+    """Reference route: one search of G - c per seed, keeping the
+    components that avoid the rest of atom i."""
+    remainder = dec.atoms[i].bits & ~c.bits
+    out = c.bits
+    for comp in connected_components(g, c):
+        if not comp.bits & remainder:
+            out |= comp.bits
+    return VertexSet(g.n, out)
+
+
+def atom_convex_seeds(g, dec):
+    """(atom index, seed) for every convex set of every atom, in the order
+    convexity_number scans them."""
+    for i, atom in enumerate(dec.atoms):
+        sub, vertices = g.induced(atom)
+        for local in enumerate_prime_convex_sets(sub):
+            yield i, VertexSet(g.n, sum(1 << vertices[pos] for pos in local))
+
+
+def reference_convexity_number(g):
+    """convexity_number's scan and tie-break over the reference extension."""
+    dec = decompose(g)
+    best = (0, None, -1, None)
+    for i, seed in atom_convex_seeds(g, dec):
+        if seed == dec.atoms[i]:
+            continue
+        ext = bfs_extension(g, dec, i, seed)
+        if len(ext) > best[0]:
+            best = (len(ext), ext, i, seed)
+    return best
+
+
+DIFFERENTIAL_GRAPHS = {
+    **{
+        f"random_connected:{n},{p},{seed}": random_connected_graph(n, p, seed)
+        for n, p in ((30, 0.1), (60, 0.05), (120, 0.02), (200, 0.01), (200, 0.03))
+        for seed in range(2)
+    },
+    "path:2": path_graph(2),
+    "path:40": path_graph(40),
+    "star:1": star_graph(1),
+    "star:25": star_graph(25),
+    "triangle_star:1": triangle_star_graph(1),
+    "triangle_star:6": triangle_star_graph(6),
+}
 
 
 class TestConvexExtension:
@@ -35,6 +88,23 @@ class TestConvexExtension:
         dec = decompose(bowtie)
         assert convex_extension(bowtie, dec, 0, vs(5, [])) == vs(5, [])
 
+    def test_rejects_seed_outside_its_atom(self, bowtie):
+        dec = decompose(bowtie)
+        assert sorted(dec.atoms[0]) == [0, 1, 2]
+        for checked in (False, True):
+            with pytest.raises(ContractViolationError):
+                convex_extension(bowtie, dec, 0, vs(5, [0, 3]), checked=checked)
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
+    def test_matches_one_search_per_seed(self, name):
+        g = DIFFERENTIAL_GRAPHS[name]
+        dec = decompose(g)
+        for i, seed in atom_convex_seeds(g, dec):
+            assert convex_extension(g, dec, i, seed) == bfs_extension(g, dec, i, seed), (
+                i,
+                sorted(seed),
+            )
+
     def test_checked_mode_rejects_non_convex_seed(self, bowtie):
         dec = decompose(bowtie)
         with pytest.raises(ContractViolationError):
@@ -44,16 +114,11 @@ class TestConvexExtension:
         full_graphs = [g for g in sampled_corpus if is_connected(g) and g.n >= 2]
         for g in full_graphs[::5]:
             dec = decompose(g)
-            for i, atom in enumerate(dec.atoms):
-                sub, vertices = g.induced(atom)
-                for local in enumerate_prime_convex_sets(sub):
-                    if local.bits == (1 << sub.n) - 1:
-                        continue
-                    seed_bits = 0
-                    for pos in local:
-                        seed_bits |= 1 << vertices[pos]
-                    ext = convex_extension(g, dec, i, VertexSet(g.n, seed_bits))
-                    assert is_t_convex(g, ext)[0], (sorted(g.edges()), i, sorted(local))
+            for i, seed in atom_convex_seeds(g, dec):
+                if seed == dec.atoms[i]:
+                    continue
+                ext = convex_extension(g, dec, i, seed)
+                assert is_t_convex(g, ext)[0], (sorted(g.edges()), i, sorted(seed))
 
 
 class TestConvexityNumber:
@@ -96,6 +161,14 @@ class TestConvexityNumber:
             if not is_connected(g) or g.n < 2:
                 continue
             assert convexity_number(g).value == brute_convexity_number(g), sorted(g.edges())
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
+    def test_matches_one_search_per_seed_route(self, name):
+        g = DIFFERENTIAL_GRAPHS[name]
+        res = convexity_number(g)
+        assert (res.value, res.witness, res.atom_index, res.seed) == (
+            reference_convexity_number(g)
+        )
 
     def test_rejects_trivial_and_disconnected_inputs(self):
         with pytest.raises(ValidationError):

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from triconvex.bitset import VertexSet
+from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import is_t_convex, t_convex_hull
-from triconvex.decomposition import is_prime
+from triconvex.decomposition import decompose, is_prime
 from triconvex.errors import ContractViolationError
-from triconvex.generators import complete_graph
+from triconvex.generators import complete_graph, cycle_graph, random_connected_graph
 from triconvex.graph import Graph, is_connected
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
 
@@ -19,6 +20,89 @@ def vs(n, items):
 
 def prime_corpus(graphs):
     return [g for g in graphs if is_connected(g) and is_prime(g)]
+
+
+def scan_is_clique(g, bits):
+    return all(not bits & ~g._adj[v] & ~(1 << v) for v in bit_members(bits))
+
+
+def scan_is_convex(g, bits):
+    """Reference route: clique test, then a scan of every outside vertex."""
+    if bits == (1 << g.n) - 1:
+        return True
+    outside = [v for v in range(g.n) if not (bits >> v) & 1]
+    return scan_is_clique(g, bits) and all((g._adj[v] & bits).bit_count() < 2 for v in outside)
+
+
+def scan_hull(g, bits):
+    """Reference route: one closure round over the outside vertices."""
+    full = (1 << g.n) - 1
+    if bits == full or not scan_is_clique(g, bits):
+        return full
+    ext = bits
+    for v in range(g.n):
+        if (g._adj[v] & bits).bit_count() >= 2:
+            ext |= 1 << v
+    return ext if scan_is_convex(g, ext) else full
+
+
+def largest_atom(g):
+    atom = max(decompose(g).atoms, key=len)
+    return g.induced(atom)[0]
+
+
+# Prime graphs large enough that outside vertices outnumber any clique:
+# cycles, and the largest atom of seeded random graphs, sparse to dense.
+PRIME_GRAPHS = {
+    "cycle:4": cycle_graph(4),
+    "cycle:40": cycle_graph(40),
+    **{
+        f"atom of random_connected:{n},{p},{seed}": largest_atom(
+            random_connected_graph(n, p, seed)
+        )
+        for n, p in ((120, 0.03), (60, 0.1), (30, 0.3), (20, 0.6))
+        for seed in range(2)
+    },
+}
+
+
+def random_clique(g, rng):
+    """A random clique grown greedily from a random vertex."""
+    v = rng.randrange(g.n)
+    bits = 1 << v
+    common = g._adj[v]
+    while common and rng.random() < 0.8:
+        w = rng.choice(list(bit_members(common)))
+        bits |= 1 << w
+        common &= g._adj[w]
+    return bits
+
+
+class TestMemberFoldMatchesOutsideScan:
+    @pytest.mark.parametrize("name", PRIME_GRAPHS)
+    def test_on_random_cliques_and_non_cliques(self, name):
+        g = PRIME_GRAPHS[name]
+        assert is_prime(g)
+        rng = random.Random(name)
+        cliques = [random_clique(g, rng) for _ in range(150)]
+        others = [
+            sum(1 << v for v in rng.sample(range(g.n), rng.randint(2, min(5, g.n))))
+            for _ in range(150)
+        ]
+        # a clique plus some neighbours of one member
+        grown = [b | (g._adj[(b & -b).bit_length() - 1] & rng.getrandbits(g.n)) for b in cliques]
+        # for each vertex v and neighbour a, an edge {a, b} that v sees twice
+        seen = []
+        for v in range(g.n):
+            for a in bit_members(g._adj[v]):
+                common = g._adj[v] & g._adj[a]
+                if common:
+                    seen.append((1 << a) | (common & -common))
+        family = [s.bits for s in enumerate_prime_convex_sets(g)]
+        for bits in cliques + others + grown + seen + family:
+            s = VertexSet(g.n, bits)
+            assert prime_is_t_convex(g, s) == scan_is_convex(g, bits), sorted(s)
+            assert prime_t_hull(g, s).bits == scan_hull(g, bits), sorted(s)
 
 
 class TestPrimeConvexityTest:
