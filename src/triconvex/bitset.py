@@ -49,11 +49,7 @@ class VertexSet:
         return 0 <= v < self.n and (self.bits >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return bit_members(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()

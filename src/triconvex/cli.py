@@ -31,6 +31,10 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
+# exhaustive:N enumerates 2^(N(N-1)/2) edge subsets per size: 32,768 at
+# N = 6, 2,097,152 at N = 7.
+MAX_EXHAUSTIVE_N = 6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits with 2
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--corpus",
         metavar="SPEC",
-        help="exhaustive:N (all connected graphs, n <= N) or random:N,COUNT[,SEED]",
+        help="exhaustive:N (all connected graphs, n <= N <= 6) or random:N,COUNT[,SEED]",
     )
     p.add_argument("--format", choices=FORMATS)
     p.add_argument("--seed", type=int, default=0)
@@ -163,6 +167,10 @@ def _corpus_graphs(spec: str, default_seed: int) -> list[Graph]:
         if len(args) != 1:
             raise ValidationError(f"corpus spec {spec!r} needs exhaustive:N")
         limit = args[0]
+        if limit > MAX_EXHAUSTIVE_N:
+            raise ValidationError(
+                f"corpus spec {spec!r}: exhaustive corpora go up to n = {MAX_EXHAUSTIVE_N}"
+            )
         graphs: list[Graph] = []
         for n in range(1, limit + 1):
             graphs.extend(all_connected_graphs(n))

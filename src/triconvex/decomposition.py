@@ -1,18 +1,25 @@
 """Clique minimal separator decomposition into maximal prime subgraphs.
 
-The route: run an MCS-M elimination game to obtain a minimal triangulation
-H of G together with an elimination order. The higher-numbered
-H-neighbourhoods of the eliminated vertices are the candidate separators;
-a candidate survives when it is a clique of G and a relative minimal
-separator of G (at least two components of G - S see all of S). Sweeping
-the elimination order and carving off the component of each surviving
-candidate peels the maximal prime subgraphs one by one; the reverse carve
-order attaches every piece to the remainder through its separator, which
-is exactly the ordering property the rest of the library relies on.
+The route is MCS-M+ followed by the ``Atoms`` sweep of Berry, Pogorelcnik
+and Simonet ("An introduction to clique minimal separator decomposition",
+Algorithms 3(2), 2010). MCS-M+ yields a minimal triangulation H of G, an
+elimination order and the minimal-separator generators: for a generator x,
+madj(x), the H-neighbours of x eliminated after it, is a minimal separator
+of H, and every minimal separator of H arises this way. H being minimal,
+the clique minimal separators of G are those of them that are cliques of
+G. Sweeping the elimination order, each generator whose madj(x) is a
+clique of G carves madj(x) plus the component of x in the remainder minus
+madj(x) as one atom; the remainder left at the end is the last atom. A
+step costs one clique test and one component search inside the part it
+carves, so there is no search over the whole graph per candidate.
+
+The atoms are then put in a D-ordering (see ``_d_order``), so every
+atom's overlap with its predecessors sits inside one earlier atom.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
@@ -59,62 +66,85 @@ def _has_two_full_components(adj: list[int], rest: int, sep: int) -> bool:
     return False
 
 
-def _mcs_m(g: Graph) -> tuple[list[int], list[int]]:
-    """MCS-M: minimal triangulation H (adjacency masks) and elimination order.
+def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
+    """MCS-M+: minimal triangulation H, elimination order and generators.
 
-    Vertices are numbered n..1 by descending weight (ties to the smallest
-    id); a vertex's weight rises when the previously numbered vertex can
-    reach it through unnumbered vertices of strictly smaller weight, and
-    such a reach that is not an edge becomes a fill edge of H. The returned
-    order lists vertices as eliminated, i.e. lowest number first.
+    Vertices are numbered n..1 by descending label (ties to the smallest
+    id); a vertex's label rises when the newly numbered vertex x reaches it
+    through unnumbered vertices of strictly smaller label, and such a reach
+    that is not an edge becomes a fill edge of H. ``by_w[w]`` masks the
+    unnumbered vertices of label w, so selection is the lowest bit of the
+    highest non-empty mask. The search from x is graded over these masks:
+    at level w it bumps the label-w vertices next to the region (x plus the
+    unnumbered vertices it reaches through labels below w), then admits the
+    label-w vertices and grows the region by ORing adjacency rows. Growth
+    stops once every vertex of a higher label already touches the region,
+    which always holds after the highest label present.
+
+    Returns the adjacency masks of H, the order in which vertices are
+    eliminated (lowest number first) and the mask of minimal-separator
+    generators: the vertices selected with a label no higher than the label
+    the previously numbered vertex had when it was selected.
     """
     n = g.n
     adj = g._adj
     h = list(adj)
-    weight = [0] * n
-    unnumbered = (1 << n) - 1
+    by_w = [0] * (n + 1)
+    by_w[0] = unnumbered = (1 << n) - 1
+    top = 0
+    prev = -1
+    generators = 0
     visit_order: list[int] = []
     for _ in range(n):
-        best, best_w = -1, -1
-        rest = unnumbered
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if weight[v] > best_w:
-                best, best_w = v, weight[v]
-        x = best
-        unnumbered ^= 1 << x
+        while not by_w[top]:
+            top -= 1
+        low = by_w[top] & -by_w[top]
+        by_w[top] ^= low
+        unnumbered ^= low
+        x = low.bit_length() - 1
         visit_order.append(x)
-        # Graded search: buckets[j] holds reached vertices traversable once
-        # the frontier weight is j; a vertex with weight above the current
-        # level is reachable through strictly smaller weights, so it gets a
-        # weight bump (and a fill edge if needed).
-        reached = 1 << x
-        buckets: list[list[int]] = [[] for _ in range(n + 1)]
+        if top <= prev:
+            generators |= low
+        prev = top
+        # reach = N(region); pending = admitted vertices outside the region;
+        # above = vertices of labels not yet admitted.
+        reach = adj[x]
+        pending = 0
+        above = unnumbered
+        bumps: list[tuple[int, int]] = []
+        for w, layer in enumerate(by_w[: top + 1]):
+            if not above:
+                break
+            if not layer:
+                continue
+            if reach & layer:
+                bumps.append((w, reach & layer))
+            above ^= layer
+            # Once every higher label touches the region, growing it
+            # changes no bump.
+            if not above & ~reach:
+                continue
+            pending |= layer
+            frontier = reach & pending
+            while frontier:
+                pending ^= frontier
+                while frontier:
+                    v = frontier.bit_length() - 1
+                    reach |= adj[v]
+                    frontier ^= 1 << v
+                frontier = reach & pending
         bumped = 0
-        for y in bit_members(adj[x] & unnumbered):
-            reached |= 1 << y
-            buckets[weight[y]].append(y)
-            bumped |= 1 << y
-        for level in range(n):
-            bucket = buckets[level]
-            while bucket:
-                z = bucket.pop()
-                for w in bit_members(adj[z] & unnumbered & ~reached):
-                    reached |= 1 << w
-                    if weight[w] > level:
-                        bumped |= 1 << w
-                        buckets[weight[w]].append(w)
-                    else:
-                        bucket.append(w)
-        for y in bit_members(bumped):
-            weight[y] += 1
-            if not (adj[x] >> y) & 1:
-                h[x] |= 1 << y
-                h[y] |= 1 << x
+        for w, b in bumps:
+            by_w[w] ^= b
+            by_w[w + 1] |= b
+            bumped |= b
+        if by_w[top + 1]:
+            top += 1
+        h[x] |= bumped
+        for y in bit_members(bumped & ~adj[x]):
+            h[y] |= low
     visit_order.reverse()
-    return h, visit_order
+    return h, visit_order, generators
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -124,46 +154,27 @@ def decompose(g: Graph) -> Decomposition:
     if not is_connected(g):
         raise ValidationError("decomposition requires a connected graph")
     n = g.n
-    full = (1 << n) - 1
     if n == 1:
         return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0))
     adj = g._adj
-    h, elim = _mcs_m(g)
+    h, elim, generators = _mcs_m(g)
 
-    madjs = [0] * n
-    later = 0
-    for idx in range(n - 1, -1, -1):
-        madjs[idx] = h[elim[idx]] & later
-        later |= 1 << elim[idx]
-
-    alive = full
-    carved: list[int] = []
-    for idx, x in enumerate(elim):
-        sep = madjs[idx]
-        if not sep or not (alive >> x) & 1:
+    alive = (1 << n) - 1
+    eliminated = 0
+    pieces: list[int] = []
+    for x in elim:
+        eliminated |= 1 << x
+        if not (generators >> x) & 1:
             continue
-        if sep & ~alive:
-            continue
+        sep = h[x] & ~eliminated
         if not _is_clique(adj, sep):
             continue
-        if not _has_two_full_components(adj, full & ~sep, sep):
-            continue
         comp = _component_bits(adj, alive & ~sep, x)
-        piece = comp | sep
-        if piece == alive:
-            continue
-        carved.append(piece)
+        pieces.append(comp | sep)
         alive &= ~comp
+    pieces.append(alive)
 
-    # Sweeping can leave separator residues: prime pieces strictly inside a
-    # real atom (carving {0,2,3} then {0,2,4} strands the prime piece {0,2}).
-    # Every piece is prime and every atom occurs as a piece, so keeping the
-    # inclusion-maximal pieces is exactly the atom family.
-    pieces = set([alive] + carved)
-    atom_bits = [
-        p for p in pieces if not any(q != p and p & ~q == 0 for q in pieces)
-    ]
-    ordered = _d_order(atom_bits)
+    ordered = _d_order(pieces)
     atoms = tuple(VertexSet(n, b) for b in ordered)
     r_bits = []
     union = ordered[0]
@@ -188,41 +199,62 @@ def _d_order(atom_bits: list[int]) -> list[int]:
     all previously placed atoms is contained in its parent. Prim's
     addition order (rooted at the lexicographically smallest atom, ties
     to the lexicographically smaller atom) is therefore a valid ordering.
+
+    An atom's weight is its largest overlap with a placed atom. Placing an
+    atom updates only the atoms that share a vertex with it, found through
+    the vertex-to-atom incidence lists, and the next atom comes off a lazy
+    heap keyed (-weight, index). No atom contains another, so an atom whose
+    weight reaches its size minus one cannot improve: it is dropped from
+    the incidence lists at their next scan, and on a star K_{1,k} the
+    centre's list empties after the second placement instead of being
+    rescanned k times.
     """
     if len(atom_bits) <= 1:
         return list(atom_bits)
-    atoms = sorted(atom_bits, key=_lex_key)
+    keyed = sorted((tuple(bit_members(b)), b) for b in atom_bits)
+    members = [key for key, _ in keyed]
+    atoms = [b for _, b in keyed]
     k = len(atoms)
-    in_tree = [False] * k
-    in_tree[0] = True
-    weight = [(atoms[i] & atoms[0]).bit_count() for i in range(k)]
+    incident: dict[int, list[int]] = {}
+    for i, mem in enumerate(members):
+        for v in mem:
+            incident.setdefault(v, []).append(i)
+    weight = [0] * k
     parent = [0] * k
+    placed = [False] * k
+    # placed, or sharing all but one vertex with a placed atom
+    done = [False] * k
+    heap: list[tuple[int, int]] = []
     order = [0]
-    for _ in range(k - 1):
-        pick, best = -1, 0
-        for i in range(k):
-            if not in_tree[i] and weight[i] > best:
-                pick, best = i, weight[i]
-        if pick < 0:
+    pick = 0
+    placed[0] = done[0] = True
+    while len(order) < k:
+        shared: dict[int, int] = {}
+        for v in members[pick]:
+            live = [i for i in incident[v] if not done[i]]
+            incident[v] = live
+            for i in live:
+                shared[i] = shared.get(i, 0) + 1
+        for i, w in shared.items():
+            if w > weight[i]:
+                weight[i] = w
+                parent[i] = pick
+                heapq.heappush(heap, (-w, i))
+                done[i] = w == len(members[i]) - 1
+        while heap:
+            neg_w, pick = heapq.heappop(heap)
+            if not placed[pick] and -neg_w == weight[pick]:
+                break
+        else:
             raise AlgorithmError("atom intersection graph is disconnected")
-        in_tree[pick] = True
+        placed[pick] = done[pick] = True
         order.append(pick)
-        for i in range(k):
-            if not in_tree[i]:
-                w = (atoms[i] & atoms[pick]).bit_count()
-                if w > weight[i]:
-                    weight[i] = w
-                    parent[i] = pick
     placed_union = atoms[0]
     for pos in order[1:]:
         if atoms[pos] & placed_union & ~atoms[parent[pos]]:
             raise AlgorithmError("atom ordering violates the containment property")
         placed_union |= atoms[pos]
     return [atoms[i] for i in order]
-
-
-def _lex_key(bits: int) -> tuple[int, ...]:
-    return tuple(bit_members(bits))
 
 
 def is_prime(g: Graph) -> bool:

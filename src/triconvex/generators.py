@@ -6,6 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
+from .bitset import bit_members
 from .errors import ValidationError
 from .graph import Graph, _components_bits
 
@@ -13,16 +14,19 @@ from .graph import Graph, _components_bits
 # bowtie: 0 is the shared vertex of triangles {0,1,2} and {0,3,4}.
 # triangle_star k: 0 is the centre; triangle i is {0, 2i-1, 2i}.
 # star k: 0 is the centre of K_{1,k}.
+#
+# Edges go to Graph as generators, so an oversized n from a CLI spec fails
+# Graph's vertex-count check before any edge is built.
 
 
 def path_graph(n: int) -> Graph:
     _require(n >= 1, "path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     _require(n >= 3, "cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
@@ -32,7 +36,7 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(k: int) -> Graph:
     _require(k >= 1, "star needs k >= 1 leaves")
-    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+    return Graph(k + 1, ((0, i) for i in range(1, k + 1)))
 
 
 def bowtie_graph() -> Graph:
@@ -61,18 +65,11 @@ def random_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
     g = Graph(n, edges)
     comps = _components_bits(g._adj, (1 << n) - 1)
     if len(comps) > 1:
-        members = [[b.bit_length() - 1 for b in _bits_of(c)] for c in comps]
+        members = [list(bit_members(c)) for c in comps]
         for comp in members[1:]:
             edges.append((rng.choice(members[0]), rng.choice(comp)))
         g = Graph(n, edges)
     return g
-
-
-def _bits_of(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _require(cond: bool, message: str) -> None:

@@ -15,6 +15,11 @@ from typing import Iterable, Iterator
 from .bitset import VertexSet, bit_members
 from .errors import ParseError, ValidationError
 
+# Largest accepted vertex count. Adjacency is one Python int per vertex, so
+# a count read from a file is checked before anything of that length is
+# allocated.
+MAX_VERTICES = 1_000_000
+
 
 class Graph:
     """An immutable simple undirected graph on vertices ``0..n-1``."""
@@ -24,6 +29,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise ValidationError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

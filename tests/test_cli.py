@@ -166,9 +166,18 @@ class TestExitCodes:
             ["oracle-compare", "--corpus", "random:12"],
             ["oracle-compare", "--corpus", "exhaustive:x"],
             ["bench", "--algorithm", "hull", "--sizes", "a"],
+            # sizes rejected before allocating: vertex counts past
+            # graph.MAX_VERTICES, and 2^21 edge subsets at exhaustive:7
+            ["decompose", "--graph", "huge.txt"],
+            ["decompose", "--graph", "huge.col"],
+            ["decompose", "--generate", "path:1000000000"],
+            ["oracle-compare", "--corpus", "exhaustive:7"],
         ],
     )
-    def test_malformed_argument_is_a_one_line_error(self, capsys, argv):
+    def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "huge.txt").write_text("999999999\n", encoding="utf-8")
+        (tmp_path / "huge.col").write_text("p edge 1000000000 0\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1

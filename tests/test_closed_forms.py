@@ -9,6 +9,10 @@ vertex is convex: convexity number 1, hull number 2.
 
 Each form is first confirmed against the brute-force oracles on small
 members of its family, then asserted at sizes the oracles cannot reach.
+
+A tree's atoms are its edges, and a D-ordering places each edge after one
+that shares its single overlap vertex; that is checked on 10,000-vertex
+trees.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import random
 
 import pytest
 
+from triconvex.bitset import bit_members
 from triconvex.convexity_number import convexity_number
+from triconvex.decomposition import decompose
 from triconvex.generators import complete_graph, cycle_graph, path_graph, star_graph
 from triconvex.graph import Graph
 from triconvex.hull_number import hull_number
@@ -81,3 +87,31 @@ def test_form_holds_at_scale(name):
     assert (hull.value, convex.value) == forms(g)
     assert len(hull.hull_set) == hull.value
     assert len(convex.witness) == convex.value
+
+
+TREES_AT_SCALE = {
+    "path:10000": path_graph(10000),
+    "random recursive tree:10000": random_recursive_tree(10000, 0),
+    "star:9999": star_graph(9999),
+}
+
+
+@pytest.mark.parametrize("name", TREES_AT_SCALE)
+def test_tree_decomposes_into_its_edges_at_scale(name):
+    # Checked directly: verify_d_ordering's separator test is O(t * n) here.
+    g = TREES_AT_SCALE[name]
+    dec = decompose(g)
+    atoms = [a.bits for a in dec.atoms]
+    assert len(atoms) == g.n - 1
+    assert set(atoms) == {(1 << u) | (1 << v) for u, v in g.edges()}
+    first_atom = dict.fromkeys(bit_members(atoms[0]), 0)
+    r_union = 0
+    for i in range(1, len(atoms)):
+        overlap = [v for v in bit_members(atoms[i]) if v in first_atom]
+        assert len(overlap) == 1
+        assert dec.r_sets[i - 1].bits == 1 << overlap[0]
+        assert first_atom[overlap[0]] < i
+        r_union |= 1 << overlap[0]
+        for v in bit_members(atoms[i]):
+            first_atom.setdefault(v, i)
+    assert dec.r_union.bits == r_union

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from triconvex.bitset import VertexSet
+from triconvex.bitset import VertexSet, bit_members
 from triconvex.decomposition import (
     Decomposition,
+    _has_two_full_components,
+    _is_clique,
+    _mcs_m,
     decompose,
     is_prime,
     pivots,
     verify_d_ordering,
 )
 from triconvex.errors import ValidationError
-from triconvex.generators import complete_graph, path_graph
-from triconvex.graph import Graph, connected_components, is_connected
+from triconvex.generators import complete_graph, path_graph, random_connected_graph, star_graph
+from triconvex.graph import Graph, _component_bits, connected_components, is_connected
 from triconvex.oracle import brute_atoms
 
 
@@ -181,6 +185,170 @@ class TestPivots:
         assert [sorted(a) for a in dec.atoms] == [[0, 1, 2, 3], [0, 1, 4]]
         s = vs(5, [2])
         assert sorted(pivots(g, dec, 1, s)) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Reference route: bucket MCS-M, a sweep over every candidate separator with
+# a full-graph separator test, an inclusion-maximality filter and an O(k^2)
+# Prim. decompose must give the same Decomposition, order included.
+
+
+def bucket_mcs_m(g):
+    n = g.n
+    adj = g._adj
+    h = list(adj)
+    weight = [0] * n
+    unnumbered = (1 << n) - 1
+    visit_order = []
+    for _ in range(n):
+        best, best_w = -1, -1
+        for v in bit_members(unnumbered):
+            if weight[v] > best_w:
+                best, best_w = v, weight[v]
+        x = best
+        unnumbered ^= 1 << x
+        visit_order.append(x)
+        # buckets[j]: reached vertices traversable once the frontier weight is j
+        reached = 1 << x
+        buckets = [[] for _ in range(n + 1)]
+        bumped = 0
+        for y in bit_members(adj[x] & unnumbered):
+            reached |= 1 << y
+            buckets[weight[y]].append(y)
+            bumped |= 1 << y
+        for level in range(n):
+            bucket = buckets[level]
+            while bucket:
+                z = bucket.pop()
+                for w in bit_members(adj[z] & unnumbered & ~reached):
+                    reached |= 1 << w
+                    if weight[w] > level:
+                        bumped |= 1 << w
+                        buckets[weight[w]].append(w)
+                    else:
+                        bucket.append(w)
+        for y in bit_members(bumped):
+            weight[y] += 1
+            if not (adj[x] >> y) & 1:
+                h[x] |= 1 << y
+                h[y] |= 1 << x
+    visit_order.reverse()
+    return h, visit_order
+
+
+def quadratic_prim(atom_bits):
+    atoms = sorted(atom_bits, key=lambda b: tuple(bit_members(b)))
+    k = len(atoms)
+    in_tree = [False] * k
+    in_tree[0] = True
+    weight = [(atoms[i] & atoms[0]).bit_count() for i in range(k)]
+    order = [0]
+    for _ in range(k - 1):
+        pick, best = -1, 0
+        for i in range(k):
+            if not in_tree[i] and weight[i] > best:
+                pick, best = i, weight[i]
+        assert pick >= 0
+        in_tree[pick] = True
+        order.append(pick)
+        for i in range(k):
+            if not in_tree[i]:
+                weight[i] = max(weight[i], (atoms[i] & atoms[pick]).bit_count())
+    return [atoms[i] for i in order]
+
+
+def reference_decompose(g):
+    n = g.n
+    if n == 1:
+        return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0))
+    adj = g._adj
+    full = (1 << n) - 1
+    h, elim = bucket_mcs_m(g)
+    madjs = [0] * n
+    later = 0
+    for idx in range(n - 1, -1, -1):
+        madjs[idx] = h[elim[idx]] & later
+        later |= 1 << elim[idx]
+    alive = full
+    carved = []
+    for idx, x in enumerate(elim):
+        sep = madjs[idx]
+        if not sep or not (alive >> x) & 1 or sep & ~alive:
+            continue
+        if not _is_clique(adj, sep) or not _has_two_full_components(adj, full & ~sep, sep):
+            continue
+        comp = _component_bits(adj, alive & ~sep, x)
+        if comp | sep == alive:
+            continue
+        carved.append(comp | sep)
+        alive &= ~comp
+    pieces = set([alive] + carved)
+    atom_bits = [p for p in pieces if not any(q != p and p & ~q == 0 for q in pieces)]
+    ordered = quadratic_prim(atom_bits)
+    r_bits = []
+    union = ordered[0]
+    for b in ordered[1:]:
+        r_bits.append(b & union)
+        union |= b
+    r_union = 0
+    for r in r_bits:
+        r_union |= r
+    return Decomposition(
+        tuple(VertexSet(n, b) for b in ordered),
+        tuple(VertexSet(n, r) for r in r_bits),
+        VertexSet(n, r_union),
+    )
+
+
+def random_recursive_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def tree_of_cliques(blocks, seed):
+    """Blocks glued along 1-3 shared vertices of an earlier block; each block
+    is a clique or a random graph on a Hamiltonian path."""
+    rng = random.Random(seed)
+    edges = set()
+    placed = []
+    n = 0
+    for _ in range(blocks):
+        share = []
+        if placed:
+            host = rng.choice(placed)
+            share = rng.sample(host, rng.randint(1, min(3, len(host))))
+        fresh = list(range(n, n + rng.randint(1, 5)))
+        n += len(fresh)
+        block = share + fresh
+        dense = rng.random() < 0.5
+        for u, v in itertools.combinations(block, 2):
+            if dense or rng.random() < 0.6:
+                edges.add((min(u, v), max(u, v)))
+        edges.update((min(u, v), max(u, v)) for u, v in zip(block, block[1:]))
+        placed.append(block)
+    return Graph(n, sorted(edges))
+
+
+def differential_corpus():
+    graphs = []
+    for n, p, seed in itertools.product((12, 25, 50, 100, 200), (0.02, 0.05, 0.15), range(3)):
+        graphs.append(random_connected_graph(n, p, seed))
+    graphs += [tree_of_cliques(blocks, seed) for blocks in (3, 8, 20, 40) for seed in range(10)]
+    graphs += [path_graph(n) for n in (1, 2, 3, 10, 150)]
+    graphs += [random_recursive_tree(n, seed) for n in (10, 60, 200) for seed in range(3)]
+    graphs += [star_graph(k) for k in (1, 2, 5, 120)]
+    return graphs
+
+
+class TestAgainstReferenceRoute:
+    def test_decompose_matches_bucket_route(self):
+        for g in differential_corpus():
+            assert decompose(g) == reference_decompose(g), sorted(g.edges())
+
+    def test_mcs_m_matches_bucket_search(self):
+        for g in differential_corpus():
+            h, elim, _ = _mcs_m(g)
+            assert (h, elim) == bucket_mcs_m(g), sorted(g.edges())
 
 
 def _separates(g, sep, a, b):
