@@ -56,7 +56,6 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--checked", action="store_true", help="enable contract checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-prime", help="all convex sets of a prime graph")
     _add_graph_arguments(p)
     _add_common(p)
+    p.add_argument("--checked", action="store_true", help="reject a graph that is not prime")
 
     p = sub.add_parser("convexity-number", help="maximum proper convex set")
     _add_graph_arguments(p)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
 from .errors import AlgorithmError, ValidationError
-from .graph import Graph, _component_bits, _components_bits, is_connected
+from .graph import Graph, _component_bits, _components_with_boundary, _is_clique, is_connected
+from .graph import _components_bits  # noqa: F401  (benchmark/tracer.py wraps this name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +44,6 @@ class Decomposition:
     @property
     def t(self) -> int:
         return len(self.atoms)
-
-
-def _is_clique(adj: list[int], bits: int) -> bool:
-    for v in bit_members(bits):
-        if bits & ~adj[v] & ~(1 << v):
-            return False
-    return True
 
 
 def _has_two_full_components(adj: list[int], rest: int, sep: int) -> bool:
@@ -317,56 +311,44 @@ def verify_d_ordering(g: Graph, dec: Decomposition, check_atom_primality: bool =
 # Pivots.
 
 
-def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> list[tuple[int, int]]:
-    """Qualifying (other-atom index, shared-vertex bits) pairs for atom i.
+def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> list[int]:
+    """N(D) for each component D of G - F_i that meets s, by min vertex of D.
 
-    Atom j qualifies when some vertex of s outside atom i lies in the
-    component of G - (F_i intersect F_j) that contains the rest of F_j;
-    the shared vertices are then pivots of F_i. The component must also
-    avoid the rest of F_i: when the overlap fails to separate the two
-    atoms, hull flow towards F_i is not forced through the shared
-    vertices, and counting them as pivots breaks both the hull-set
-    characterization and the minimum-hull-set sweep.
+    The pivots of F_i are the shared vertices through which hull flow from
+    the seed vertices of s outside F_i is forced into F_i: the overlaps
+    S = F_i & F_j with another atom F_j such that the component C of G - S
+    holding F_j - S avoids F_i - S and meets s. These overlaps are exactly
+    the neighbourhoods N(D) of the components D of G - F_i that meet s:
+
+    - C avoids F_i - S and is closed in G - S, so C is a component D of
+      G - F_i with N(D) inside S. Each vertex of the clique S has a
+      neighbour in F_j - S, F_j being prime, so S = N(D).
+    - For a component D of G - F_i, N(D) is a clique minimal separator with
+      D a full component; the atom of G[D | N(D)] containing N(D) is an
+      atom F_j of G with F_j & F_i = N(D) and F_j - F_i inside D.
+
+    An overlap that fails to separate F_j from the rest of F_i is not a
+    pivot set: hull flow towards F_i is not forced through it. So one
+    search of G - F_i answers the question, with no search per overlap
+    (Berry, Pogorelcnik and Simonet, Algorithms 2010).
     """
-    adj = g._adj
-    full = (1 << g.n) - 1
     f_bits = dec.atoms[i].bits
-    s_out = s.bits & ~f_bits
-    if not s_out:
+    if not s.bits & ~f_bits:
         return []
-    comp_cache: dict[int, list[int]] = {}
-    details: list[tuple[int, int]] = []
-    for j, other in enumerate(dec.atoms):
-        if j == i:
-            continue
-        shared = other.bits & f_bits
-        if not shared:
-            continue
-        rest = other.bits & ~shared
-        if not rest:
-            continue
-        comps = comp_cache.get(shared)
-        if comps is None:
-            comps = _components_bits(adj, full & ~shared)
-            comp_cache[shared] = comps
-        seed = rest & -rest
-        comp = next(c for c in comps if c & seed)
-        if comp & (f_bits & ~shared):
-            continue
-        if comp & s_out:
-            details.append((j, shared))
-    return details
+    outside = _components_with_boundary(g._adj, ((1 << g.n) - 1) & ~f_bits)
+    return [boundary for comp, boundary in outside if comp & s.bits]
 
 
 def pivots(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
     """Pivots of atom i with respect to s, straight from the definition.
 
-    A vertex of F_i shared with another atom F' is a pivot when a vertex of
-    s outside F_i lives on F' 's side of the shared separator.
+    A vertex of F_i is a pivot when it lies in N(D) for a component D of
+    G - F_i that holds a vertex of s: flow from that vertex enters F_i
+    through N(D), the overlap of F_i with the atom on D's side.
     """
     if s.n != g.n:
         raise ValidationError("vertex set has wrong universe size")
     out = 0
-    for _, shared in _pivot_details(g, dec, i, s):
-        out |= shared
+    for boundary in _pivot_details(g, dec, i, s):
+        out |= boundary
     return VertexSet(g.n, out)

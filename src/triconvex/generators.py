@@ -8,7 +8,7 @@ from typing import Iterator
 
 from .bitset import bit_members
 from .errors import ValidationError
-from .graph import Graph, _components_bits
+from .graph import MAX_VERTICES, Graph, _components_bits
 
 # Vertex layout of the named families, used throughout the test-suite:
 # bowtie: 0 is the shared vertex of triangles {0,1,2} and {0,3,4}.
@@ -16,7 +16,8 @@ from .graph import Graph, _components_bits
 # star k: 0 is the centre of K_{1,k}.
 #
 # Edges go to Graph as generators, so an oversized n from a CLI spec fails
-# Graph's vertex-count check before any edge is built.
+# Graph's vertex-count check before any edge is built; random_connected_graph
+# checks the bound itself before its pair scan.
 
 
 def path_graph(n: int) -> Graph:
@@ -60,6 +61,7 @@ def random_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
     """
     _require(n >= 1, "random graph needs n >= 1")
     _require(0.0 <= p <= 1.0, "edge probability must be in [0, 1]")
+    _require(n <= MAX_VERTICES, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     g = Graph(n, edges)

@@ -145,6 +145,13 @@ def _component_bits(adj: list[int], alive: int, seed: int) -> int:
     return comp
 
 
+def _is_clique(adj: list[int], bits: int) -> bool:
+    for v in bit_members(bits):
+        if bits & ~adj[v] & ~(1 << v):
+            return False
+    return True
+
+
 def _components_bits(adj: list[int], alive: int) -> list[int]:
     """All components of the subgraph induced on ``alive``, by min vertex id."""
     comps = []

@@ -24,9 +24,12 @@ from .prime import prime_t_hull
 class SatisfactionVerdict:
     """Which condition a set meets on one atom, with the realizing evidence.
 
+    Pivots are the vertices of N(D) for the components D of G - F_i that
+    meet the set (see ``decomposition._pivot_details``).
+
     cond1: two pivots hulling the atom (evidence: the pair).
-    cond2: a pivot plus a set member of the atom outside the pivot's other
-    atom, together hulling it (evidence: the pair).
+    cond2: a pivot plus a member of the atom outside that pivot's N(D),
+    together hulling it (evidence: the pair).
     cond3: the set's trace on the atom hulls it (evidence: the trace).
     """
 
@@ -48,14 +51,19 @@ def _pair_hulls_atom(sub: Graph, a: int, b: int) -> bool:
 
 
 def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> SatisfactionVerdict:
-    """First satisfied condition of s on atom i, or condition "none"."""
+    """First satisfied condition of s on atom i, or condition "none".
+
+    Condition 2 tries, for each pivot u and each N(D) holding u, the members
+    of s in the atom outside N(D); N(D) is the overlap of F_i with the atom
+    on D's side, so these are the members outside that other atom.
+    """
     atom = dec.atoms[i]
     sub, vertices = g.induced(atom)
     index = {v: pos for pos, v in enumerate(vertices)}
-    details = _pivot_details(g, dec, i, s)
+    boundaries = _pivot_details(g, dec, i, s)
     pivot_bits = 0
-    for _, shared in details:
-        pivot_bits |= shared
+    for boundary in boundaries:
+        pivot_bits |= boundary
     pivot_list = list(bit_members(pivot_bits))
 
     for a_pos, u in enumerate(pivot_list):
@@ -65,10 +73,10 @@ def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> Satisfactio
 
     s_in_atom = s.bits & atom.bits
     for u in pivot_list:
-        for j, shared in details:
-            if not (shared >> u) & 1:
+        for boundary in boundaries:
+            if not (boundary >> u) & 1:
                 continue
-            candidates = s_in_atom & ~dec.atoms[j].bits
+            candidates = s_in_atom & ~boundary
             for v in bit_members(candidates):
                 if _pair_hulls_atom(sub, index[u], index[v]):
                     return SatisfactionVerdict(i, "cond2", (u, v))

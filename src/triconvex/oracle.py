@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .bitset import VertexSet, bit_members
 from .errors import BudgetExceededError
-from .graph import Graph, Path, _components_bits
+from .graph import Graph, Path, _components_bits, _is_clique
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +233,7 @@ def brute_atoms(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> set[VertexSe
                 sep = 0
                 for v in combo:
                     sep |= 1 << v
-                if not _is_clique_bits(adj, sep):
+                if not _is_clique(adj, sep):
                     continue
                 comps = _components_bits(adj, sub & ~sep)
                 full_comps = [
@@ -250,13 +250,6 @@ def brute_atoms(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> set[VertexSe
             split(comp)
     maximal = [p for p in pieces if not any(q != p and p & ~q == 0 for q in pieces)]
     return {VertexSet(g.n, p) for p in maximal}
-
-
-def _is_clique_bits(adj: list[int], bits: int) -> bool:
-    for v in bit_members(bits):
-        if bits & ~adj[v] & ~(1 << v):
-            return False
-    return True
 
 
 def check_convexity_axioms(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> bool:

@@ -73,7 +73,7 @@ def prime_is_t_convex(g: Graph, s: VertexSet, checked: bool = False) -> bool:
     """Convexity test for prime graphs: clique with no doubly-seen outside.
 
     The caller guarantees primality; pass checked=True to have it verified
-    (used by tests and the CLI's --checked mode).
+    (used by tests).
     """
     if checked:
         _require_prime(g)

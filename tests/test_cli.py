@@ -141,6 +141,11 @@ class TestExitCodes:
             cli.main(["hull"])  # missing required --vertices and graph source
         assert exc.value.code == 64
 
+    def test_checked_belongs_to_enumerate_prime_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hull", "--generate", "path:5", "--vertices", "0", "--checked"])
+        assert exc.value.code == 64
+
     def test_oracle_compare_clean_corpus_is_zero(self, capsys):
         code, report = run_json(capsys, "oracle-compare", "--corpus", "exhaustive:4")
         assert code == 0
@@ -172,6 +177,10 @@ class TestExitCodes:
             ["decompose", "--graph", "huge.col"],
             ["decompose", "--generate", "path:1000000000"],
             ["oracle-compare", "--corpus", "exhaustive:7"],
+            ["generate", "--generate", "random_connected:1000000000,0"],
+            ["oracle-compare", "--corpus", "random:1000000000,1"],
+            # --checked rejects a graph that is not prime
+            ["enumerate-prime", "--generate", "bowtie", "--checked"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):

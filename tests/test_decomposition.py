@@ -17,9 +17,18 @@ from triconvex.decomposition import (
     verify_d_ordering,
 )
 from triconvex.errors import ValidationError
-from triconvex.generators import complete_graph, path_graph, random_connected_graph, star_graph
+from triconvex.generators import (
+    all_connected_graphs,
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    triangle_star_graph,
+)
 from triconvex.graph import Graph, _component_bits, connected_components, is_connected
+from triconvex.hull_number import SatisfactionVerdict, _pair_hulls_atom, hull_number, satisfies
 from triconvex.oracle import brute_atoms
+from triconvex.prime import prime_t_hull
 
 
 def vs(n, items):
@@ -349,6 +358,112 @@ class TestAgainstReferenceRoute:
         for g in differential_corpus():
             h, elim, _ = _mcs_m(g)
             assert (h, elim) == bucket_mcs_m(g), sorted(g.edges())
+
+
+# ---------------------------------------------------------------------------
+# Reference pivot route: one search of G - (F_i & F_j) per distinct overlap,
+# with the qualifying atoms j kept, and condition 2 taking its candidates
+# outside F_j. pivots and satisfies must give the same masks and verdicts.
+
+
+def reference_pivot_details(g, dec, i, s):
+    f_bits = dec.atoms[i].bits
+    s_out = s.bits & ~f_bits
+    if not s_out:
+        return []
+    comp_cache = {}
+    details = []
+    for j, other in enumerate(dec.atoms):
+        if j == i:
+            continue
+        shared = other.bits & f_bits
+        if not shared:
+            continue
+        rest = other.bits & ~shared
+        if not rest:
+            continue
+        comps = comp_cache.get(shared)
+        if comps is None:
+            comps = connected_components(g, VertexSet(g.n, shared))
+            comp_cache[shared] = comps
+        seed = (rest & -rest).bit_length() - 1
+        comp = next(c.bits for c in comps if seed in c)
+        if comp & (f_bits & ~shared):
+            continue
+        if comp & s_out:
+            details.append((j, shared))
+    return details
+
+
+def reference_satisfies(g, dec, s, i):
+    atom = dec.atoms[i]
+    sub, vertices = g.induced(atom)
+    index = {v: pos for pos, v in enumerate(vertices)}
+    details = reference_pivot_details(g, dec, i, s)
+    pivot_bits = 0
+    for _, shared in details:
+        pivot_bits |= shared
+    pivot_list = list(bit_members(pivot_bits))
+    for a_pos, u in enumerate(pivot_list):
+        for v in pivot_list[a_pos + 1 :]:
+            if _pair_hulls_atom(sub, index[u], index[v]):
+                return SatisfactionVerdict(i, "cond1", (u, v))
+    s_in_atom = s.bits & atom.bits
+    for u in pivot_list:
+        for j, shared in details:
+            if not (shared >> u) & 1:
+                continue
+            for v in bit_members(s_in_atom & ~dec.atoms[j].bits):
+                if _pair_hulls_atom(sub, index[u], index[v]):
+                    return SatisfactionVerdict(i, "cond2", (u, v))
+    local = 0
+    for v in bit_members(s_in_atom):
+        local |= 1 << index[v]
+    if prime_t_hull(sub, VertexSet(sub.n, local)).bits == (1 << sub.n) - 1:
+        return SatisfactionVerdict(i, "cond3", VertexSet(g.n, s_in_atom))
+    return SatisfactionVerdict(i, "none")
+
+
+def pivot_corpus():
+    graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+    for n, p, seed in itertools.product((12, 25, 50, 100, 200), (0.02, 0.05, 0.15), range(2)):
+        graphs.append(random_connected_graph(n, p, seed))
+    graphs += [tree_of_cliques(blocks, seed) for blocks in (3, 8, 20, 40) for seed in range(8)]
+    graphs += [path_graph(n) for n in (3, 10, 100)]
+    graphs += [random_recursive_tree(n, 0) for n in (10, 60, 200)]
+    graphs += [star_graph(k) for k in (2, 5, 60)]
+    graphs += [triangle_star_graph(k) for k in (2, 5, 40)]
+    # atoms {3,4,5} and {1,2,3} meet in {3}, which does not separate them
+    graphs.append(
+        Graph(7, [(0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6)])
+    )
+    return [g for g in graphs if decompose(g).t > 1]
+
+
+def seeded_sets(g, rng):
+    sets = [hull_number(g).hull_set]
+    for density in (0.03, 0.15, 0.5):
+        sets.append(VertexSet(g.n, sum(1 << v for v in range(g.n) if rng.random() < density)))
+    sets.append(VertexSet.from_iterable(g.n, rng.sample(range(g.n), min(3, g.n))))
+    return sets
+
+
+class TestAgainstReferencePivots:
+    def test_pivots_and_verdicts_match_per_overlap_route(self):
+        rng = random.Random(7)
+        for g in pivot_corpus():
+            dec = decompose(g)
+            for s in seeded_sets(g, rng):
+                for i in range(dec.t):
+                    expected = 0
+                    for _, shared in reference_pivot_details(g, dec, i, s):
+                        expected |= shared
+                    assert pivots(g, dec, i, s).bits == expected, (sorted(g.edges()), i, sorted(s))
+                    assert satisfies(g, dec, s, i) == reference_satisfies(g, dec, s, i), (
+                        sorted(g.edges()),
+                        i,
+                        sorted(s),
+                    )
 
 
 def _separates(g, sep, a, b):
