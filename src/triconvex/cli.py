@@ -167,6 +167,8 @@ def _corpus_graphs(spec: str, default_seed: int) -> list[Graph]:
         if len(args) != 1:
             raise ValidationError(f"corpus spec {spec!r} needs exhaustive:N")
         limit = args[0]
+        if limit < 1:
+            raise ValidationError(f"corpus spec {spec!r}: N must be at least 1")
         if limit > MAX_EXHAUSTIVE_N:
             raise ValidationError(
                 f"corpus spec {spec!r}: exhaustive corpora go up to n = {MAX_EXHAUSTIVE_N}"
@@ -179,6 +181,8 @@ def _corpus_graphs(spec: str, default_seed: int) -> list[Graph]:
         if len(args) not in (2, 3):
             raise ValidationError(f"corpus spec {spec!r} needs random:N,COUNT[,SEED]")
         n, count = args[0], args[1]
+        if count < 1:
+            raise ValidationError(f"corpus spec {spec!r}: COUNT must be at least 1")
         seed0 = args[2] if len(args) > 2 else default_seed
         probs = (0.2, 0.3, 0.4, 0.5, 0.6)
         return [

@@ -2,15 +2,21 @@
 
 A set S is convex exactly when no outside vertex has two neighbours in S
 and no two non-adjacent members of S have neighbours in a common component
-of G - S. The hull iterates that test, absorbing the offending vertex or a
-shortest path through the offending component until it stabilises.
+of G - S. Every vertex either repair adds lies in the hull, so the hull is
+a closure taken in rounds: one round absorbs every outside vertex seen
+twice, read off a member fold (``twice |= once & adj[u]; once |= adj[u]``)
+that each round extends by the members it added; only when no such vertex
+is left does it cross one doubly-attached component by a shortest path.
+The fold costs O(|hull|) mask operations per hull. The convexity test
+scans the outside vertices instead, which costs O(n - |S|) and suits one
+test of a large set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import VertexSet, bit_members
+from .bitset import VertexSet
 from .errors import ValidationError
 from .graph import Graph, _components_bits, shortest_path
 
@@ -108,12 +114,28 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 
 def _hull_bits(g: Graph, bits: int) -> int:
+    """Closure of ``bits``: p3 rounds from one member fold, then mono paths.
+
+    ``once``/``twice`` hold the vertices seeing at least one/two members.
+    Each round folds only the members added since the last one, so the p3
+    work over the whole hull is O(|hull|) mask operations, and absorbs all
+    of ``twice & ~bits`` at once. Only a p3-closed set gets the mono scan;
+    the vertices of its path are folded in the next round.
+    """
     adj = g._adj
     full = (1 << g.n) - 1
+    once = twice = 0
+    new = bits
     while True:
-        v = _p3_violation(adj, full, bits)
-        if v is not None:
-            bits |= 1 << v
+        while new:
+            low = new & -new
+            new ^= low
+            row = adj[low.bit_length() - 1]
+            twice |= once & row
+            once |= row
+        new = twice & ~bits
+        if new:
+            bits |= new
             continue
         hit = _mono_violation(adj, full, bits)
         if hit is None:
@@ -121,17 +143,20 @@ def _hull_bits(g: Graph, bits: int) -> int:
         u, v, comp = hit
         path = shortest_path(g, u, v, VertexSet(g.n, comp | (1 << u) | (1 << v)))
         for w in path:
-            bits |= 1 << w
+            new |= 1 << w
+        new &= ~bits
+        bits |= new
 
 
 def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     """The minimum convex superset of s.
 
-    Repeatedly repairs the first violation the convexity test reports: an
-    outside vertex with two neighbours inside is absorbed directly, and a
-    doubly-attached component is crossed by a shortest path between the
-    offending pair (restricted to that component), whose vertices are all
-    forced into the hull. Stabilises within n rounds.
+    Each closure round absorbs, all at once, every outside vertex with two
+    neighbours inside. When a round finds none, the first doubly-attached
+    component the convexity test reports is crossed by a shortest path
+    between the offending pair (restricted to that component), whose
+    vertices are all forced into the hull, and the rounds resume. The
+    hull is the same whatever order the forced vertices join in.
     """
     _check_subset(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

@@ -79,14 +79,31 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+# Each spec kind that from_spec accepts: its form, named in the errors, and
+# the most parameters it takes.
+SPEC_FORMS = {
+    "path": ("path:N", 1),
+    "cycle": ("cycle:N", 1),
+    "complete": ("complete:N", 1),
+    "star": ("star:K", 1),
+    "bowtie": ("bowtie", 0),
+    "triangle_star": ("triangle_star:K", 1),
+    "random_connected": ("random_connected:N,P[,SEED]", 3),
+}
+
+
 def from_spec(spec: str, default_seed: int = 0) -> Graph:
     """Build a graph from a CLI spec string like ``cycle:5``.
 
-    Supported: path:N, cycle:N, complete:N, star:K, bowtie,
-    triangle_star:K, random_connected:N,P[,SEED].
+    Supported: the forms in ``SPEC_FORMS``.
     """
     kind, _, argtext = spec.partition(":")
+    if kind not in SPEC_FORMS:
+        raise ValidationError(f"unknown generator kind {kind!r}")
+    form, most = SPEC_FORMS[kind]
     args = [a for a in argtext.split(",") if a] if argtext else []
+    if len(args) > most:
+        raise ValidationError(f"bad generator spec {spec!r}: expected {form}")
     try:
         if kind == "path":
             return path_graph(int(args[0]))
@@ -104,9 +121,8 @@ def from_spec(spec: str, default_seed: int = 0) -> Graph:
             n, p = int(args[0]), float(args[1])
             seed = int(args[2]) if len(args) > 2 else default_seed
             return random_connected_graph(n, p, seed)
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"bad generator spec {spec!r}: {exc}") from None
-    raise ValidationError(f"unknown generator kind {kind!r}")
+    except (IndexError, ValueError):
+        raise ValidationError(f"bad generator spec {spec!r}: expected {form}") from None
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:

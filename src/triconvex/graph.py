@@ -355,4 +355,8 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
     if fmt is None:
         fmt = sniff_format(path)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read(), fmt)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return parse_graph(text, fmt)

@@ -53,9 +53,11 @@ def _pair_hulls_atom(sub: Graph, a: int, b: int) -> bool:
 def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> SatisfactionVerdict:
     """First satisfied condition of s on atom i, or condition "none".
 
-    Condition 2 tries, for each pivot u and each N(D) holding u, the members
-    of s in the atom outside N(D); N(D) is the overlap of F_i with the atom
-    on D's side, so these are the members outside that other atom.
+    Condition 2 pairs a pivot u with a member of s in the atom outside an
+    N(D) holding u (N(D) is the overlap of F_i with the atom on D's side).
+    It tries only the members that are not pivots, once per u: a pivot
+    candidate would already have completed u under condition 1, and a
+    non-pivot lies outside every N(D), so the first pair found is the same.
     """
     atom = dec.atoms[i]
     sub, vertices = g.induced(atom)
@@ -72,14 +74,11 @@ def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> Satisfactio
                 return SatisfactionVerdict(i, "cond1", (u, v))
 
     s_in_atom = s.bits & atom.bits
+    candidates = list(bit_members(s_in_atom & ~pivot_bits))
     for u in pivot_list:
-        for boundary in boundaries:
-            if not (boundary >> u) & 1:
-                continue
-            candidates = s_in_atom & ~boundary
-            for v in bit_members(candidates):
-                if _pair_hulls_atom(sub, index[u], index[v]):
-                    return SatisfactionVerdict(i, "cond2", (u, v))
+        for v in candidates:
+            if _pair_hulls_atom(sub, index[u], index[v]):
+                return SatisfactionVerdict(i, "cond2", (u, v))
 
     local = 0
     for v in bit_members(s_in_atom):

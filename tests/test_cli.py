@@ -181,11 +181,21 @@ class TestExitCodes:
             ["oracle-compare", "--corpus", "random:1000000000,1"],
             # --checked rejects a graph that is not prime
             ["enumerate-prime", "--generate", "bowtie", "--checked"],
+            # a graph file that is not UTF-8 text
+            ["hull", "--graph", "binary.txt", "--vertices", "0"],
+            # corpora that would compare no graph at all
+            ["oracle-compare", "--corpus", "random:5,0"],
+            ["oracle-compare", "--corpus", "random:5,-2"],
+            ["oracle-compare", "--corpus", "exhaustive:0"],
+            # generator specs short of their parameters, or past them
+            ["generate", "--generate", "random_connected:5"],
+            ["generate", "--generate", "path:3,9"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
         (tmp_path / "huge.txt").write_text("999999999\n", encoding="utf-8")
         (tmp_path / "huge.col").write_text("p edge 1000000000 0\n", encoding="utf-8")
+        (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\x00\x01\n")
         monkeypatch.chdir(tmp_path)
         code = cli.main(argv)
         captured = capsys.readouterr()

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import given, settings
 
 from triconvex.bitset import VertexSet
 from triconvex.convexity import (
+    _mono_violation,
+    _p3_violation,
     is_m_convex,
     is_p3_convex,
     is_t_convex,
     is_t_hull_set,
     t_convex_hull,
 )
+from triconvex.generators import path_graph, random_connected_graph, star_graph
+from triconvex.graph import Graph, shortest_path
 from triconvex.oracle import brute_hull, brute_is_convex
 
 from .strategies import graphs_with_subsets
@@ -152,3 +157,83 @@ class TestConvexFamilyAxioms:
             fam = set(family)
             for a, b in itertools.combinations(family, 2):
                 assert a & b in fam
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the hull against the restart-per-vertex route: absorb
+# the smallest outside vertex with two neighbours inside, rescan from scratch,
+# and cross a doubly-attached component only when no such vertex is left.
+
+
+def reference_hull_bits(g, bits):
+    adj = g._adj
+    full = (1 << g.n) - 1
+    while True:
+        v = _p3_violation(adj, full, bits)
+        if v is not None:
+            bits |= 1 << v
+            continue
+        hit = _mono_violation(adj, full, bits)
+        if hit is None:
+            return bits
+        u, v, comp = hit
+        for w in shortest_path(g, u, v, VertexSet(g.n, comp | (1 << u) | (1 << v))):
+            bits |= 1 << w
+
+
+def cubic_core_with_trees(core, hung, seed):
+    """A 3-regular core (a cycle plus a perfect matching of non-neighbours)
+    with ``hung`` tree vertices, each joined to a random earlier vertex."""
+    rng = random.Random(seed)
+    while True:
+        order = list(range(core))
+        rng.shuffle(order)
+        pairs = list(zip(order[::2], order[1::2]))
+        if all((a - b) % core not in (1, core - 1) for a, b in pairs):
+            break
+    edges = [(i, (i + 1) % core) for i in range(core)] + pairs
+    edges += [(rng.randrange(v), v) for v in range(core, core + hung)]
+    return Graph(core + hung, edges)
+
+
+def hull_corpus():
+    graphs = [
+        random_connected_graph(n, p, seed)
+        for n, p, seed in itertools.product(
+            (10, 30, 80, 200), (0.02, 0.05, 0.15, 0.4), range(2)
+        )
+    ]
+    graphs += [path_graph(n) for n in (2, 9, 150)]
+    graphs += [star_graph(k) for k in (1, 6, 120)]
+    graphs += [
+        cubic_core_with_trees(core, hung, seed)
+        for core, hung, seed in ((8, 12, 0), (30, 60, 1), (60, 140, 2))
+    ]
+    return graphs
+
+
+def hull_seeds(g, rng):
+    sets = [0, (1 << g.n) - 1]
+    for size in (1, 2, 3, 5):
+        for _ in range(4):
+            sets.append(sum(1 << v for v in rng.sample(range(g.n), min(size, g.n))))
+    for density in (0.05, 0.2, 0.5):
+        sets.append(sum(1 << v for v in range(g.n) if rng.random() < density))
+    return sets
+
+
+class TestAgainstRestartRoute:
+    def test_hull_and_hull_set_match_restart_route(self):
+        rng = random.Random(11)
+        full_hulls = 0
+        for g in hull_corpus():
+            full = (1 << g.n) - 1
+            for bits in hull_seeds(g, rng):
+                expected = reference_hull_bits(g, bits)
+                s = VertexSet(g.n, bits)
+                context = (g.n, sorted(g.edges()), sorted(s))
+                assert t_convex_hull(g, s).bits == expected, context
+                assert is_t_hull_set(g, s) == (expected == full), context
+                full_hulls += bits != full and expected == full
+        # proper seeds reach both answers of is_t_hull_set
+        assert full_hulls > 20

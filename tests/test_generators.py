@@ -59,6 +59,17 @@ def test_parameter_validation():
         from_spec("moebius:5")
 
 
+def test_malformed_spec_names_its_expected_form():
+    with pytest.raises(ValidationError, match=r"expected random_connected:N,P\[,SEED\]"):
+        from_spec("random_connected:5")
+    with pytest.raises(ValidationError, match="expected path:N"):
+        from_spec("path")
+    with pytest.raises(ValidationError, match="expected path:N"):
+        from_spec("path:3,9")
+    with pytest.raises(ValidationError, match="expected bowtie"):
+        from_spec("bowtie:7")
+
+
 def test_from_spec_round_trips_named_kinds():
     assert from_spec("cycle:5") == cycle_graph(5)
     assert from_spec("bowtie") == bowtie_graph()

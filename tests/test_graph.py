@@ -9,6 +9,7 @@ from triconvex.graph import (
     Graph,
     connected_components,
     is_connected,
+    load_graph,
     parse_dimacs,
     parse_edge_list,
     parse_graph,
@@ -80,6 +81,12 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_dimacs("p edge 3 1\nx 1 2\n")
         assert err.value.line == 2
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n\xff 2\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_graph(str(path))
 
     @given(graphs(max_n=8))
     def test_round_trip_both_formats(self, g):
