@@ -73,9 +73,6 @@ class VertexSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def issubset(self, other: VertexSet) -> bool:
-        return self <= other
-
     def isdisjoint(self, other: VertexSet) -> bool:
         self._check(other)
         return self.bits & other.bits == 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import VertexSet
+from .bitset import VertexSet, bit_members
 from .convexity import is_t_convex
 from .decomposition import Decomposition, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
@@ -90,11 +90,11 @@ def convexity_number(g: Graph) -> ConvexityNumberResult:
     for i, atom in enumerate(dec.atoms):
         sub, vertices = g.induced(atom)
         outside = _components_with_boundary(g._adj, full & ~atom.bits)
-        for local in enumerate_prime_convex_sets(sub):
-            if local.bits == (1 << sub.n) - 1:
+        for local in enumerate_prime_convex_sets(sub).bits:
+            if local == (1 << sub.n) - 1:
                 continue
             seed_bits = 0
-            for pos in local:
+            for pos in bit_members(local):
                 seed_bits |= 1 << vertices[pos]
             extended = _extend(seed_bits, outside)
             size = extended.bit_count()

@@ -7,11 +7,15 @@ elimination order and the minimal-separator generators: for a generator x,
 madj(x), the H-neighbours of x eliminated after it, is a minimal separator
 of H, and every minimal separator of H arises this way. H being minimal,
 the clique minimal separators of G are those of them that are cliques of
-G. Sweeping the elimination order, each generator whose madj(x) is a
-clique of G carves madj(x) plus the component of x in the remainder minus
-madj(x) as one atom; the remainder left at the end is the last atom. A
-step costs one clique test and one component search inside the part it
-carves, so there is no search over the whole graph per candidate.
+G. So H itself is never stored: the search keeps madj(y) for each vertex y
+only while it is still a clique of G, a live mask drops y the first time
+it is not (madj only grows, so a dropped y can never carve), and the
+search ends once no unnumbered vertex is live.
+Sweeping the elimination order, each live generator x carves madj(x) plus
+the component of x in the remainder minus madj(x) as one atom; the
+remainder left at the end is the last atom. A step costs one component
+search inside the part it carves, so there is no search over the whole
+graph per candidate.
 
 The atoms are then put in a D-ordering (see ``_d_order``), so every
 atom's overlap with its predecessors sits inside one earlier atom.
@@ -61,35 +65,47 @@ def _has_two_full_components(adj: list[int], rest: int, sep: int) -> bool:
 
 
 def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
-    """MCS-M+: minimal triangulation H, elimination order and generators.
+    """MCS-M+: madj rows, elimination order and the live generators.
 
     Vertices are numbered n..1 by descending label (ties to the smallest
     id); a vertex's label rises when the newly numbered vertex x reaches it
-    through unnumbered vertices of strictly smaller label, and such a reach
-    that is not an edge becomes a fill edge of H. ``by_w[w]`` masks the
-    unnumbered vertices of label w, so selection is the lowest bit of the
-    highest non-empty mask. The search from x is graded over these masks:
-    at level w it bumps the label-w vertices next to the region (x plus the
-    unnumbered vertices it reaches through labels below w), then admits the
-    label-w vertices and grows the region by ORing adjacency rows. Growth
-    stops once every vertex of a higher label already touches the region,
-    which always holds after the highest label present.
+    through unnumbered vertices of strictly smaller label, and every such
+    reach is an edge xy of the minimal triangulation H (a fill edge when it
+    is not an edge of G). ``by_w[w]`` masks the unnumbered vertices of
+    label w, so selection is the lowest bit of the highest non-empty mask.
+    The search from x is graded over these masks: at level w it bumps the
+    label-w vertices next to the region (x plus the unnumbered vertices it
+    reaches through labels below w), then admits the label-w vertices and
+    grows the region by ORing adjacency rows. Growth stops once every
+    vertex of a higher label already touches the region, which always
+    holds after the highest label present.
 
-    Returns the adjacency masks of H, the order in which vertices are
-    eliminated (lowest number first) and the mask of minimal-separator
-    generators: the vertices selected with a label no higher than the label
-    the previously numbered vertex had when it was selected.
+    H is not stored. ``madj[y]`` collects the vertices that reached y
+    before y was numbered, which are y's H-neighbours eliminated after it.
+    A vertex leaves ``live`` the first time a new one is not adjacent in G
+    to all of its madj row so far; from then on its row is never read, so
+    it is no longer extended. The search stops once no unnumbered vertex
+    is live: none of them can carve, and the rows of the numbered vertices
+    are already complete.
+
+    Returns the madj rows (exact for live vertices), the order in which
+    the numbered vertices are eliminated (lowest number first; vertices
+    left unnumbered by the stop would all come before them) and the mask
+    of live minimal-separator generators: the vertices selected with a
+    label no higher than the label the previously numbered vertex had when
+    it was selected, and whose madj row is a clique of G.
     """
     n = g.n
     adj = g._adj
-    h = list(adj)
+    madj = [0] * n
+    live = (1 << n) - 1
     by_w = [0] * (n + 1)
-    by_w[0] = unnumbered = (1 << n) - 1
+    by_w[0] = unnumbered = live
     top = 0
     prev = -1
     generators = 0
     visit_order: list[int] = []
-    for _ in range(n):
+    while live & unnumbered:
         while not by_w[top]:
             top -= 1
         low = by_w[top] & -by_w[top]
@@ -134,11 +150,13 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
             bumped |= b
         if by_w[top + 1]:
             top += 1
-        h[x] |= bumped
-        for y in bit_members(bumped & ~adj[x]):
-            h[y] |= low
+        for y in bit_members(bumped & live):
+            if madj[y] & ~adj[x]:
+                live ^= 1 << y
+            else:
+                madj[y] |= low
     visit_order.reverse()
-    return h, visit_order, generators
+    return madj, visit_order, generators & live
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -151,21 +169,16 @@ def decompose(g: Graph) -> Decomposition:
     if n == 1:
         return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0))
     adj = g._adj
-    h, elim, generators = _mcs_m(g)
+    madj, elim, carvers = _mcs_m(g)
 
     alive = (1 << n) - 1
-    eliminated = 0
     pieces: list[int] = []
     for x in elim:
-        eliminated |= 1 << x
-        if not (generators >> x) & 1:
-            continue
-        sep = h[x] & ~eliminated
-        if not _is_clique(adj, sep):
-            continue
-        comp = _component_bits(adj, alive & ~sep, x)
-        pieces.append(comp | sep)
-        alive &= ~comp
+        if (carvers >> x) & 1:
+            sep = madj[x]
+            comp = _component_bits(adj, alive & ~sep, x)
+            pieces.append(comp | sep)
+            alive &= ~comp
     pieces.append(alive)
 
     ordered = _d_order(pieces)

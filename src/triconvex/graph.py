@@ -56,9 +56,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
-    def vertex_set(self) -> VertexSet:
-        return VertexSet.full(self.n)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs (u < v), ascending lexicographic."""
         for u in range(self.n):

@@ -15,6 +15,7 @@ cost O(|S|) mask operations instead of O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bitset import VertexSet, bit_members
 from .errors import ContractViolationError
@@ -23,15 +24,20 @@ from .graph import Graph
 
 @dataclass(frozen=True, slots=True)
 class PrimeConvexFamily:
-    """Every convex set of a prime graph, sorted by size then members."""
+    """Every convex set of a prime graph, sorted by size then members.
 
-    sets: tuple[VertexSet, ...]
+    The sets are kept as masks over ``0..n-1`` and wrapped in
+    :class:`VertexSet` only as they are iterated.
+    """
+
+    n: int
+    bits: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.bits)
 
-    def __iter__(self):
-        return iter(self.sets)
+    def __iter__(self) -> Iterator[VertexSet]:
+        return (VertexSet(self.n, b) for b in self.bits)
 
 
 def _require_prime(g: Graph) -> None:
@@ -119,15 +125,15 @@ def enumerate_prime_convex_sets(g: Graph, checked: bool = False) -> PrimeConvexF
     family = {0, full}
     for v in range(n):
         family.add(1 << v)
-    done: set[tuple[int, int]] = set()
+    # done[a]: the higher ends b of the edges ab already inside a candidate
+    done = [0] * n
     for u, v in g.edges():
-        if (u, v) in done:
+        if (done[u] >> v) & 1:
             continue
         cand = (1 << u) | (1 << v) | (adj[u] & adj[v])
         if _prime_convex_bits(adj, full, cand):
             family.add(cand)
         for a in bit_members(cand):
-            for b in bit_members(adj[a] & cand & ~((1 << (a + 1)) - 1)):
-                done.add((a, b))
+            done[a] |= adj[a] & cand & ~((1 << (a + 1)) - 1)
     ordered = sorted(family, key=lambda b: (b.bit_count(), tuple(bit_members(b))))
-    return PrimeConvexFamily(tuple(VertexSet(n, b) for b in ordered))
+    return PrimeConvexFamily(n, tuple(ordered))

@@ -203,18 +203,24 @@ class TestPivots:
 
 
 def bucket_mcs_m(g):
+    """Whole triangulation H, elimination order and generators, by buckets."""
     n = g.n
     adj = g._adj
     h = list(adj)
     weight = [0] * n
     unnumbered = (1 << n) - 1
     visit_order = []
+    generators = 0
+    prev_w = -1
     for _ in range(n):
         best, best_w = -1, -1
         for v in bit_members(unnumbered):
             if weight[v] > best_w:
                 best, best_w = v, weight[v]
         x = best
+        if best_w <= prev_w:
+            generators |= 1 << x
+        prev_w = best_w
         unnumbered ^= 1 << x
         visit_order.append(x)
         # buckets[j]: reached vertices traversable once the frontier weight is j
@@ -242,7 +248,7 @@ def bucket_mcs_m(g):
                 h[x] |= 1 << y
                 h[y] |= 1 << x
     visit_order.reverse()
-    return h, visit_order
+    return h, visit_order, generators
 
 
 def quadratic_prim(atom_bits):
@@ -272,7 +278,7 @@ def reference_decompose(g):
         return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0))
     adj = g._adj
     full = (1 << n) - 1
-    h, elim = bucket_mcs_m(g)
+    h, elim, _ = bucket_mcs_m(g)
     madjs = [0] * n
     later = 0
     for idx in range(n - 1, -1, -1):
@@ -338,10 +344,27 @@ def tree_of_cliques(blocks, seed):
     return Graph(n, sorted(edges))
 
 
+def min_degree_gnp(n, p, k, seed):
+    """G(n, p) made connected, then every degree raised to k by edges to
+    random non-neighbours, so no pendant vertex splits off an atom."""
+    rng = random.Random(seed)
+    rows = [set(random_connected_graph(n, p, seed).neighbors(v)) for v in range(n)]
+    for u in range(n):
+        while len(rows[u]) < k:
+            v = rng.randrange(n)
+            if v != u:
+                rows[u].add(v)
+                rows[v].add(u)
+    return Graph(n, [(u, v) for u in range(n) for v in rows[u] if u < v])
+
+
 def differential_corpus():
     graphs = []
     for n, p, seed in itertools.product((12, 25, 50, 100, 200), (0.02, 0.05, 0.15), range(3)):
         graphs.append(random_connected_graph(n, p, seed))
+    # most madj rows stop being cliques early on these
+    graphs += [random_connected_graph(150, 0.3, seed) for seed in range(3)]
+    graphs += [min_degree_gnp(200, 10 / 200, 3, seed) for seed in range(3)]
     graphs += [tree_of_cliques(blocks, seed) for blocks in (3, 8, 20, 40) for seed in range(10)]
     graphs += [path_graph(n) for n in (1, 2, 3, 10, 150)]
     graphs += [random_recursive_tree(n, seed) for n in (10, 60, 200) for seed in range(3)]
@@ -355,9 +378,22 @@ class TestAgainstReferenceRoute:
             assert decompose(g) == reference_decompose(g), sorted(g.edges())
 
     def test_mcs_m_matches_bucket_search(self):
+        # the same elimination order on the vertices numbered before the
+        # search stops, and the generators whose madj row in the bucket
+        # route's H is a clique of G are exactly the live ones, with that row
         for g in differential_corpus():
-            h, elim, _ = _mcs_m(g)
-            assert (h, elim) == bucket_mcs_m(g), sorted(g.edges())
+            madj, elim, live = _mcs_m(g)
+            h, ref_elim, generators = bucket_mcs_m(g)
+            assert elim == ref_elim[g.n - len(elim) :], sorted(g.edges())
+            ref_live = 0
+            later = 0
+            for x in reversed(ref_elim):
+                row = h[x] & later
+                later |= 1 << x
+                if (generators >> x) & 1 and _is_clique(g._adj, row):
+                    ref_live |= 1 << x
+                    assert madj[x] == row, sorted(g.edges())
+            assert live == ref_live, sorted(g.edges())
 
 
 # ---------------------------------------------------------------------------

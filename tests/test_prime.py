@@ -46,6 +46,25 @@ def scan_hull(g, bits):
     return ext if scan_is_convex(g, ext) else full
 
 
+def edge_set_enumeration(g):
+    """Reference route: the enumerator with a set of edge tuples as its
+    worklist filter, returning the family as a list of VertexSets."""
+    full = (1 << g.n) - 1
+    family = {0, full} | {1 << v for v in range(g.n)}
+    done = set()
+    for u, v in g.edges():
+        if (u, v) in done:
+            continue
+        cand = (1 << u) | (1 << v) | (g._adj[u] & g._adj[v])
+        if scan_is_convex(g, cand):
+            family.add(cand)
+        for a in bit_members(cand):
+            for b in bit_members(g._adj[a] & cand & ~((1 << (a + 1)) - 1)):
+                done.add((a, b))
+    ordered = sorted(family, key=lambda b: (b.bit_count(), tuple(bit_members(b))))
+    return [VertexSet(g.n, b) for b in ordered]
+
+
 def largest_atom(g):
     atom = max(decompose(g).atoms, key=len)
     return g.induced(atom)[0]
@@ -210,6 +229,12 @@ class TestEnumeration:
                 s for s in enumerate_prime_convex_sets(g) if len(s) >= 3 and s.bits != full
             ]
             assert len(big) < g.n, sorted(g.edges())
+
+    def test_matches_edge_set_enumerator_in_order(self, sampled_corpus):
+        for g in prime_corpus(sampled_corpus) + list(PRIME_GRAPHS.values()):
+            assert list(enumerate_prime_convex_sets(g)) == edge_set_enumeration(g), sorted(
+                g.edges()
+            )
 
     def test_complete_graph_family_size(self):
         # trivial sets only: empty, V, and n singletons
