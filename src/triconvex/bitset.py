@@ -73,10 +73,6 @@ class VertexSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def isdisjoint(self, other: VertexSet) -> bool:
-        self._check(other)
-        return self.bits & other.bits == 0
-
     def first(self) -> int:
         """Smallest member; used everywhere as the deterministic tie-break."""
         if not self.bits:

@@ -9,7 +9,9 @@ that each round extends by the members it added; only when no such vertex
 is left does it cross one doubly-attached component by a shortest path.
 The fold costs O(|hull|) mask operations per hull. The convexity test
 scans the outside vertices instead, which costs O(n - |S|) and suits one
-test of a large set.
+test of a large set. The mono scan reads the members attached to each
+component D of G - S off the boundary N(D) that ``graph._components_bits``
+returns with D, so one scan is one search: O(n) mask operations.
 """
 
 from __future__ import annotations
@@ -56,18 +58,14 @@ def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
 def _mono_violation(adj: list[int], full: int, bits: int) -> tuple[int, int, int] | None:
     """First non-adjacent pair of the set attached to a common component.
 
-    Components are scanned by minimum vertex id and the pair is the
-    lexicographically smallest one, so hull traces are reproducible.
+    The members attached to a component D of G - S are N(D), the boundary
+    ``_components_bits`` pairs D with: O(n - |S|) mask operations for the
+    components plus O(|S| + |N(S)|) for every boundary, with no pass over
+    the members per component. Components are scanned by minimum vertex id
+    and the pair is the lexicographically smallest one, so hull traces are
+    reproducible.
     """
-    for comp in _components_bits(adj, full & ~bits):
-        attached = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            if adj[u] & comp:
-                attached |= low
+    for comp, attached in _components_bits(adj, full & ~bits):
         scan = attached
         while scan:
             low = scan & -scan
@@ -167,12 +165,3 @@ def is_t_hull_set(g: Graph, s: VertexSet) -> bool:
     _check_subset(g, s)
     return _hull_bits(g, s.bits) == (1 << g.n) - 1
 
-
-def _first_nonadjacent_pair(g: Graph) -> tuple[int, int] | None:
-    adj = g._adj
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        missing = full & ~adj[u] & ~((1 << (u + 1)) - 1)
-        if missing:
-            return u, (missing & -missing).bit_length() - 1
-    return None

@@ -23,8 +23,7 @@ from .bitset import VertexSet, bit_members
 from .convexity import is_t_convex
 from .decomposition import Decomposition, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
-from .graph import Graph, _components_with_boundary, is_connected
-from .graph import _components_bits  # noqa: F401  (benchmark/tracer.py wraps this name)
+from .graph import Graph, _components_bits, is_connected
 from .prime import enumerate_prime_convex_sets, prime_is_t_convex
 
 
@@ -69,7 +68,7 @@ def convex_extension(
                 local |= 1 << pos
         if not prime_is_t_convex(sub, VertexSet(sub.n, local)):
             raise ContractViolationError("seed is not a convex set of the atom")
-    outside = _components_with_boundary(g._adj, ((1 << g.n) - 1) & ~f_bits)
+    outside = _components_bits(g._adj, ((1 << g.n) - 1) & ~f_bits)
     return VertexSet(g.n, _extend(c.bits, outside))
 
 
@@ -89,7 +88,7 @@ def convexity_number(g: Graph) -> ConvexityNumberResult:
     best = ConvexityNumberResult(0, VertexSet(g.n, 0), -1, VertexSet(g.n, 0))
     for i, atom in enumerate(dec.atoms):
         sub, vertices = g.induced(atom)
-        outside = _components_with_boundary(g._adj, full & ~atom.bits)
+        outside = _components_bits(g._adj, full & ~atom.bits)
         for local in enumerate_prime_convex_sets(sub).bits:
             if local == (1 << sub.n) - 1:
                 continue

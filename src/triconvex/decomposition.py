@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
 from .errors import AlgorithmError, ValidationError
-from .graph import Graph, _component_bits, _components_with_boundary, _is_clique, is_connected
-from .graph import _components_bits  # noqa: F401  (benchmark/tracer.py wraps this name)
+from .graph import Graph, _component_bits, _components_bits, _is_clique, is_connected
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,17 +50,9 @@ class Decomposition:
 
 
 def _has_two_full_components(adj: list[int], rest: int, sep: int) -> bool:
-    """Does G - sep have two components adjacent to every separator vertex?"""
-    found = 0
-    while rest:
-        seed = (rest & -rest).bit_length() - 1
-        comp = _component_bits(adj, rest, seed)
-        rest &= ~comp
-        if all(adj[s] & comp for s in bit_members(sep)):
-            found += 1
-            if found == 2:
-                return True
-    return False
+    """Does G[rest], with rest outside sep, have two components adjacent to
+    every separator vertex?"""
+    return sum(not sep & ~boundary for _, boundary in _components_bits(adj, rest)) >= 2
 
 
 def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
@@ -185,15 +176,14 @@ def decompose(g: Graph) -> Decomposition:
     atoms = tuple(VertexSet(n, b) for b in ordered)
     r_bits = []
     union = ordered[0]
+    r_union = 0
     for b in ordered[1:]:
         r = b & union
         if not r:
             raise AlgorithmError("empty overlap set in a connected decomposition")
         r_bits.append(r)
-        union |= b
-    r_union = 0
-    for r in r_bits:
         r_union |= r
+        union |= b
     return Decomposition(atoms, tuple(VertexSet(n, r) for r in r_bits), VertexSet(n, r_union))
 
 
@@ -348,7 +338,7 @@ def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> list[i
     f_bits = dec.atoms[i].bits
     if not s.bits & ~f_bits:
         return []
-    outside = _components_with_boundary(g._adj, ((1 << g.n) - 1) & ~f_bits)
+    outside = _components_bits(g._adj, ((1 << g.n) - 1) & ~f_bits)
     return [boundary for comp, boundary in outside if comp & s.bits]
 
 

@@ -67,7 +67,7 @@ def random_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
     g = Graph(n, edges)
     comps = _components_bits(g._adj, (1 << n) - 1)
     if len(comps) > 1:
-        members = [list(bit_members(c)) for c in comps]
+        members = [list(bit_members(c)) for c, _ in comps]
         for comp in members[1:]:
             edges.append((rng.choice(members[0]), rng.choice(comp)))
         g = Graph(n, edges)

@@ -114,12 +114,6 @@ class Path:
     def __getitem__(self, i: int) -> int:
         return self.vertices[i]
 
-    def is_valid(self, g: Graph) -> bool:
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            return False
-        return all(g.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-
 
 # ---------------------------------------------------------------------------
 # Internal bitmask traversal helpers, shared by the sibling modules.
@@ -149,31 +143,27 @@ def _is_clique(adj: list[int], bits: int) -> bool:
     return True
 
 
-def _components_bits(adj: list[int], alive: int) -> list[int]:
-    """All components of the subgraph induced on ``alive``, by min vertex id."""
-    comps = []
-    rest = alive
-    while rest:
-        seed = (rest & -rest).bit_length() - 1
-        comp = _component_bits(adj, rest, seed)
-        comps.append(comp)
-        rest &= ~comp
-    return comps
+def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
+    """Components D of the subgraph induced on ``alive``, by min vertex id,
+    each paired with N(D) - ``alive``, its neighbours outside ``alive``.
 
-
-def _components_with_boundary(adj: list[int], alive: int) -> list[tuple[int, int]]:
-    """Components of the subgraph induced on ``alive``, by min vertex id, each
-    paired with its neighbours outside ``alive``.
-
-    Only members adjacent to the outside can contribute such a neighbour,
-    so the neighbour masks cost O(|outside| + |N(outside)|) on top of the
-    search.
+    With S the vertices outside ``alive``, a D whose pair is S is a full
+    component of G - S. Only members adjacent to S can contribute such a
+    neighbour, so the rows of S are folded into ``touch`` first and each
+    component is folded only over its members in ``touch``: the boundaries
+    cost O(|S| + |N(S)|) mask operations on top of the search.
     """
+    if not alive:
+        return []
     touch = 0
     for v in bit_members(((1 << len(adj)) - 1) & ~alive):
         touch |= adj[v]
     out = []
-    for comp in _components_bits(adj, alive):
+    rest = alive
+    while rest:
+        seed = (rest & -rest).bit_length() - 1
+        comp = _component_bits(adj, rest, seed)
+        rest &= ~comp
         reach = 0
         for u in bit_members(comp & touch):
             reach |= adj[u]
@@ -188,7 +178,7 @@ def connected_components(g: Graph, removed: VertexSet | None = None) -> list[Ver
         if removed.n != g.n:
             raise ValidationError("removed set has wrong universe size")
         mask &= ~removed.bits
-    return [VertexSet(g.n, c) for c in _components_bits(g._adj, mask)]
+    return [VertexSet(g.n, c) for c, _ in _components_bits(g._adj, mask)]
 
 
 def is_connected(g: Graph) -> bool:

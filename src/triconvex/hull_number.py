@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
-from .convexity import _first_nonadjacent_pair, _hull_bits
+from .convexity import _hull_bits
 from .decomposition import Decomposition, _pivot_details, decompose, pivots
 from .errors import AlgorithmError, ContractViolationError, ValidationError
 from .graph import Graph, is_connected
@@ -109,6 +109,17 @@ def _restrict(bits: int, vertices: tuple[int, ...]) -> int:
     return local
 
 
+def _first_nonadjacent_pair(g: Graph) -> tuple[int, int]:
+    """Lexicographically first non-adjacent pair; (0, 1) in a complete graph."""
+    adj = g._adj
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        missing = full & ~adj[u] & ~((1 << (u + 1)) - 1)
+        if missing:
+            return u, (missing & -missing).bit_length() - 1
+    return 0, 1
+
+
 def _line_seven_choice(sub: Graph, seed_local: int, hull_local: int) -> int:
     """Smallest atom vertex whose addition to the seed hulls the whole atom.
 
@@ -169,8 +180,6 @@ def _reducible_hull_bits(
         else:
             sub, vertices = g.induced(dec.atoms[0])
             pair = _first_nonadjacent_pair(sub)
-            if pair is None:
-                pair = (0, 1)
             selected |= (1 << vertices[pair[0]]) | (1 << vertices[pair[1]])
     return selected
 
@@ -191,10 +200,7 @@ def hull_number(g: Graph) -> HullNumberResult:
         return HullNumberResult(1, VertexSet(1, 1))
     dec = decompose(g)
     if dec.t == 1:
-        pair = _first_nonadjacent_pair(g)
-        if pair is None:
-            pair = (0, 1)
-        hull_set = VertexSet.from_iterable(g.n, pair)
+        hull_set = VertexSet.from_iterable(g.n, _first_nonadjacent_pair(g))
     else:
         hull_set = VertexSet(g.n, _reducible_hull_bits(g, dec))
     if _hull_bits(g, hull_set.bits) != (1 << g.n) - 1:

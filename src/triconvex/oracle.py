@@ -235,7 +235,7 @@ def brute_atoms(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> set[VertexSe
                     sep |= 1 << v
                 if not _is_clique(adj, sep):
                     continue
-                comps = _components_bits(adj, sub & ~sep)
+                comps = [c for c, _ in _components_bits(adj, sub & ~sep)]
                 full_comps = [
                     c for c in comps if all(adj[s] & c for s in bit_members(sep))
                 ]
@@ -246,7 +246,7 @@ def brute_atoms(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> set[VertexSe
         pieces.add(sub)
 
     if g.n >= 1:
-        for comp in _components_bits(adj, (1 << g.n) - 1):
+        for comp, _ in _components_bits(adj, (1 << g.n) - 1):
             split(comp)
     maximal = [p for p in pieces if not any(q != p and p & ~q == 0 for q in pieces)]
     return {VertexSet(g.n, p) for p in maximal}

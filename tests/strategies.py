@@ -18,7 +18,7 @@ def graphs(draw, min_n: int = 1, max_n: int = 9, connected: bool = False):
     if connected:
         comps = _components_bits(g._adj, (1 << n) - 1)
         if len(comps) > 1:
-            for comp in comps[1:]:
+            for comp, _ in comps[1:]:
                 edges.append((0, (comp & -comp).bit_length() - 1))
             g = Graph(n, edges)
     return g

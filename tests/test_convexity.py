@@ -5,7 +5,7 @@ import random
 
 from hypothesis import given, settings
 
-from triconvex.bitset import VertexSet
+from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import (
     _mono_violation,
     _p3_violation,
@@ -15,8 +15,9 @@ from triconvex.convexity import (
     is_t_hull_set,
     t_convex_hull,
 )
+from triconvex.decomposition import decompose
 from triconvex.generators import path_graph, random_connected_graph, star_graph
-from triconvex.graph import Graph, shortest_path
+from triconvex.graph import Graph, _components_bits, shortest_path
 from triconvex.oracle import brute_hull, brute_is_convex
 
 from .strategies import graphs_with_subsets
@@ -163,9 +164,49 @@ class TestConvexFamilyAxioms:
 # Differential check of the hull against the restart-per-vertex route: absorb
 # the smallest outside vertex with two neighbours inside, rescan from scratch,
 # and cross a doubly-attached component only when no such vertex is left.
+# Its mono scan finds each component's attached members by a pass over every
+# member of the set.
 
 
-def reference_hull_bits(g, bits):
+def reference_components(g, alive):
+    """Components of G[alive] by a plain BFS, by min vertex, each with the
+    vertices outside ``alive`` that have a neighbour in it."""
+    out = []
+    left = alive
+    while left:
+        seed = (left & -left).bit_length() - 1
+        comp, queue = 1 << seed, [seed]
+        while queue:
+            for w in g.neighbors(queue.pop()):
+                if (alive >> w) & 1 and not (comp >> w) & 1:
+                    comp |= 1 << w
+                    queue.append(w)
+        left &= ~comp
+        boundary = 0
+        for v in bit_members(((1 << g.n) - 1) & ~alive):
+            if g._adj[v] & comp:
+                boundary |= 1 << v
+        out.append((comp, boundary))
+    return out
+
+
+def reference_mono_violation(g, bits):
+    adj = g._adj
+    for comp, _ in reference_components(g, ((1 << g.n) - 1) & ~bits):
+        attached = 0
+        for u in bit_members(bits):
+            if adj[u] & comp:
+                attached |= 1 << u
+        for u in bit_members(attached):
+            missing = attached & ~adj[u] & ~((2 << u) - 1)
+            if missing:
+                return u, (missing & -missing).bit_length() - 1, comp
+    return None
+
+
+def reference_hull_bits(g, bits, mono_sets=None):
+    """The hull; ``mono_sets``, when given, receives every set scanned for a
+    mono violation."""
     adj = g._adj
     full = (1 << g.n) - 1
     while True:
@@ -173,7 +214,9 @@ def reference_hull_bits(g, bits):
         if v is not None:
             bits |= 1 << v
             continue
-        hit = _mono_violation(adj, full, bits)
+        if mono_sets is not None:
+            mono_sets.append(bits)
+        hit = reference_mono_violation(g, bits)
         if hit is None:
             return bits
         u, v, comp = hit
@@ -237,3 +280,39 @@ class TestAgainstRestartRoute:
                 full_hulls += bits != full and expected == full
         # proper seeds reach both answers of is_t_hull_set
         assert full_hulls > 20
+
+    def test_mono_witnesses_match_member_loop(self):
+        # seeds, their complements and every p3-closed set the restart
+        # route scans on the way to the hull
+        rng = random.Random(17)
+        witnesses = convex = 0
+        for g in hull_corpus():
+            full = (1 << g.n) - 1
+            for bits in hull_seeds(g, rng):
+                sets = [bits, full & ~bits]
+                reference_hull_bits(g, bits, sets)
+                for s_bits in sets:
+                    expected = reference_mono_violation(g, s_bits)
+                    context = (g.n, sorted(g.edges()), bin(s_bits))
+                    assert _mono_violation(g._adj, full, s_bits) == expected, context
+                    assert is_m_convex(g, VertexSet(g.n, s_bits)) == (expected is None), context
+                    witnesses += expected is not None
+                    convex += expected is None
+        assert witnesses > 500 and convex > 500
+
+    def test_components_match_bfs_with_per_member_boundary(self):
+        # no vertex, every vertex, random masks, atom complements and hull
+        # complements left alive
+        rng = random.Random(13)
+        for g in hull_corpus():
+            full = (1 << g.n) - 1
+            masks = [0, full]
+            masks += [sum(1 << v for v in range(g.n) if rng.random() < d) for d in (0.1, 0.5, 0.9)]
+            masks += [full & ~atom.bits for atom in decompose(g).atoms]
+            masks += [full & ~reference_hull_bits(g, bits) for bits in hull_seeds(g, rng)]
+            for alive in masks:
+                assert _components_bits(g._adj, alive) == reference_components(g, alive), (
+                    g.n,
+                    sorted(g.edges()),
+                    bin(alive),
+                )

@@ -272,6 +272,20 @@ def quadratic_prim(atom_bits):
     return [atoms[i] for i in order]
 
 
+def reference_has_two_full_components(adj, rest, sep):
+    """Per-component search, with fullness tested member by member."""
+    found = 0
+    while rest:
+        seed = (rest & -rest).bit_length() - 1
+        comp = _component_bits(adj, rest, seed)
+        rest &= ~comp
+        if all(adj[s] & comp for s in bit_members(sep)):
+            found += 1
+            if found == 2:
+                return True
+    return False
+
+
 def reference_decompose(g):
     n = g.n
     if n == 1:
@@ -290,7 +304,9 @@ def reference_decompose(g):
         sep = madjs[idx]
         if not sep or not (alive >> x) & 1 or sep & ~alive:
             continue
-        if not _is_clique(adj, sep) or not _has_two_full_components(adj, full & ~sep, sep):
+        if not _is_clique(adj, sep):
+            continue
+        if not reference_has_two_full_components(adj, full & ~sep, sep):
             continue
         comp = _component_bits(adj, alive & ~sep, x)
         if comp | sep == alive:
@@ -376,6 +392,30 @@ class TestAgainstReferenceRoute:
     def test_decompose_matches_bucket_route(self):
         for g in differential_corpus():
             assert decompose(g) == reference_decompose(g), sorted(g.edges())
+
+    def test_full_component_test_matches_per_member_loop(self):
+        # every R-set, and cliques grown at random from a random vertex
+        rng = random.Random(5)
+        answers = set()
+        for g in differential_corpus():
+            adj = g._adj
+            full = (1 << g.n) - 1
+            seps = [r.bits for r in decompose(g).r_sets]
+            for _ in range(10):
+                v = rng.randrange(g.n)
+                clique = 1 << v
+                for w in rng.sample(list(g.neighbors(v)), g.degree(v)):
+                    if not clique & ~adj[w] and rng.random() < 0.7:
+                        clique |= 1 << w
+                seps.append(clique)
+            for sep in seps:
+                expected = reference_has_two_full_components(adj, full & ~sep, sep)
+                assert _has_two_full_components(adj, full & ~sep, sep) == expected, (
+                    sorted(g.edges()),
+                    bin(sep),
+                )
+                answers.add(expected)
+        assert answers == {False, True}
 
     def test_mcs_m_matches_bucket_search(self):
         # the same elimination order on the vertices numbered before the
