@@ -5,22 +5,27 @@ and no two non-adjacent members of S have neighbours in a common component
 of G - S. Every vertex either repair adds lies in the hull, so the hull is
 a closure taken in rounds: one round absorbs every outside vertex seen
 twice, read off a member fold (``twice |= once & adj[u]; once |= adj[u]``)
-that each round extends by the members it added; only when no such vertex
-is left does it cross one doubly-attached component by a shortest path.
-The fold costs O(|hull|) mask operations per hull. The convexity test
-scans the outside vertices instead, which costs O(n - |S|) and suits one
-test of a large set. The mono scan reads the members attached to each
-component D of G - S off the boundary N(D) that ``graph._components_bits``
-returns with D, so one scan is one search: O(n) mask operations.
+that each round extends by the members it added. Only when no such vertex
+is left does a mono scan run: one search of G - S, and in every component
+D whose attached members N(D) are not a clique, one BFS from the first
+member u with a non-neighbour in N(D), which absorbs a shortest path
+through D from u to each such non-neighbour. The fold costs O(|hull|) mask
+operations per hull. The convexity test checks the outside condition over
+the smaller side, the members or the outside vertices, so a pair costs two
+row ORs. Every mono scan reads the members attached to each component D
+of G - S off the boundary N(D) that ``graph._components_bits`` returns
+with D, so one scan is one search: O(n) mask operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .bitset import VertexSet
+from .bitset import VertexSet, bit_members
 from .errors import ValidationError
-from .graph import Graph, _components_bits, shortest_path
+# shortest_path stays a module attribute: benchmark/tracer.py wraps it here.
+from .graph import Graph, _components_bits, shortest_path  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +49,22 @@ def _check_subset(g: Graph, s: VertexSet) -> None:
 
 
 def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
-    """Smallest outside vertex with two or more neighbours inside, if any."""
+    """Smallest outside vertex with two or more neighbours inside, if any.
+
+    The smaller side is scanned: with at most half the vertices inside, a
+    member fold (``twice |= once & adj[u]; once |= adj[u]``) marks every
+    vertex seeing two members; otherwise each outside vertex counts its
+    neighbours inside.
+    """
     outside = full & ~bits
+    if bits.bit_count() <= outside.bit_count():
+        once = twice = 0
+        for u in bit_members(bits):
+            row = adj[u]
+            twice |= once & row
+            once |= row
+        twice &= outside
+        return (twice & -twice).bit_length() - 1 if twice else None
     while outside:
         low = outside & -outside
         outside ^= low
@@ -55,15 +74,18 @@ def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
     return None
 
 
-def _mono_violation(adj: list[int], full: int, bits: int) -> tuple[int, int, int] | None:
-    """First non-adjacent pair of the set attached to a common component.
+def _violating_components(
+    adj: list[int], full: int, bits: int
+) -> Iterator[tuple[int, int, int]]:
+    """``(u, missing, D)`` for every component D of G - S whose attached
+    members A = N(D) are not a clique, by minimum vertex id of D.
 
-    The members attached to a component D of G - S are N(D), the boundary
-    ``_components_bits`` pairs D with: O(n - |S|) mask operations for the
-    components plus O(|S| + |N(S)|) for every boundary, with no pass over
-    the members per component. Components are scanned by minimum vertex id
-    and the pair is the lexicographically smallest one, so hull traces are
-    reproducible.
+    ``u`` is the smallest member of A with a non-neighbour in A and
+    ``missing`` all of its non-neighbours there; each lies above ``u``,
+    since a lower one would itself have ``u`` as a higher non-neighbour.
+    A is the boundary ``_components_bits`` pairs D with: O(n - |S|) mask
+    operations for the components plus the smaller side's rows for every
+    boundary, with no pass over the members per component.
     """
     for comp, attached in _components_bits(adj, full & ~bits):
         scan = attached
@@ -73,9 +95,56 @@ def _mono_violation(adj: list[int], full: int, bits: int) -> tuple[int, int, int
             u = low.bit_length() - 1
             missing = attached & ~adj[u] & ~((low << 1) - 1)
             if missing:
-                v = (missing & -missing).bit_length() - 1
-                return u, v, comp
+                yield u, missing, comp
+                break
+
+
+def _mono_violation(adj: list[int], full: int, bits: int) -> tuple[int, int, int] | None:
+    """First non-adjacent pair of the set attached to a common component.
+
+    Components are scanned by minimum vertex id and the pair is the
+    lexicographically smallest one, so witnesses are reproducible.
+    """
+    for u, missing, comp in _violating_components(adj, full, bits):
+        return u, (missing & -missing).bit_length() - 1, comp
     return None
+
+
+def _forced_paths(adj: list[int], comp: int, u: int, targets: int) -> int:
+    """Inner vertices of one shortest u-t path through ``comp`` per target t.
+
+    One BFS from ``u`` that stays inside ``comp`` (every target has a
+    neighbour there and none is adjacent to ``u``). ``grown`` is all a
+    level reaches, so a single ``grown & targets`` per level finds the
+    targets next to it; each is walked back to ``u`` through the levels
+    before, lowest vertex first. A shortest path through D is induced, so
+    it is a triangle path and all its vertices lie in the hull.
+    """
+    levels = [adj[u] & comp]
+    seen = levels[0]
+    inner = 0
+    while True:
+        grown = 0
+        f = levels[-1]
+        while f:
+            low = f & -f
+            f ^= low
+            grown |= adj[low.bit_length() - 1]
+        hit = grown & targets
+        if hit:
+            targets ^= hit
+            for t in bit_members(hit):
+                cur = t
+                for level in reversed(levels):
+                    step = adj[cur] & level
+                    step &= -step
+                    inner |= step
+                    cur = step.bit_length() - 1
+            if not targets:
+                return inner
+        grown &= comp & ~seen
+        seen |= grown
+        levels.append(grown)
 
 
 def is_p3_convex(g: Graph, s: VertexSet) -> bool:
@@ -112,13 +181,18 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 
 def _hull_bits(g: Graph, bits: int) -> int:
-    """Closure of ``bits``: p3 rounds from one member fold, then mono paths.
+    """Closure of ``bits``: p3 rounds from one member fold, then mono scans.
 
     ``once``/``twice`` hold the vertices seeing at least one/two members.
     Each round folds only the members added since the last one, so the p3
     work over the whole hull is O(|hull|) mask operations, and absorbs all
-    of ``twice & ~bits`` at once. Only a p3-closed set gets the mono scan;
-    the vertices of its path are folded in the next round.
+    of ``twice & ~bits`` at once. Only a p3-closed set gets a mono scan:
+    one search of G - S, and for every component whose attached members are
+    not a clique, one BFS through it from the first of them with a
+    non-neighbour among them to every such non-neighbour (``_forced_paths``).
+    Absorbing inside one component leaves the others and their boundaries as
+    they were, so all are crossed in the same scan; the path vertices are
+    folded in the next round.
     """
     adj = g._adj
     full = (1 << g.n) - 1
@@ -132,17 +206,11 @@ def _hull_bits(g: Graph, bits: int) -> int:
             twice |= once & row
             once |= row
         new = twice & ~bits
-        if new:
-            bits |= new
-            continue
-        hit = _mono_violation(adj, full, bits)
-        if hit is None:
-            return bits
-        u, v, comp = hit
-        path = shortest_path(g, u, v, VertexSet(g.n, comp | (1 << u) | (1 << v)))
-        for w in path:
-            new |= 1 << w
-        new &= ~bits
+        if not new:
+            for u, missing, comp in _violating_components(adj, full, bits):
+                new |= _forced_paths(adj, comp, u, missing)
+            if not new:
+                return bits
         bits |= new
 
 
@@ -150,11 +218,12 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     """The minimum convex superset of s.
 
     Each closure round absorbs, all at once, every outside vertex with two
-    neighbours inside. When a round finds none, the first doubly-attached
-    component the convexity test reports is crossed by a shortest path
-    between the offending pair (restricted to that component), whose
-    vertices are all forced into the hull, and the rounds resume. The
-    hull is the same whatever order the forced vertices join in.
+    neighbours inside. When a round finds none, every component D of the
+    complement whose attached members are not pairwise adjacent is crossed:
+    from its first attached member u that has a non-adjacent one, a shortest
+    path through D to every such non-neighbour, whose vertices are all forced
+    into the hull. Then the rounds resume. The hull is the same whatever
+    order the forced vertices join in.
     """
     _check_subset(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

@@ -148,16 +148,20 @@ def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
     each paired with N(D) - ``alive``, its neighbours outside ``alive``.
 
     With S the vertices outside ``alive``, a D whose pair is S is a full
-    component of G - S. Only members adjacent to S can contribute such a
-    neighbour, so the rows of S are folded into ``touch`` first and each
-    component is folded only over its members in ``touch``: the boundaries
-    cost O(|S| + |N(S)|) mask operations on top of the search.
+    component of G - S. Each boundary is folded over the smaller side: when
+    S is the smaller one, only members adjacent to S can contribute, so the
+    rows of S are folded into ``touch`` first and each component is folded
+    over its members in ``touch`` (O(|S| + |N(S)|) mask operations);
+    otherwise each component is folded over all its members (O(|alive|)).
     """
     if not alive:
         return []
-    touch = 0
-    for v in bit_members(((1 << len(adj)) - 1) & ~alive):
-        touch |= adj[v]
+    outside = ((1 << len(adj)) - 1) & ~alive
+    touch = alive
+    if outside.bit_count() <= alive.bit_count():
+        touch = 0
+        for v in bit_members(outside):
+            touch |= adj[v]
     out = []
     rest = alive
     while rest:

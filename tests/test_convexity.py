@@ -5,10 +5,13 @@ import random
 
 from hypothesis import given, settings
 
+from triconvex import convexity
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import (
+    _forced_paths,
     _mono_violation,
     _p3_violation,
+    _violating_components,
     is_m_convex,
     is_p3_convex,
     is_t_convex,
@@ -246,11 +249,12 @@ def hull_corpus():
             (10, 30, 80, 200), (0.02, 0.05, 0.15, 0.4), range(2)
         )
     ]
-    graphs += [path_graph(n) for n in (2, 9, 150)]
+    graphs.append(random_connected_graph(200, 0.3, 0))
+    graphs += [path_graph(n) for n in (2, 9, 150, 400)]
     graphs += [star_graph(k) for k in (1, 6, 120)]
     graphs += [
         cubic_core_with_trees(core, hung, seed)
-        for core, hung, seed in ((8, 12, 0), (30, 60, 1), (60, 140, 2))
+        for core, hung, seed in ((8, 12, 0), (30, 60, 1), (60, 140, 2), (150, 350, 3))
     ]
     return graphs
 
@@ -316,3 +320,101 @@ class TestAgainstRestartRoute:
                     sorted(g.edges()),
                     bin(alive),
                 )
+
+
+def outside_scan_p3_violation(adj, full, bits):
+    for v in bit_members(full & ~bits):
+        if (adj[v] & bits).bit_count() >= 2:
+            return v
+    return None
+
+
+def is_induced_path(g, bits, u, t):
+    """Is G[bits] a path with ends u and t?"""
+    degrees = {w: (g._adj[w] & bits).bit_count() for w in bit_members(bits)}
+    ends = sorted(w for w, d in degrees.items() if d == 1)
+    inner_ok = all(d == 2 for w, d in degrees.items() if w not in (u, t))
+    connected = reference_components(g, bits)[0][0] == bits
+    return ends == sorted((u, t)) and inner_ok and connected
+
+
+class CountingRows(list):
+    """Adjacency rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class TestMonoStep:
+    def test_p3_member_fold_and_outside_scan_agree(self):
+        rng = random.Random(23)
+        graphs = [random_connected_graph(n, p, seed) for n, p, seed in ((12, 0.3, 0), (40, 0.1, 1))]
+        graphs += [path_graph(30), star_graph(15), cubic_core_with_trees(10, 20, 4)]
+        for g in graphs:
+            full = (1 << g.n) - 1
+            for size in range(g.n + 1):
+                for _ in range(3):
+                    bits = sum(1 << v for v in rng.sample(range(g.n), size))
+                    assert _p3_violation(g._adj, full, bits) == outside_scan_p3_violation(
+                        g._adj, full, bits
+                    ), (g.n, sorted(g.edges()), bin(bits))
+
+    def test_forced_paths_are_induced_and_inside_the_component_and_the_hull(self):
+        rng = random.Random(29)
+        crossings = 0
+        for g in hull_corpus():
+            adj = g._adj
+            full = (1 << g.n) - 1
+            for bits in hull_seeds(g, rng):
+                sets = []
+                hull = reference_hull_bits(g, bits, sets)
+                for s_bits in sets:
+                    for u, missing, comp in _violating_components(adj, full, s_bits):
+                        context = (g.n, sorted(g.edges()), bin(s_bits), u)
+                        inner = _forced_paths(adj, comp, u, missing)
+                        assert inner and not inner & ~comp & ~hull, context
+                        union = 0
+                        for t in bit_members(missing):
+                            path = _forced_paths(adj, comp, u, 1 << t)
+                            walk = path | (1 << u) | (1 << t)
+                            assert is_induced_path(g, walk, u, t), (context, t)
+                            within = VertexSet(g.n, comp | (1 << u) | (1 << t))
+                            assert len(shortest_path(g, u, t, within)) == walk.bit_count()
+                            union |= path
+                            crossings += 1
+                        assert inner == union, context
+        assert crossings > 100
+
+    def test_a_hull_needs_few_component_scans(self, monkeypatch):
+        # 50 pairs of a 3-regular core with hung trees, the shape where a
+        # scan per crossed pair took about 16 searches per hull
+        calls = 0
+        search = convexity._components_bits
+
+        def counted(adj, alive):
+            nonlocal calls
+            calls += 1
+            return search(adj, alive)
+
+        monkeypatch.setattr(convexity, "_components_bits", counted)
+        g = cubic_core_with_trees(150, 350, 5)
+        rng = random.Random(5)
+        for _ in range(50):
+            t_convex_hull(g, vs(g.n, rng.sample(range(g.n), 2)))
+        assert calls <= 8 * 50
+
+    def test_component_boundaries_are_folded_over_the_smaller_side(self):
+        # the search reads each alive row once; the boundaries read the
+        # rows of S and of N(S) when S is the smaller side, else each alive
+        # row once more
+        rng = random.Random(31)
+        for g in (random_connected_graph(120, 0.05, 2), cubic_core_with_trees(40, 80, 6)):
+            for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.95):
+                alive = sum(1 << v for v in range(g.n) if rng.random() < density)
+                rows = CountingRows(g._adj)
+                assert _components_bits(rows, alive) == reference_components(g, alive)
+                size, outside = alive.bit_count(), g.n - alive.bit_count()
+                assert rows.reads <= 2 * size + min(size, outside), (density, rows.reads)
