@@ -3,7 +3,9 @@
 Every maximum proper convex set arises from a convex set C of a single
 atom F_i, extended by the components of G - C that avoid F_i minus C.
 Scanning the atoms' (small) convex families and keeping the largest
-extension therefore solves the problem in polynomial time.
+extension therefore solves the problem in polynomial time. Each atom's
+family comes from ``enumerate_prime_convex_sets(g, within=F_i)``, as masks
+in G's own vertex ids, so no relabelled copy of the atom is built.
 
 For C inside F_i, the components of G - C that avoid F_i minus C are
 exactly the components D of G - F_i whose neighbourhood N(D) lies inside
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import VertexSet, bit_members
+from .bitset import VertexSet
 from .convexity import is_t_convex
-from .decomposition import Decomposition, decompose
+from .decomposition import Decomposition, _atom_arguments, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
 from .graph import Graph, _components_bits, is_connected
 from .prime import enumerate_prime_convex_sets, prime_is_t_convex
@@ -57,17 +59,11 @@ def convex_extension(
     the rest of the atom. The result is convex in G whenever c is convex
     in the atom. Raises ContractViolationError when c is not inside the
     atom; checked=True also rejects a c that is not convex in the atom."""
-    f_bits = dec.atoms[i].bits
+    f_bits = _atom_arguments(g, dec, i, c)
     if c.bits & ~f_bits:
         raise ContractViolationError("seed is not inside the atom")
-    if checked:
-        sub, vertices = g.induced(dec.atoms[i])
-        local = 0
-        for pos, v in enumerate(vertices):
-            if (c.bits >> v) & 1:
-                local |= 1 << pos
-        if not prime_is_t_convex(sub, VertexSet(sub.n, local)):
-            raise ContractViolationError("seed is not a convex set of the atom")
+    if checked and not prime_is_t_convex(g, c, within=dec.atoms[i]):
+        raise ContractViolationError("seed is not a convex set of the atom")
     outside = _components_bits(g._adj, ((1 << g.n) - 1) & ~f_bits)
     return VertexSet(g.n, _extend(c.bits, outside))
 
@@ -87,14 +83,10 @@ def convexity_number(g: Graph) -> ConvexityNumberResult:
     full = (1 << g.n) - 1
     best = ConvexityNumberResult(0, VertexSet(g.n, 0), -1, VertexSet(g.n, 0))
     for i, atom in enumerate(dec.atoms):
-        sub, vertices = g.induced(atom)
         outside = _components_bits(g._adj, full & ~atom.bits)
-        for local in enumerate_prime_convex_sets(sub).bits:
-            if local == (1 << sub.n) - 1:
+        for seed_bits in enumerate_prime_convex_sets(g, within=atom).bits:
+            if seed_bits == atom.bits:
                 continue
-            seed_bits = 0
-            for pos in bit_members(local):
-                seed_bits |= 1 << vertices[pos]
             extended = _extend(seed_bits, outside)
             size = extended.bit_count()
             if size > best.value:

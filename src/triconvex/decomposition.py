@@ -314,6 +314,16 @@ def verify_d_ordering(g: Graph, dec: Decomposition, check_atom_primality: bool =
 # Pivots.
 
 
+def _atom_arguments(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> int:
+    """Mask of atom i, after checking that i indexes an atom of dec and
+    that s is a vertex set of g; the per-atom public functions call it."""
+    if not 0 <= i < dec.t:
+        raise ValidationError(f"atom index {i} outside 0..{dec.t - 1}")
+    if s.n != g.n:
+        raise ValidationError("vertex set has wrong universe size")
+    return dec.atoms[i].bits
+
+
 def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> list[int]:
     """N(D) for each component D of G - F_i that meets s, by min vertex of D.
 
@@ -349,8 +359,7 @@ def pivots(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
     G - F_i that holds a vertex of s: flow from that vertex enters F_i
     through N(D), the overlap of F_i with the atom on D's side.
     """
-    if s.n != g.n:
-        raise ValidationError("vertex set has wrong universe size")
+    _atom_arguments(g, dec, i, s)
     out = 0
     for boundary in _pivot_details(g, dec, i, s):
         out |= boundary

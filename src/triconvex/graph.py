@@ -48,13 +48,15 @@ class Graph:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and (self._adj[u] >> v) & 1 == 1
+        return 0 <= u < self.n and 0 <= v < self.n and (self._adj[u] >> v) & 1 == 1
 
     def neighbors(self, v: int) -> VertexSet:
+        if not 0 <= v < self.n:
+            raise ValidationError(f"vertex {v} outside 0..{self.n - 1}")
         return VertexSet(self.n, self._adj[v])
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return len(self.neighbors(v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as ordered pairs (u < v), ascending lexicographic."""

@@ -2,10 +2,13 @@
 
 A set with at least two vertices hulls a reducible graph exactly when it
 "satisfies" every atom through one of three conditions built from pivots
-and atom-local hull sets. The minimum hull set is assembled by sweeping
+and hulls inside the atom. The minimum hull set is assembled by sweeping
 the atoms in reverse decomposition order, adding one completing vertex per
 atom whose pivots-plus-overlap seed falls short, then finishing the first
 atom. The returned set is always re-verified against the full hull.
+
+Each atom F is worked on in G's own vertex ids: its hulls are
+``prime_t_hull(g, s, within=F)`` and every set is a mask over ``0..n-1``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
 from .convexity import _hull_bits
-from .decomposition import Decomposition, _pivot_details, decompose, pivots
+from .decomposition import Decomposition, _atom_arguments, _pivot_details, decompose, pivots
 from .errors import AlgorithmError, ContractViolationError, ValidationError
 from .graph import Graph, is_connected
 from .prime import prime_t_hull
@@ -44,10 +47,10 @@ class HullNumberResult:
     hull_set: VertexSet
 
 
-def _pair_hulls_atom(sub: Graph, a: int, b: int) -> bool:
-    if not sub.has_edge(a, b):
+def _pair_hulls_atom(g: Graph, atom: VertexSet, a: int, b: int) -> bool:
+    if not g.has_edge(a, b):
         return True  # a non-adjacent pair hulls any prime graph
-    return prime_t_hull(sub, VertexSet.from_iterable(sub.n, (a, b))).bits == (1 << sub.n) - 1
+    return prime_t_hull(g, VertexSet(g.n, (1 << a) | (1 << b)), within=atom) == atom
 
 
 def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> SatisfactionVerdict:
@@ -59,38 +62,33 @@ def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> Satisfactio
     candidate would already have completed u under condition 1, and a
     non-pivot lies outside every N(D), so the first pair found is the same.
     """
-    atom = dec.atoms[i]
-    sub, vertices = g.induced(atom)
-    index = {v: pos for pos, v in enumerate(vertices)}
-    boundaries = _pivot_details(g, dec, i, s)
+    atom = VertexSet(g.n, _atom_arguments(g, dec, i, s))
     pivot_bits = 0
-    for boundary in boundaries:
+    for boundary in _pivot_details(g, dec, i, s):
         pivot_bits |= boundary
     pivot_list = list(bit_members(pivot_bits))
 
     for a_pos, u in enumerate(pivot_list):
         for v in pivot_list[a_pos + 1 :]:
-            if _pair_hulls_atom(sub, index[u], index[v]):
+            if _pair_hulls_atom(g, atom, u, v):
                 return SatisfactionVerdict(i, "cond1", (u, v))
 
-    s_in_atom = s.bits & atom.bits
-    candidates = list(bit_members(s_in_atom & ~pivot_bits))
+    s_in_atom = s & atom
+    candidates = list(bit_members(s_in_atom.bits & ~pivot_bits))
     for u in pivot_list:
         for v in candidates:
-            if _pair_hulls_atom(sub, index[u], index[v]):
+            if _pair_hulls_atom(g, atom, u, v):
                 return SatisfactionVerdict(i, "cond2", (u, v))
 
-    local = 0
-    for v in bit_members(s_in_atom):
-        local |= 1 << index[v]
-    if prime_t_hull(sub, VertexSet(sub.n, local)).bits == (1 << sub.n) - 1:
-        return SatisfactionVerdict(i, "cond3", VertexSet(g.n, s_in_atom))
+    if prime_t_hull(g, s_in_atom, within=atom) == atom:
+        return SatisfactionVerdict(i, "cond3", s_in_atom)
 
     return SatisfactionVerdict(i, "none")
 
 
 def is_hull_set_by_characterization(g: Graph, dec: Decomposition, s: VertexSet) -> bool:
     """Hull-set test for reducible graphs: |s| >= 2 and every atom satisfied."""
+    _atom_arguments(g, dec, 0, s)  # every decomposition has atom 0; this checks s
     if dec.t < 2:
         raise ContractViolationError(
             "characterization applies to reducible graphs; primes hull from any "
@@ -101,26 +99,18 @@ def is_hull_set_by_characterization(g: Graph, dec: Decomposition, s: VertexSet) 
     return all(satisfies(g, dec, s, i).condition != "none" for i in range(dec.t))
 
 
-def _restrict(bits: int, vertices: tuple[int, ...]) -> int:
-    local = 0
-    for pos, v in enumerate(vertices):
-        if (bits >> v) & 1:
-            local |= 1 << pos
-    return local
-
-
-def _first_nonadjacent_pair(g: Graph) -> tuple[int, int]:
-    """Lexicographically first non-adjacent pair; (0, 1) in a complete graph."""
-    adj = g._adj
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        missing = full & ~adj[u] & ~((1 << (u + 1)) - 1)
+def _first_nonadjacent_pair(adj: list[int], within: int) -> tuple[int, int]:
+    """Lexicographically first non-adjacent pair of G[within]; its two
+    smallest members when G[within] is complete."""
+    for u in bit_members(within):
+        missing = within & ~adj[u] & ~((1 << (u + 1)) - 1)
         if missing:
             return u, (missing & -missing).bit_length() - 1
-    return 0, 1
+    first, second, *_ = bit_members(within)
+    return first, second
 
 
-def _line_seven_choice(sub: Graph, seed_local: int, hull_local: int) -> int:
+def _line_seven_choice(g: Graph, atom: VertexSet, seed: int, hull: int) -> int:
     """Smallest atom vertex whose addition to the seed hulls the whole atom.
 
     The current hull is a proper convex set, hence a clique; any vertex
@@ -128,12 +118,11 @@ def _line_seven_choice(sub: Graph, seed_local: int, hull_local: int) -> int:
     pairs hull primes), so the explicit hull computation only runs for
     candidates adjacent to the entire current hull.
     """
-    full = (1 << sub.n) - 1
-    adj = sub._adj
-    for v in bit_members(full & ~hull_local):
-        if hull_local & ~adj[v]:
+    adj = g._adj
+    for v in bit_members(atom.bits & ~hull):
+        if hull & ~adj[v]:
             return v
-        if prime_t_hull(sub, VertexSet(sub.n, seed_local | (1 << v))).bits == full:
+        if prime_t_hull(g, VertexSet(g.n, seed | (1 << v)), within=atom) == atom:
             return v
     raise AlgorithmError("no completing vertex in a prime atom")
 
@@ -151,36 +140,27 @@ def _reducible_hull_bits(
     n = g.n
     selected = 0
     for i in range(dec.t - 1, 0, -1):
+        atom = dec.atoms[i]
         p = pivots(g, dec, i, VertexSet(n, selected))
-        seed_global = p.bits | dec.r_sets[i - 1].bits
-        sub, vertices = g.induced(dec.atoms[i])
-        seed_local = _restrict(seed_global, vertices)
-        hull_local = prime_t_hull(sub, VertexSet(sub.n, seed_local)).bits
-        if hull_local == (1 << sub.n) - 1:
+        seed = p.bits | dec.r_sets[i - 1].bits
+        hull = prime_t_hull(g, VertexSet(n, seed), within=atom).bits
+        if hull == atom.bits:
             continue
-        v_local = _line_seven_choice(sub, seed_local, hull_local)
-        chosen = vertices[v_local]
+        chosen = _line_seven_choice(g, atom, seed, hull)
         selected |= 1 << chosen
         if trace is not None:
-            uncovered = 0
-            for pos in bit_members(((1 << sub.n) - 1) & ~hull_local):
-                uncovered |= 1 << vertices[pos]
-            trace.append((i, chosen, VertexSet(n, uncovered)))
+            trace.append((i, chosen, VertexSet(n, atom.bits & ~hull)))
 
     hull_so_far = _hull_bits(g, selected) if selected else 0
     f1 = dec.atoms[0].bits
     if f1 & ~hull_so_far:
-        completing = None
         for v in bit_members(f1):
             if f1 & ~_hull_bits(g, hull_so_far | (1 << v)) == 0:
-                completing = v
+                selected |= 1 << v
                 break
-        if completing is not None:
-            selected |= 1 << completing
         else:
-            sub, vertices = g.induced(dec.atoms[0])
-            pair = _first_nonadjacent_pair(sub)
-            selected |= (1 << vertices[pair[0]]) | (1 << vertices[pair[1]])
+            u, v = _first_nonadjacent_pair(g._adj, f1)
+            selected |= (1 << u) | (1 << v)
     return selected
 
 
@@ -200,7 +180,8 @@ def hull_number(g: Graph) -> HullNumberResult:
         return HullNumberResult(1, VertexSet(1, 1))
     dec = decompose(g)
     if dec.t == 1:
-        hull_set = VertexSet.from_iterable(g.n, _first_nonadjacent_pair(g))
+        pair = _first_nonadjacent_pair(g._adj, (1 << g.n) - 1)
+        hull_set = VertexSet.from_iterable(g.n, pair)
     else:
         hull_set = VertexSet(g.n, _reducible_hull_bits(g, dec))
     if _hull_bits(g, hull_set.bits) != (1 << g.n) - 1:

@@ -10,6 +10,11 @@ fold over the members u of S, never over the vertices outside it:
 after which the doubly-seen outside vertices are ``twice & ~S``. The
 convexity test and the hull's single closure round, ``S | twice``, thus
 cost O(|S|) mask operations instead of O(n).
+
+With ``within=F`` each routine works on the prime subgraph G[F], such as
+an atom, in G's own vertex ids: the fold reads only rows of members of
+S inside F, so cutting its outputs to F (``twice & F``) is enough, and no
+relabelled copy of G[F] is built.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitset import VertexSet, bit_members
-from .errors import ContractViolationError
+from .errors import ContractViolationError, ValidationError
 from .graph import Graph
 
 
@@ -40,11 +45,20 @@ class PrimeConvexFamily:
         return (VertexSet(self.n, b) for b in self.bits)
 
 
-def _require_prime(g: Graph) -> None:
-    from .decomposition import is_prime
+def _atom_bits(g: Graph, within: VertexSet | None, checked: bool, s: VertexSet | None) -> int:
+    """Mask of the prime subgraph G[within], all of G by default, once the
+    sets are checked against g and the seed s (if any) against the atom."""
+    if (within is not None and within.n != g.n) or (s is not None and s.n != g.n):
+        raise ValidationError("vertex set has wrong universe size")
+    atom = (1 << g.n) - 1 if within is None else within.bits
+    if s is not None and s.bits & ~atom:
+        raise ContractViolationError("seed is not inside the atom")
+    if checked:
+        from .decomposition import is_prime
 
-    if not is_prime(g):
-        raise ContractViolationError("graph is not prime")
+        if not is_prime(g if within is None else g.induced(within)[0]):
+            raise ContractViolationError("graph is not prime")
+    return atom
 
 
 def _twice_seen(adj: list[int], bits: int) -> int | None:
@@ -68,72 +82,71 @@ def _twice_seen(adj: list[int], bits: int) -> int | None:
     return twice
 
 
-def _prime_convex_bits(adj: list[int], full: int, bits: int) -> bool:
-    if bits == full:
+def _prime_convex_bits(adj: list[int], atom: int, bits: int) -> bool:
+    if bits == atom:
         return True
     twice = _twice_seen(adj, bits)
-    return twice is not None and not twice & ~bits
+    return twice is not None and not twice & atom & ~bits
 
 
-def prime_is_t_convex(g: Graph, s: VertexSet, checked: bool = False) -> bool:
+def prime_is_t_convex(
+    g: Graph, s: VertexSet, checked: bool = False, within: VertexSet | None = None
+) -> bool:
     """Convexity test for prime graphs: clique with no doubly-seen outside.
 
-    The caller guarantees primality; pass checked=True to have it verified
-    (used by tests).
+    ``within`` names a prime subgraph G[within] to test s in, in G's own
+    ids; s must lie inside it. The caller guarantees primality; pass
+    checked=True to have it verified (used by tests).
     """
-    if checked:
-        _require_prime(g)
-    return _prime_convex_bits(g._adj, (1 << g.n) - 1, s.bits)
+    return _prime_convex_bits(g._adj, _atom_bits(g, within, checked, s), s.bits)
 
 
-def prime_t_hull(g: Graph, s: VertexSet, checked: bool = False) -> VertexSet:
+def prime_t_hull(
+    g: Graph, s: VertexSet, checked: bool = False, within: VertexSet | None = None
+) -> VertexSet:
     """Hull in a prime graph: one closure round decides everything.
 
     A non-clique seed already hulls to V. Otherwise add the vertices
     with two neighbours in the seed (``S | twice``); if that is convex it
-    is the hull, and if not the hull is V.
+    is the hull, and if not the hull is V. With ``within``, V is that
+    prime subgraph's vertex set and the hull is taken in G[within].
     """
-    if checked:
-        _require_prime(g)
-    adj = g._adj
-    full = (1 << g.n) - 1
+    atom = _atom_bits(g, within, checked, s)
     bits = s.bits
-    if bits == full:
-        return VertexSet(g.n, full)
-    twice = _twice_seen(adj, bits)
-    if twice is None:
-        return VertexSet(g.n, full)
-    ext = bits | twice
-    if _prime_convex_bits(adj, full, ext):
-        return VertexSet(g.n, ext)
-    return VertexSet(g.n, full)
+    adj = g._adj
+    if bits != atom:
+        twice = _twice_seen(adj, bits)
+        if twice is not None:
+            ext = bits | (twice & atom)
+            if _prime_convex_bits(adj, atom, ext):
+                return VertexSet(g.n, ext)
+    return VertexSet(g.n, atom)
 
 
-def enumerate_prime_convex_sets(g: Graph, checked: bool = False) -> PrimeConvexFamily:
-    """All convex sets of a prime graph.
+def enumerate_prime_convex_sets(
+    g: Graph, checked: bool = False, within: VertexSet | None = None
+) -> PrimeConvexFamily:
+    """All convex sets of a prime graph, or of G[within] in G's ids.
 
     Seeds the family with the trivial sets, then closes each edge once: the
     candidate for edge uv is {u, v} plus their common neighbours, kept when
     convex. All edges inside an accepted candidate are dropped from the
     worklist, which is what keeps every set from being produced twice.
     """
-    if checked:
-        _require_prime(g)
+    atom = _atom_bits(g, within, checked, None)
     adj = g._adj
-    n = g.n
-    full = (1 << n) - 1
-    family = {0, full}
-    for v in range(n):
-        family.add(1 << v)
+    family = {0, atom}
     # done[a]: the higher ends b of the edges ab already inside a candidate
-    done = [0] * n
-    for u, v in g.edges():
-        if (done[u] >> v) & 1:
-            continue
-        cand = (1 << u) | (1 << v) | (adj[u] & adj[v])
-        if _prime_convex_bits(adj, full, cand):
-            family.add(cand)
-        for a in bit_members(cand):
-            done[a] |= adj[a] & cand & ~((1 << (a + 1)) - 1)
+    done: dict[int, int] = {}
+    for u in bit_members(atom):
+        family.add(1 << u)
+        for v in bit_members(adj[u] & atom & ~((1 << (u + 1)) - 1)):
+            if (done.get(u, 0) >> v) & 1:
+                continue
+            cand = (1 << u) | (1 << v) | (adj[u] & adj[v] & atom)
+            if _prime_convex_bits(adj, atom, cand):
+                family.add(cand)
+            for a in bit_members(cand):
+                done[a] = done.get(a, 0) | (adj[a] & cand & ~((1 << (a + 1)) - 1))
     ordered = sorted(family, key=lambda b: (b.bit_count(), tuple(bit_members(b))))
-    return PrimeConvexFamily(n, tuple(ordered))
+    return PrimeConvexFamily(g.n, tuple(ordered))

@@ -16,7 +16,8 @@ from triconvex.decomposition import (
     pivots,
     verify_d_ordering,
 )
-from triconvex.errors import ValidationError
+from triconvex.convexity_number import convex_extension
+from triconvex.errors import ContractViolationError, ValidationError
 from triconvex.generators import (
     all_connected_graphs,
     complete_graph,
@@ -26,9 +27,14 @@ from triconvex.generators import (
     triangle_star_graph,
 )
 from triconvex.graph import Graph, _component_bits, connected_components, is_connected
-from triconvex.hull_number import SatisfactionVerdict, _pair_hulls_atom, hull_number, satisfies
+from triconvex.hull_number import (
+    SatisfactionVerdict,
+    hull_number,
+    is_hull_set_by_characterization,
+    satisfies,
+)
 from triconvex.oracle import brute_atoms
-from triconvex.prime import prime_t_hull
+from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
 
 
 def vs(n, items):
@@ -194,6 +200,55 @@ class TestPivots:
         assert [sorted(a) for a in dec.atoms] == [[0, 1, 2, 3], [0, 1, 4]]
         s = vs(5, [2])
         assert sorted(pivots(g, dec, 1, s)) == [0, 1]
+
+
+# Bowtie atoms: 0 = {0, 1, 2}, 1 = {0, 3, 4}. Every per-atom function
+# rejects an atom index outside 0..t-1 and a set of another universe, and
+# the within= routines also reject a seed outside the named atom.
+OTHER = VertexSet(3, 0b001)
+BAD_ATOM_ARGUMENTS = {
+    "satisfies index -1": (lambda g, d: satisfies(g, d, vs(5, [1]), -1), ValidationError),
+    "satisfies index t": (lambda g, d: satisfies(g, d, vs(5, [1]), 2), ValidationError),
+    "satisfies universe": (lambda g, d: satisfies(g, d, OTHER, 0), ValidationError),
+    "pivots index -1": (lambda g, d: pivots(g, d, -1, vs(5, [3])), ValidationError),
+    "pivots index t": (lambda g, d: pivots(g, d, 2, vs(5, [3])), ValidationError),
+    "pivots universe": (lambda g, d: pivots(g, d, 0, OTHER), ValidationError),
+    "extension index -1": (lambda g, d: convex_extension(g, d, -1, vs(5, [0])), ValidationError),
+    "extension index 5": (lambda g, d: convex_extension(g, d, 5, vs(5, [0])), ValidationError),
+    "extension universe": (lambda g, d: convex_extension(g, d, 0, OTHER), ValidationError),
+    "characterization universe": (
+        lambda g, d: is_hull_set_by_characterization(g, d, VertexSet(3, 0b011)),
+        ValidationError,
+    ),
+    "hull within universe": (
+        lambda g, d: prime_t_hull(g, vs(5, [0]), within=VertexSet(3, 0b111)),
+        ValidationError,
+    ),
+    "hull seed universe": (lambda g, d: prime_t_hull(g, OTHER), ValidationError),
+    "convex within universe": (
+        lambda g, d: prime_is_t_convex(g, vs(5, [0]), within=VertexSet(3, 0b111)),
+        ValidationError,
+    ),
+    "enumerate within universe": (
+        lambda g, d: enumerate_prime_convex_sets(g, within=VertexSet(3, 0b111)),
+        ValidationError,
+    ),
+    "hull seed outside atom": (
+        lambda g, d: prime_t_hull(g, vs(5, [3]), within=d.atoms[0]),
+        ContractViolationError,
+    ),
+    "convex seed outside atom": (
+        lambda g, d: prime_is_t_convex(g, vs(5, [1, 3]), within=d.atoms[0]),
+        ContractViolationError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ATOM_ARGUMENTS)
+def test_bad_atom_arguments_are_rejected(bowtie, case):
+    call, error = BAD_ATOM_ARGUMENTS[case]
+    with pytest.raises(error):
+        call(bowtie, decompose(bowtie))
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +527,15 @@ def reference_pivot_details(g, dec, i, s):
 
 
 def reference_satisfies(g, dec, s, i):
+    """satisfies on a relabelled copy of the atom, sharing no helper with it."""
     atom = dec.atoms[i]
     sub, vertices = g.induced(atom)
     index = {v: pos for pos, v in enumerate(vertices)}
+
+    def pair_hulls(u, v):
+        pair = VertexSet.from_iterable(sub.n, (index[u], index[v]))
+        return prime_t_hull(sub, pair).bits == (1 << sub.n) - 1
+
     details = reference_pivot_details(g, dec, i, s)
     pivot_bits = 0
     for _, shared in details:
@@ -482,7 +543,7 @@ def reference_satisfies(g, dec, s, i):
     pivot_list = list(bit_members(pivot_bits))
     for a_pos, u in enumerate(pivot_list):
         for v in pivot_list[a_pos + 1 :]:
-            if _pair_hulls_atom(sub, index[u], index[v]):
+            if pair_hulls(u, v):
                 return SatisfactionVerdict(i, "cond1", (u, v))
     s_in_atom = s.bits & atom.bits
     for u in pivot_list:
@@ -490,7 +551,7 @@ def reference_satisfies(g, dec, s, i):
             if not (shared >> u) & 1:
                 continue
             for v in bit_members(s_in_atom & ~dec.atoms[j].bits):
-                if _pair_hulls_atom(sub, index[u], index[v]):
+                if pair_hulls(u, v):
                     return SatisfactionVerdict(i, "cond2", (u, v))
     local = 0
     for v in bit_members(s_in_atom):

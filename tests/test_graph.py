@@ -37,6 +37,17 @@ class TestGraph:
         with pytest.raises(ValidationError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("v", [-1, 5, 7])
+    def test_row_of_an_unknown_vertex_is_rejected(self, bowtie, v):
+        with pytest.raises(ValidationError):
+            bowtie.neighbors(v)
+        with pytest.raises(ValidationError):
+            bowtie.degree(v)
+
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 5), (5, 0), (-1, 7)])
+    def test_edge_with_an_unknown_end_is_absent(self, bowtie, u, v):
+        assert not bowtie.has_edge(u, v)
+
     def test_induced_subgraph_keeps_ascending_order(self):
         g = Graph(5, [(0, 2), (2, 4), (0, 4), (1, 3)])
         sub, vertices = g.induced(VertexSet.from_iterable(5, [0, 2, 4]))

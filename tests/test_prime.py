@@ -7,11 +7,14 @@ import pytest
 
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import is_t_convex, t_convex_hull
-from triconvex.decomposition import decompose, is_prime
+from triconvex.decomposition import decompose, is_prime, pivots
 from triconvex.errors import ContractViolationError
 from triconvex.generators import complete_graph, cycle_graph, random_connected_graph
 from triconvex.graph import Graph, is_connected
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
+
+from .test_convexity_number import DIFFERENTIAL_GRAPHS, atom_convex_seeds
+from .test_decomposition import pivot_corpus
 
 
 def vs(n, items):
@@ -240,3 +243,62 @@ class TestEnumeration:
         # trivial sets only: empty, V, and n singletons
         for n in (2, 3, 5):
             assert len(enumerate_prime_convex_sets(complete_graph(n))) == n + 2
+
+
+# ---------------------------------------------------------------------------
+# within=F works on an atom in the graph's own ids; the reference route
+# relabels the atom with g.induced, runs on the copy and lifts back.
+
+
+def atom_seeds(g, dec, i, rng):
+    """Five seeded subsets of atom i (two random, a pair, a clique, a clique
+    plus one vertex), its R-set, and its pivots for everything outside it."""
+    atom = dec.atoms[i].bits
+    members = list(bit_members(atom))
+    seeds = [sum(1 << v for v in members if rng.random() < p) for p in (0.25, 0.6)]
+    seeds.append(sum(1 << v for v in rng.sample(members, min(2, len(members)))))
+    v = rng.choice(members)
+    clique, common = 1 << v, g._adj[v] & atom
+    while common and rng.random() < 0.8:
+        w = rng.choice(list(bit_members(common)))
+        clique |= 1 << w
+        common &= g._adj[w]
+    seeds.append(clique)
+    seeds.append(clique | (1 << rng.choice(members)))
+    if i:
+        seeds.append(dec.r_sets[i - 1].bits)
+    seeds.append(pivots(g, dec, i, VertexSet(g.n, ((1 << g.n) - 1) & ~atom)).bits)
+    return seeds
+
+
+def within_corpus():
+    return pivot_corpus() + list(DIFFERENTIAL_GRAPHS.values())
+
+
+class TestWithinMatchesInducedCopy:
+    def test_hull_and_convexity_test(self):
+        rng = random.Random(11)
+        for g in within_corpus():
+            dec = decompose(g)
+            for i, atom in enumerate(dec.atoms):
+                sub, vertices = g.induced(atom)
+                for bits in atom_seeds(g, dec, i, rng):
+                    s = VertexSet(g.n, bits)
+                    local = VertexSet(sub.n, sum(1 << p for p, v in enumerate(vertices) if v in s))
+                    lifted = sum(1 << vertices[p] for p in prime_t_hull(sub, local))
+                    where = (sorted(g.edges()), i, sorted(s))
+                    assert prime_t_hull(g, s, within=atom).bits == lifted, where
+                    assert prime_is_t_convex(g, s, within=atom) == prime_is_t_convex(
+                        sub, local
+                    ), where
+
+    def test_enumeration_in_order(self):
+        for g in within_corpus():
+            dec = decompose(g)
+            expected = [[] for _ in dec.atoms]
+            for i, seed in atom_convex_seeds(g, dec):
+                expected[i].append(seed.bits)
+            for i, atom in enumerate(dec.atoms):
+                family = enumerate_prime_convex_sets(g, within=atom)
+                assert family.n == g.n
+                assert list(family.bits) == expected[i], (sorted(g.edges()), i)

@@ -1,0 +1,28 @@
+"""The README's library example runs and prints what its comments say."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library") :]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_example_matches_its_comments():
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(library_block(), namespace)
+    dec = namespace["dec"]
+    assert [sorted(a) for a in dec.atoms] == [[0, 1, 2], [0, 3, 4]]
+    assert [sorted(r) for r in dec.r_sets] == [[0]]
+    assert sorted(namespace["hull"]) == [0, 1, 2, 3, 4]
+    assert out.getvalue().split() == ["3", "2"]
