@@ -15,6 +15,19 @@ the smaller side, the members or the outside vertices, so a pair costs two
 row ORs. Every mono scan reads the members attached to each component D
 of G - S off the boundary N(D) that ``graph._components_bits`` returns
 with D, so one scan is one search: O(n) mask operations.
+
+Before its closure the hull peels the member-free pendant trees: it deletes,
+while it can, a non-member with at most one neighbour left, starting from the
+graph's degree <= 1 vertices outside S (``Graph._leaves``). Each peeled
+vertex has at most one neighbour among the vertices peeled after it and the
+core, so the peeled vertices form trees that each hang from at most one core
+vertex, and a path entering one has no way back out: no path joins two
+members, of S or of any superset that avoids the trees, through them, and
+the hull never enters them. Its rounds and mono scans then run on the core
+that is left, which on graphs with many hung trees is a fraction of V. The
+convexity test does not peel: its mono witness names a whole component of
+G - S, hung vertices included, and a core-only check run before the full
+scan measured slower on trees.
 """
 
 from __future__ import annotations
@@ -75,19 +88,27 @@ def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
 
 
 def _violating_components(
-    adj: list[int], full: int, bits: int
+    adj: list[int], core: int, bits: int
 ) -> Iterator[tuple[int, int, int]]:
-    """``(u, missing, D)`` for every component D of G - S whose attached
-    members A = N(D) are not a clique, by minimum vertex id of D.
+    """``(u, missing, D)`` for every component D of G[core] - S whose
+    attached members A = N(D) & S are not a clique, by minimum vertex id of D.
+
+    ``core`` is V for the convexity test and what the hull's peel leaves for
+    the hull. The boundary ``_components_bits`` pairs D with is every
+    neighbour of D outside ``core & ~S``, so with peeled vertices outside the
+    core it may hold some of them: A is that boundary cut to S. A peeled
+    vertex hangs from D by a tree that reaches no member, so A is also the
+    member boundary of the component of G - S that contains D.
 
     ``u`` is the smallest member of A with a non-neighbour in A and
     ``missing`` all of its non-neighbours there; each lies above ``u``,
     since a lower one would itself have ``u`` as a higher non-neighbour.
-    A is the boundary ``_components_bits`` pairs D with: O(n - |S|) mask
-    operations for the components plus the smaller side's rows for every
-    boundary, with no pass over the members per component.
+    One search: O(|core| - |S|) mask operations for the components plus the
+    smaller side's rows for every boundary, with no pass over the members
+    per component.
     """
-    for comp, attached in _components_bits(adj, full & ~bits):
+    for comp, boundary in _components_bits(adj, core & ~bits):
+        attached = boundary & bits
         scan = attached
         while scan:
             low = scan & -scan
@@ -181,21 +202,42 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 
 def _hull_bits(g: Graph, bits: int) -> int:
-    """Closure of ``bits``: p3 rounds from one member fold, then mono scans.
+    """Closure of ``bits``: pendant-tree peel, then p3 rounds from one member
+    fold and mono scans on the core that is left.
+
+    The peel deletes, while it can, a non-member with at most one neighbour
+    left, starting from the graph's degree <= 1 vertices outside S. Each
+    peeled vertex has at most one neighbour that is peeled later or stays, so
+    a path through one would have to leave it through an earlier peeled
+    vertex, and the earliest inner one has no such way out: no path
+    between members of S, or of any superset that avoids the peeled set,
+    enters it. The hull never does, so the closure runs on the core alone.
 
     ``once``/``twice`` hold the vertices seeing at least one/two members.
     Each round folds only the members added since the last one, so the p3
     work over the whole hull is O(|hull|) mask operations, and absorbs all
-    of ``twice & ~bits`` at once. Only a p3-closed set gets a mono scan:
-    one search of G - S, and for every component whose attached members are
-    not a clique, one BFS through it from the first of them with a
-    non-neighbour among them to every such non-neighbour (``_forced_paths``).
-    Absorbing inside one component leaves the others and their boundaries as
-    they were, so all are crossed in the same scan; the path vertices are
-    folded in the next round.
+    of ``twice & ~bits`` at once (a peeled vertex sees at most one member).
+    Only a p3-closed set gets a mono scan: one search of the core minus S,
+    and for every component whose attached members are not a clique, one
+    BFS through it from the first of them with a non-neighbour among them to
+    every such non-neighbour (``_forced_paths``). Absorbing inside one
+    component leaves the others and their boundaries as they were, so all
+    are crossed in the same scan; the path vertices are folded in the next
+    round.
     """
     adj = g._adj
-    full = (1 << g.n) - 1
+    core = (1 << g.n) - 1
+    stack = [v for v in g._leaves if not (bits >> v) & 1]
+    while stack:
+        v = stack.pop()
+        core ^= 1 << v
+        rest = adj[v] & core & ~bits
+        if rest:
+            # v's last neighbour, a non-member; pushed once, when its
+            # degree in the core first drops to 1
+            w = rest.bit_length() - 1
+            if (adj[w] & core).bit_count() == 1:
+                stack.append(w)
     once = twice = 0
     new = bits
     while True:
@@ -207,7 +249,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
             once |= row
         new = twice & ~bits
         if not new:
-            for u, missing, comp in _violating_components(adj, full, bits):
+            for u, missing, comp in _violating_components(adj, core, bits):
                 new |= _forced_paths(adj, comp, u, missing)
             if not new:
                 return bits
@@ -223,7 +265,9 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     from its first attached member u that has a non-adjacent one, a shortest
     path through D to every such non-neighbour, whose vertices are all forced
     into the hull. Then the rounds resume. The hull is the same whatever
-    order the forced vertices join in.
+    order the forced vertices join in. All of this runs on the core left
+    once the pendant trees without a member of s are peeled, since no
+    triangle path between members enters one (see ``_hull_bits``).
     """
     _check_subset(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

@@ -22,9 +22,13 @@ MAX_VERTICES = 1_000_000
 
 
 class Graph:
-    """An immutable simple undirected graph on vertices ``0..n-1``."""
+    """An immutable simple undirected graph on vertices ``0..n-1``.
 
-    __slots__ = ("n", "_adj", "_m")
+    ``_leaves`` lists the vertices of degree at most 1, ascending: the
+    starting points of the hull's pendant-tree peel.
+    """
+
+    __slots__ = ("n", "_adj", "_m", "_leaves")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -40,8 +44,14 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
+        self._set_adjacency(adj)
+
+    def _set_adjacency(self, adj: list[int]) -> None:
+        """Store the rows with the edge count and the degree-<=1 vertices."""
+        degrees = [a.bit_count() for a in adj]
         self._adj = adj
-        self._m = sum(a.bit_count() for a in adj) // 2
+        self._m = sum(degrees) // 2
+        self._leaves = [v for v, d in enumerate(degrees) if d <= 1]
 
     @property
     def m(self) -> int:
@@ -85,8 +95,7 @@ class Graph:
                 row |= 1 << index[w]
             adj.append(row)
         sub.n = len(vertices)
-        sub._adj = adj
-        sub._m = sum(a.bit_count() for a in adj) // 2
+        sub._set_adjacency(adj)
         return sub, vertices
 
     def __eq__(self, other: object) -> bool:

@@ -10,18 +10,21 @@ vertex is convex: convexity number 1, hull number 2.
 Each form is first confirmed against the brute-force oracles on small
 members of its family, then asserted at sizes the oracles cannot reach.
 
-A tree's atoms are its edges, and a D-ordering places each edge after one
-that shares its single overlap vertex; that is checked on 10,000-vertex
-trees.
+A tree's hull of S is the union of its paths between members of S, checked
+on 10,000-vertex trees against parent-pointer walks. A tree's atoms are its
+edges, and a D-ordering places each edge after one that shares its single
+overlap vertex; that is checked on 10,000-vertex trees.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from triconvex.bitset import bit_members
+from triconvex.bitset import VertexSet, bit_members
+from triconvex.convexity import is_t_hull_set, t_convex_hull
 from triconvex.convexity_number import convexity_number
 from triconvex.decomposition import decompose
 from triconvex.generators import complete_graph, cycle_graph, path_graph, star_graph
@@ -115,3 +118,39 @@ def test_tree_decomposes_into_its_edges_at_scale(name):
         for v in bit_members(atoms[i]):
             first_atom.setdefault(v, i)
     assert dec.r_union.bits == r_union
+
+
+def tree_path_union(g: Graph, members: list[int]) -> set[int]:
+    """Vertices on the tree paths between every two members: parent
+    pointers from vertex 0, and each pair climbs from the deeper end."""
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    queue = [0]
+    for u in queue:
+        for w in g.neighbors(u):
+            if w != parent[u]:
+                parent[w], depth[w] = u, depth[u] + 1
+                queue.append(w)
+    union = set(members)
+    for a, b in itertools.combinations(members, 2):
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            union.add(a)
+            a = parent[a]
+        union.add(a)
+    return union
+
+
+@pytest.mark.parametrize("name", ["path:10000", "random recursive tree:10000"])
+def test_tree_hull_is_the_union_of_member_paths_at_scale(name):
+    g = TREES_AT_SCALE[name]
+    rng = random.Random(name)
+    for size in (2, 3, 10):
+        for _ in range(3):
+            members = rng.sample(range(g.n), size)
+            hull = t_convex_hull(g, VertexSet.from_iterable(g.n, members))
+            assert set(hull) == tree_path_union(g, members), sorted(members)
+    leaf_set = [v for v in range(g.n) if g.degree(v) == 1]
+    assert is_t_hull_set(g, VertexSet.from_iterable(g.n, leaf_set))
+    assert not is_t_hull_set(g, VertexSet.from_iterable(g.n, leaf_set[1:]))

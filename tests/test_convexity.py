@@ -19,7 +19,7 @@ from triconvex.convexity import (
     t_convex_hull,
 )
 from triconvex.decomposition import decompose
-from triconvex.generators import path_graph, random_connected_graph, star_graph
+from triconvex.generators import complete_graph, path_graph, random_connected_graph, star_graph
 from triconvex.graph import Graph, _components_bits, shortest_path
 from triconvex.oracle import brute_hull, brute_is_convex
 
@@ -242,6 +242,50 @@ def cubic_core_with_trees(core, hung, seed):
     return Graph(core + hung, edges)
 
 
+def caterpillar(spine, legs):
+    """A path of ``spine`` vertices, each with ``legs`` leaves."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph(spine * (legs + 1), edges)
+
+
+def cycle_with_hung_paths(cycle, lengths):
+    """C_cycle with, at vertex i, a hung path of ``lengths[i % len(lengths)]``
+    vertices."""
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    n = cycle
+    for i in range(cycle):
+        prev = i
+        for _ in range(lengths[i % len(lengths)]):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
+
+
+def spider(legs, length):
+    """A centre with ``legs`` paths of ``length`` vertices each."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for j in range(length):
+            v = 1 + leg * length + j
+            edges.append((prev, v))
+            prev = v
+    return Graph(1 + legs * length, edges)
+
+
+def pendant_graphs():
+    """Graphs whose vertices mostly lie in pendant trees, and K2 and K1."""
+    return [
+        caterpillar(12, 3),
+        cycle_with_hung_paths(9, (0, 3, 1, 5)),
+        cycle_with_hung_paths(5, (2,)),
+        spider(5, 6),
+        complete_graph(2),
+        complete_graph(1),
+    ]
+
+
 def hull_corpus():
     graphs = [
         random_connected_graph(n, p, seed)
@@ -256,6 +300,7 @@ def hull_corpus():
         cubic_core_with_trees(core, hung, seed)
         for core, hung, seed in ((8, 12, 0), (30, 60, 1), (60, 140, 2), (150, 350, 3))
     ]
+    graphs += pendant_graphs()
     return graphs
 
 
@@ -418,3 +463,80 @@ class TestMonoStep:
                 assert _components_bits(rows, alive) == reference_components(g, alive)
                 size, outside = alive.bit_count(), g.n - alive.bit_count()
                 assert rows.reads <= 2 * size + min(size, outside), (density, rows.reads)
+
+
+def reference_peel(g, bits):
+    """The vertices of member-free pendant trees: sweep after sweep, delete
+    every non-member with at most one neighbour left."""
+    full = (1 << g.n) - 1
+    left = full
+    while True:
+        drop = [v for v in bit_members(left & ~bits) if (g._adj[v] & left).bit_count() <= 1]
+        if not drop:
+            return full & ~left
+        for v in drop:
+            left &= ~(1 << v)
+
+
+def peel_graphs():
+    return pendant_graphs() + [cubic_core_with_trees(30, 60, 1)]
+
+
+class TestPendantPeel:
+    def test_hull_and_searches_avoid_member_free_pendant_trees(self, monkeypatch):
+        searched = []
+        search = convexity._components_bits
+
+        def recorded(adj, alive):
+            searched.append(alive)
+            return search(adj, alive)
+
+        monkeypatch.setattr(convexity, "_components_bits", recorded)
+        rng = random.Random(37)
+        checked = 0
+        for g in peel_graphs():
+            for bits in hull_seeds(g, rng):
+                searched.clear()
+                peeled = reference_peel(g, bits)
+                hull = t_convex_hull(g, VertexSet(g.n, bits)).bits
+                context = (g.n, sorted(g.edges()), bin(bits))
+                assert not hull & peeled, context
+                assert not any(alive & peeled for alive in searched), context
+                checked += bool(searched and peeled)
+        assert checked > 30
+
+    def test_violating_components_on_a_core_attach_members_only(self):
+        # path 0 - 1 - 2 with member 0 and core {0, 1}: the boundary of {1}
+        # holds the peeled vertex 2, which is no member and so no partner of 0
+        g = path_graph(3)
+        assert list(_violating_components(g._adj, 0b011, 0b001)) == []
+        rng = random.Random(43)
+        crossings = 0
+        for g in peel_graphs():
+            adj = g._adj
+            full = (1 << g.n) - 1
+            for bits in hull_seeds(g, rng):
+                core = full & ~reference_peel(g, bits)
+                got = list(_violating_components(adj, core, bits))
+                context = (g.n, sorted(g.edges()), bin(bits))
+                for u, missing, comp in got:
+                    assert (bits >> u) & 1 and not missing & ~bits, context
+                    assert not comp & ~core, context
+                on_g = _violating_components(adj, full, bits)
+                assert set(got) == {(u, missing, comp & core) for u, missing, comp in on_g}, context
+                crossings += len(got)
+        assert crossings > 20
+
+    def test_induced_subgraph_hulls_as_the_rebuilt_graph(self):
+        rng = random.Random(41)
+        for g in peel_graphs():
+            for _ in range(4):
+                keep = VertexSet(g.n, sum(1 << v for v in range(g.n) if rng.random() < 0.7))
+                sub, _ = g.induced(keep)
+                rebuilt = Graph(sub.n, sub.edges())
+                for bits in hull_seeds(sub, rng):
+                    s = VertexSet(sub.n, bits)
+                    assert t_convex_hull(sub, s) == t_convex_hull(rebuilt, s), (
+                        sorted(rebuilt.edges()),
+                        sorted(s),
+                    )
