@@ -19,13 +19,7 @@ from .convexity import (
     t_convex_hull,
 )
 from .convexity_number import ConvexityNumberResult, convex_extension, convexity_number
-from .decomposition import (
-    Decomposition,
-    decompose,
-    is_prime,
-    pivots,
-    verify_d_ordering,
-)
+from .decomposition import Decomposition, decompose, is_prime, pivots, verify_d_ordering
 from .errors import (
     AlgorithmError,
     BudgetExceededError,

@@ -18,8 +18,8 @@ from . import __version__
 from .bitset import VertexSet
 from .convexity import is_t_convex, t_convex_hull
 from .convexity_number import convexity_number
-from .decomposition import decompose
-from .errors import Error, ValidationError
+from .decomposition import decompose, is_prime
+from .errors import ContractViolationError, Error, ValidationError
 from .generators import all_connected_graphs, from_spec, random_connected_graph
 from .graph import FORMATS, Graph, load_graph, to_edge_list
 from .hull_number import hull_number
@@ -235,7 +235,9 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int, Graph | None, int
         return {"hull": sorted(t_convex_hull(g, s))}, EXIT_OK, g, None
 
     if cmd == "enumerate-prime":
-        family = enumerate_prime_convex_sets(g, checked=args.checked)
+        if args.checked and not is_prime(g):
+            raise ContractViolationError("graph is not prime")
+        family = enumerate_prime_convex_sets(g)
         return {"sets": [sorted(s) for s in family]}, EXIT_OK, g, None
 
     if cmd == "convexity-number":

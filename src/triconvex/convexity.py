@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitset import VertexSet, bit_members
-from .errors import ValidationError
 # shortest_path stays a module attribute: benchmark/tracer.py wraps it here.
-from .graph import Graph, _components_bits, shortest_path  # noqa: F401
+from .graph import Graph, _check_universe, _components_bits, shortest_path  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,11 +53,6 @@ class ConvexityWitness:
     vertex: int | None = None
     pair: tuple[int, int] | None = None
     component: VertexSet | None = None
-
-
-def _check_subset(g: Graph, s: VertexSet) -> None:
-    if s.n != g.n:
-        raise ValidationError("vertex set has wrong universe size")
 
 
 def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
@@ -170,13 +164,13 @@ def _forced_paths(adj: list[int], comp: int, u: int, targets: int) -> int:
 
 def is_p3_convex(g: Graph, s: VertexSet) -> bool:
     """No vertex outside s has two neighbours in s."""
-    _check_subset(g, s)
+    _check_universe(g, s)
     return _p3_violation(g._adj, (1 << g.n) - 1, s.bits) is None
 
 
 def is_m_convex(g: Graph, s: VertexSet) -> bool:
     """No component of G - s touches two non-adjacent members of s."""
-    _check_subset(g, s)
+    _check_universe(g, s)
     return _mono_violation(g._adj, (1 << g.n) - 1, s.bits) is None
 
 
@@ -186,7 +180,7 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     The outside-vertex condition is reported first: absorbing one vertex
     is cheaper than a path, and the hull is the same either way.
     """
-    _check_subset(g, s)
+    _check_universe(g, s)
     adj = g._adj
     full = (1 << g.n) - 1
     v = _p3_violation(adj, full, s.bits)
@@ -269,12 +263,12 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     once the pendant trees without a member of s are peeled, since no
     triangle path between members enters one (see ``_hull_bits``).
     """
-    _check_subset(g, s)
+    _check_universe(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))
 
 
 def is_t_hull_set(g: Graph, s: VertexSet) -> bool:
     """Does the hull of s cover the whole vertex set?"""
-    _check_subset(g, s)
+    _check_universe(g, s)
     return _hull_bits(g, s.bits) == (1 << g.n) - 1
 

@@ -11,10 +11,11 @@ For C inside F_i, the components of G - C that avoid F_i minus C are
 exactly the components D of G - F_i whose neighbourhood N(D) lies inside
 C: such a component of G - C misses F_i, so it sits in one D and, being
 closed in G - C, equals it; conversely N(D) inside C makes D a component
-of G - C. So each atom needs one search of G - F_i, O(n + m), that lists
-its (D, N(D)) pairs, and each seed is then extended in O(#pairs) mask
-tests. When the graph is a single atom the list is empty and every
-extension is the seed itself.
+of G - C. Whether D joins depends on N(D) alone, so each atom needs one
+search of G - F_i, O(n + m), grouped by separator: U(S), the union of the
+D with N(D) = S (``decomposition._outside_groups``). Each seed is then
+extended in O(#separators) mask tests, one per atom on a star K_{1,k}.
+When the graph is a single atom every extension is the seed itself.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet
 from .convexity import is_t_convex
-from .decomposition import Decomposition, _atom_arguments, decompose
+from .decomposition import Decomposition, _atom_arguments, _outside_groups, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
-from .graph import Graph, _components_bits, is_connected
-from .prime import enumerate_prime_convex_sets, prime_is_t_convex
+# _components_bits stays a module attribute: benchmark/tracer.py wraps it here.
+from .graph import Graph, _components_bits, is_connected  # noqa: F401
+from .prime import enumerate_prime_convex_sets
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,29 +45,24 @@ class ConvexityNumberResult:
     seed: VertexSet
 
 
-def _extend(c_bits: int, outside: list[tuple[int, int]]) -> int:
-    """c plus every component D of G - F_i with N(D) inside c."""
+def _extend(c_bits: int, groups: dict[int, int]) -> int:
+    """c plus every U(S) of ``_outside_groups`` with S inside c."""
     out = c_bits
-    for comp, boundary in outside:
+    for boundary, union in groups.items():
         if not boundary & ~c_bits:
-            out |= comp
+            out |= union
     return out
 
 
-def convex_extension(
-    g: Graph, dec: Decomposition, i: int, c: VertexSet, checked: bool = False
-) -> VertexSet:
+def convex_extension(g: Graph, dec: Decomposition, i: int, c: VertexSet) -> VertexSet:
     """Extend a convex set of atom i by the components of G - c that avoid
     the rest of the atom. The result is convex in G whenever c is convex
-    in the atom. Raises ContractViolationError when c is not inside the
-    atom; checked=True also rejects a c that is not convex in the atom."""
+    in the atom, which the caller guarantees. Raises
+    ContractViolationError when c is not inside the atom."""
     f_bits = _atom_arguments(g, dec, i, c)
     if c.bits & ~f_bits:
         raise ContractViolationError("seed is not inside the atom")
-    if checked and not prime_is_t_convex(g, c, within=dec.atoms[i]):
-        raise ContractViolationError("seed is not a convex set of the atom")
-    outside = _components_bits(g._adj, ((1 << g.n) - 1) & ~f_bits)
-    return VertexSet(g.n, _extend(c.bits, outside))
+    return VertexSet(g.n, _extend(c.bits, _outside_groups(g._adj, f_bits)))
 
 
 def convexity_number(g: Graph) -> ConvexityNumberResult:
@@ -83,11 +80,11 @@ def convexity_number(g: Graph) -> ConvexityNumberResult:
     full = (1 << g.n) - 1
     best = ConvexityNumberResult(0, VertexSet(g.n, 0), -1, VertexSet(g.n, 0))
     for i, atom in enumerate(dec.atoms):
-        outside = _components_bits(g._adj, full & ~atom.bits)
+        groups = _outside_groups(g._adj, atom.bits)
         for seed_bits in enumerate_prime_convex_sets(g, within=atom).bits:
             if seed_bits == atom.bits:
                 continue
-            extended = _extend(seed_bits, outside)
+            extended = _extend(seed_bits, groups)
             size = extended.bit_count()
             if size > best.value:
                 best = ConvexityNumberResult(

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
 from .errors import AlgorithmError, ValidationError
-from .graph import Graph, _component_bits, _components_bits, _is_clique, is_connected
+from .graph import (
+    Graph,
+    _check_universe,
+    _component_bits,
+    _components_bits,
+    _is_clique,
+    is_connected,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,16 +323,25 @@ def verify_d_ordering(g: Graph, dec: Decomposition, check_atom_primality: bool =
 
 def _atom_arguments(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> int:
     """Mask of atom i, after checking that i indexes an atom of dec and
-    that s is a vertex set of g; the per-atom public functions call it."""
+    that s and dec belong to g; the per-atom public functions call it."""
     if not 0 <= i < dec.t:
         raise ValidationError(f"atom index {i} outside 0..{dec.t - 1}")
-    if s.n != g.n:
-        raise ValidationError("vertex set has wrong universe size")
+    _check_universe(g, s, dec.atoms[0])
     return dec.atoms[i].bits
 
 
-def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> list[int]:
-    """N(D) for each component D of G - F_i that meets s, by min vertex of D.
+def _outside_groups(adj: list[int], f_bits: int) -> dict[int, int]:
+    """U(S) for each separator S = N(D) of a component D of G - F: the
+    union of the components of G - F with that N(D). Pivots and extensions
+    read only these unions, so one search of G - F, O(n + m), serves both."""
+    groups: dict[int, int] = {}
+    for comp, boundary in _components_bits(adj, ((1 << len(adj)) - 1) & ~f_bits):
+        groups[boundary] = groups.get(boundary, 0) | comp
+    return groups
+
+
+def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> int:
+    """Pivot mask of atom i: the union of N(D) over the components D of G - F_i meeting s.
 
     The pivots of F_i are the shared vertices through which hull flow from
     the seed vertices of s outside F_i is forced into F_i: the overlaps
@@ -341,15 +357,19 @@ def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> list[i
       atom F_j of G with F_j & F_i = N(D) and F_j - F_i inside D.
 
     An overlap that fails to separate F_j from the rest of F_i is not a
-    pivot set: hull flow towards F_i is not forced through it. So one
-    search of G - F_i answers the question, with no search per overlap
-    (Berry, Pogorelcnik and Simonet, Algorithms 2010).
+    pivot set: hull flow towards F_i is not forced through it. So the
+    groups of one search of G - F_i (``_outside_groups``) answer the
+    question, with no search per overlap (Berry, Pogorelcnik and Simonet,
+    Algorithms 2010).
     """
     f_bits = dec.atoms[i].bits
     if not s.bits & ~f_bits:
-        return []
-    outside = _components_bits(g._adj, ((1 << g.n) - 1) & ~f_bits)
-    return [boundary for comp, boundary in outside if comp & s.bits]
+        return 0
+    out = 0
+    for boundary, union in _outside_groups(g._adj, f_bits).items():
+        if union & s.bits:
+            out |= boundary
+    return out
 
 
 def pivots(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
@@ -360,7 +380,4 @@ def pivots(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
     through N(D), the overlap of F_i with the atom on D's side.
     """
     _atom_arguments(g, dec, i, s)
-    out = 0
-    for boundary in _pivot_details(g, dec, i, s):
-        out |= boundary
-    return VertexSet(g.n, out)
+    return VertexSet(g.n, _pivot_details(g, dec, i, s))

@@ -20,7 +20,7 @@ class ValidationError(Error):
 
 
 class ContractViolationError(Error):
-    """A checked-mode contract (e.g. primality of the input graph) failed."""
+    """A call's contract failed, e.g. a seed outside its atom or a graph not prime."""
 
 
 class BudgetExceededError(Error):

@@ -186,12 +186,17 @@ def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
     return out
 
 
+def _check_universe(g: Graph, *sets: VertexSet | None) -> None:
+    """Reject any of ``sets`` (None is skipped) not drawn from ``0..g.n-1``."""
+    if any(s is not None and s.n != g.n for s in sets):
+        raise ValidationError("vertex set has wrong universe size")
+
+
 def connected_components(g: Graph, removed: VertexSet | None = None) -> list[VertexSet]:
     """Components of ``G - removed``, ordered by their minimum vertex id."""
+    _check_universe(g, removed)
     mask = (1 << g.n) - 1
     if removed is not None:
-        if removed.n != g.n:
-            raise ValidationError("removed set has wrong universe size")
         mask &= ~removed.bits
     return [VertexSet(g.n, c) for c, _ in _components_bits(g._adj, mask)]
 
@@ -209,8 +214,9 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
     still lies on a shortest path, so the result is deterministic. Returns
     None when u and v are disconnected inside ``within``.
     """
+    _check_universe(g, within)
     mask = (1 << g.n) - 1 if within is None else within.bits
-    if not ((mask >> u) & 1 and (mask >> v) & 1):
+    if not (0 <= u < g.n and 0 <= v < g.n and (mask >> u) & 1 and (mask >> v) & 1):
         raise ValidationError("path endpoints must lie inside the search set")
     if u == v:
         return Path((u,))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bitset import VertexSet, bit_members
 from .convexity import _hull_bits
-from .decomposition import Decomposition, _atom_arguments, _pivot_details, decompose, pivots
+from .decomposition import Decomposition, _atom_arguments, _pivot_details, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
 from .graph import Graph, is_connected
 from .prime import prime_t_hull
@@ -27,8 +27,9 @@ from .prime import prime_t_hull
 class SatisfactionVerdict:
     """Which condition a set meets on one atom, with the realizing evidence.
 
-    Pivots are the vertices of N(D) for the components D of G - F_i that
-    meet the set (see ``decomposition._pivot_details``).
+    The pivots are the union of the separators S = N(D) of G - F_i whose
+    group U(S), the components D with that N(D), meets the set: the mask
+    that ``decomposition._pivot_details`` returns.
 
     cond1: two pivots hulling the atom (evidence: the pair).
     cond2: a pivot plus a member of the atom outside that pivot's N(D),
@@ -56,16 +57,15 @@ def _pair_hulls_atom(g: Graph, atom: VertexSet, a: int, b: int) -> bool:
 def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> SatisfactionVerdict:
     """First satisfied condition of s on atom i, or condition "none".
 
-    Condition 2 pairs a pivot u with a member of s in the atom outside an
-    N(D) holding u (N(D) is the overlap of F_i with the atom on D's side).
-    It tries only the members that are not pivots, once per u: a pivot
-    candidate would already have completed u under condition 1, and a
-    non-pivot lies outside every N(D), so the first pair found is the same.
+    The pivots come as one mask from ``_pivot_details``. Condition 2
+    pairs a pivot u with a member of s in the atom outside an N(D) holding
+    u (N(D) is the overlap of F_i with the atom on D's side). It tries
+    only the members that are not pivots, once per u: a pivot candidate
+    would already have completed u under condition 1, and a non-pivot
+    lies outside every N(D), so the first pair found is the same.
     """
     atom = VertexSet(g.n, _atom_arguments(g, dec, i, s))
-    pivot_bits = 0
-    for boundary in _pivot_details(g, dec, i, s):
-        pivot_bits |= boundary
+    pivot_bits = _pivot_details(g, dec, i, s)
     pivot_list = list(bit_members(pivot_bits))
 
     for a_pos, u in enumerate(pivot_list):
@@ -88,7 +88,7 @@ def satisfies(g: Graph, dec: Decomposition, s: VertexSet, i: int) -> Satisfactio
 
 def is_hull_set_by_characterization(g: Graph, dec: Decomposition, s: VertexSet) -> bool:
     """Hull-set test for reducible graphs: |s| >= 2 and every atom satisfied."""
-    _atom_arguments(g, dec, 0, s)  # every decomposition has atom 0; this checks s
+    _atom_arguments(g, dec, 0, s)  # every decomposition has atom 0; this checks s and dec
     if dec.t < 2:
         raise ContractViolationError(
             "characterization applies to reducible graphs; primes hull from any "
@@ -141,8 +141,7 @@ def _reducible_hull_bits(
     selected = 0
     for i in range(dec.t - 1, 0, -1):
         atom = dec.atoms[i]
-        p = pivots(g, dec, i, VertexSet(n, selected))
-        seed = p.bits | dec.r_sets[i - 1].bits
+        seed = _pivot_details(g, dec, i, VertexSet(n, selected)) | dec.r_sets[i - 1].bits
         hull = prime_t_hull(g, VertexSet(n, seed), within=atom).bits
         if hull == atom.bits:
             continue

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitset import VertexSet, bit_members
-from .errors import ContractViolationError, ValidationError
-from .graph import Graph
+from .errors import ContractViolationError
+from .graph import Graph, _check_universe
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,19 +45,13 @@ class PrimeConvexFamily:
         return (VertexSet(self.n, b) for b in self.bits)
 
 
-def _atom_bits(g: Graph, within: VertexSet | None, checked: bool, s: VertexSet | None) -> int:
+def _atom_bits(g: Graph, within: VertexSet | None, s: VertexSet | None) -> int:
     """Mask of the prime subgraph G[within], all of G by default, once the
     sets are checked against g and the seed s (if any) against the atom."""
-    if (within is not None and within.n != g.n) or (s is not None and s.n != g.n):
-        raise ValidationError("vertex set has wrong universe size")
+    _check_universe(g, within, s)
     atom = (1 << g.n) - 1 if within is None else within.bits
     if s is not None and s.bits & ~atom:
         raise ContractViolationError("seed is not inside the atom")
-    if checked:
-        from .decomposition import is_prime
-
-        if not is_prime(g if within is None else g.induced(within)[0]):
-            raise ContractViolationError("graph is not prime")
     return atom
 
 
@@ -89,21 +83,16 @@ def _prime_convex_bits(adj: list[int], atom: int, bits: int) -> bool:
     return twice is not None and not twice & atom & ~bits
 
 
-def prime_is_t_convex(
-    g: Graph, s: VertexSet, checked: bool = False, within: VertexSet | None = None
-) -> bool:
+def prime_is_t_convex(g: Graph, s: VertexSet, *, within: VertexSet | None = None) -> bool:
     """Convexity test for prime graphs: clique with no doubly-seen outside.
 
     ``within`` names a prime subgraph G[within] to test s in, in G's own
-    ids; s must lie inside it. The caller guarantees primality; pass
-    checked=True to have it verified (used by tests).
+    ids; s must lie inside it. The caller guarantees primality.
     """
-    return _prime_convex_bits(g._adj, _atom_bits(g, within, checked, s), s.bits)
+    return _prime_convex_bits(g._adj, _atom_bits(g, within, s), s.bits)
 
 
-def prime_t_hull(
-    g: Graph, s: VertexSet, checked: bool = False, within: VertexSet | None = None
-) -> VertexSet:
+def prime_t_hull(g: Graph, s: VertexSet, *, within: VertexSet | None = None) -> VertexSet:
     """Hull in a prime graph: one closure round decides everything.
 
     A non-clique seed already hulls to V. Otherwise add the vertices
@@ -111,7 +100,7 @@ def prime_t_hull(
     is the hull, and if not the hull is V. With ``within``, V is that
     prime subgraph's vertex set and the hull is taken in G[within].
     """
-    atom = _atom_bits(g, within, checked, s)
+    atom = _atom_bits(g, within, s)
     bits = s.bits
     adj = g._adj
     if bits != atom:
@@ -123,9 +112,7 @@ def prime_t_hull(
     return VertexSet(g.n, atom)
 
 
-def enumerate_prime_convex_sets(
-    g: Graph, checked: bool = False, within: VertexSet | None = None
-) -> PrimeConvexFamily:
+def enumerate_prime_convex_sets(g: Graph, *, within: VertexSet | None = None) -> PrimeConvexFamily:
     """All convex sets of a prime graph, or of G[within] in G's ids.
 
     Seeds the family with the trivial sets, then closes each edge once: the
@@ -133,7 +120,7 @@ def enumerate_prime_convex_sets(
     convex. All edges inside an accepted candidate are dropped from the
     worklist, which is what keeps every set from being produced twice.
     """
-    atom = _atom_bits(g, within, checked, None)
+    atom = _atom_bits(g, within, None)
     adj = g._adj
     family = {0, atom}
     # done[a]: the higher ends b of the edges ab already inside a candidate

@@ -190,6 +190,8 @@ class TestExitCodes:
             # generator specs short of their parameters, or past them
             ["generate", "--generate", "random_connected:5"],
             ["generate", "--generate", "path:3,9"],
+            # past generators.MAX_RANDOM_VERTICES, before the pair scan
+            ["generate", "--generate", "random_connected:1000000,0"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):

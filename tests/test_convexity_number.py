@@ -91,9 +91,8 @@ class TestConvexExtension:
     def test_rejects_seed_outside_its_atom(self, bowtie):
         dec = decompose(bowtie)
         assert sorted(dec.atoms[0]) == [0, 1, 2]
-        for checked in (False, True):
-            with pytest.raises(ContractViolationError):
-                convex_extension(bowtie, dec, 0, vs(5, [0, 3]), checked=checked)
+        with pytest.raises(ContractViolationError):
+            convex_extension(bowtie, dec, 0, vs(5, [0, 3]))
 
     @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
     def test_matches_one_search_per_seed(self, name):
@@ -104,11 +103,6 @@ class TestConvexExtension:
                 i,
                 sorted(seed),
             )
-
-    def test_checked_mode_rejects_non_convex_seed(self, bowtie):
-        dec = decompose(bowtie)
-        with pytest.raises(ContractViolationError):
-            convex_extension(bowtie, dec, 0, vs(5, [1, 2]), checked=True)
 
     def test_extension_is_convex_in_the_whole_graph(self, sampled_corpus):
         full_graphs = [g for g in sampled_corpus if is_connected(g) and g.n >= 2]

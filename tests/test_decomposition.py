@@ -11,6 +11,7 @@ from triconvex.decomposition import (
     _has_two_full_components,
     _is_clique,
     _mcs_m,
+    _outside_groups,
     decompose,
     is_prime,
     pivots,
@@ -35,6 +36,8 @@ from triconvex.hull_number import (
 )
 from triconvex.oracle import brute_atoms
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
+
+from .test_convexity_number import DIFFERENTIAL_GRAPHS
 
 
 def vs(n, items):
@@ -203,9 +206,17 @@ class TestPivots:
 
 
 # Bowtie atoms: 0 = {0, 1, 2}, 1 = {0, 3, 4}. Every per-atom function
-# rejects an atom index outside 0..t-1 and a set of another universe, and
-# the within= routines also reject a seed outside the named atom.
+# rejects an atom index outside 0..t-1, a set of another universe and a
+# decomposition of another graph (here P_8, whose atom indices and vertex
+# ids would otherwise pass), and the within= routines also reject a seed
+# outside the named atom.
 OTHER = VertexSet(3, 0b001)
+
+
+def other_dec():
+    return decompose(path_graph(8))
+
+
 BAD_ATOM_ARGUMENTS = {
     "satisfies index -1": (lambda g, d: satisfies(g, d, vs(5, [1]), -1), ValidationError),
     "satisfies index t": (lambda g, d: satisfies(g, d, vs(5, [1]), 2), ValidationError),
@@ -218,6 +229,22 @@ BAD_ATOM_ARGUMENTS = {
     "extension universe": (lambda g, d: convex_extension(g, d, 0, OTHER), ValidationError),
     "characterization universe": (
         lambda g, d: is_hull_set_by_characterization(g, d, VertexSet(3, 0b011)),
+        ValidationError,
+    ),
+    "pivots other decomposition": (
+        lambda g, d: pivots(g, other_dec(), 3, vs(5, [0])),
+        ValidationError,
+    ),
+    "satisfies other decomposition": (
+        lambda g, d: satisfies(g, other_dec(), vs(5, [0, 1]), 3),
+        ValidationError,
+    ),
+    "extension other decomposition": (
+        lambda g, d: convex_extension(g, other_dec(), 2, vs(5, [])),
+        ValidationError,
+    ),
+    "characterization other decomposition": (
+        lambda g, d: is_hull_set_by_characterization(g, other_dec(), vs(5, [0, 1])),
         ValidationError,
     ),
     "hull within universe": (
@@ -601,6 +628,46 @@ class TestAgainstReferencePivots:
                         i,
                         sorted(s),
                     )
+
+
+def searched_groups(g, atom):
+    """N(D) -> components D of G - atom, by a set-based search per D."""
+    groups = {}
+    seen = set(atom)
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, boundary, queue = {start}, set(), [start]
+        while queue:
+            v = queue.pop()
+            for w in g.neighbors(v):
+                if w in atom:
+                    boundary.add(w)
+                elif w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        groups.setdefault(frozenset(boundary), []).append(comp)
+    return groups
+
+
+class TestOutsideGroups:
+    def test_match_a_search_grouped_by_boundary(self):
+        graphs = pivot_corpus() + list(DIFFERENTIAL_GRAPHS.values())
+        graphs += [star_graph(k) for k in (1, 3, 30)]
+        graphs += [triangle_star_graph(k) for k in (1, 3, 30)]
+        largest = 0
+        for g in graphs:
+            for i, atom in enumerate(decompose(g).atoms):
+                expected = {}
+                for boundary, comps in searched_groups(g, atom).items():
+                    members = set().union(*comps)
+                    expected[sum(1 << v for v in boundary)] = sum(1 << v for v in members)
+                    largest = max(largest, len(comps))
+                assert _outside_groups(g._adj, atom.bits) == expected, (sorted(g.edges()), i)
+        # some separator has two or more components, so grouping is exercised
+        assert largest >= 2
 
 
 def _separates(g, sep, a, b):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from triconvex.errors import ValidationError
 from triconvex.generators import (
+    MAX_RANDOM_VERTICES,
     all_connected_graphs,
     bowtie_graph,
     cycle_graph,
@@ -57,6 +60,23 @@ def test_parameter_validation():
         from_spec("cycle:x")
     with pytest.raises(ValidationError):
         from_spec("moebius:5")
+
+
+def test_random_graph_size_is_checked_before_the_pair_scan():
+    # n(n-1)/2 pairs at about 100 ns each: 20 s just past the bound, days at
+    # n = 10^6. The alarm makes a scan that starts fail, not hang.
+    def stop(signum, frame):
+        raise TimeoutError("the pair scan ran")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for n in (MAX_RANDOM_VERTICES + 1, 1_000_000):
+            with pytest.raises(ValidationError):
+                random_connected_graph(n, 0.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_malformed_spec_names_its_expected_form():

@@ -150,6 +150,11 @@ class TestShortestPath:
     def test_endpoint_outside_raises(self, c5):
         with pytest.raises(ValidationError):
             shortest_path(c5, 0, 2, VertexSet.from_iterable(5, [0, 1]))
+        for u in (-1, 5):
+            with pytest.raises(ValidationError):
+                shortest_path(c5, u, 2)
+        with pytest.raises(ValidationError):
+            shortest_path(c5, 0, 2, VertexSet.full(6))
 
     def test_disconnected_returns_none(self):
         g = Graph(4, [(0, 1), (2, 3)])

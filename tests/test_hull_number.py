@@ -172,6 +172,23 @@ class TestHullNumber:
         with pytest.raises(ValidationError):
             hull_number(Graph(2))
 
+    # The reverse sweep is not yet optimal everywhere (ROADMAP item 1): on the
+    # first graph it returns 3 where 2 vertices hull, and on the second the
+    # set it builds fails verification with AlgorithmError. The marks are
+    # strict, so the fix turns them into failures that must be un-marked.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (3, 4)],
+            [(0, 4), (1, 2), (1, 4), (1, 5), (2, 4), (3, 4), (3, 5)],
+        ],
+        ids=["three-for-two", "fails-verification"],
+    )
+    def test_sweep_reaches_the_optimum(self, edges):
+        g = Graph(6, edges)
+        assert hull_number(g).value == brute_hull_number(g)
+
 
 class TestSweepTrace:
     def test_uncovered_parts_are_disjoint_with_private_choices(self, sampled_corpus):

@@ -8,7 +8,6 @@ import pytest
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import is_t_convex, t_convex_hull
 from triconvex.decomposition import decompose, is_prime, pivots
-from triconvex.errors import ContractViolationError
 from triconvex.generators import complete_graph, cycle_graph, random_connected_graph
 from triconvex.graph import Graph, is_connected
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
@@ -140,10 +139,6 @@ class TestPrimeConvexityTest:
     def test_whole_set_always_is(self, c5):
         assert prime_is_t_convex(c5, VertexSet.full(5))
 
-    def test_checked_mode_rejects_reducible(self, bowtie):
-        with pytest.raises(ContractViolationError):
-            prime_is_t_convex(bowtie, vs(5, [0]), checked=True)
-
     def test_agrees_with_general_test_on_primes(self, sampled_corpus):
         for g in prime_corpus(sampled_corpus):
             for bits in range(1 << g.n):
@@ -163,10 +158,6 @@ class TestPrimeHull:
 
     def test_complete_graph_pair_hulls(self, k4):
         assert prime_t_hull(k4, vs(4, [0, 1])) == VertexSet.full(4)
-
-    def test_checked_mode_rejects_reducible(self, bowtie):
-        with pytest.raises(ContractViolationError):
-            prime_t_hull(bowtie, vs(5, [0]), checked=True)
 
     def test_agrees_with_general_hull_on_primes(self, sampled_corpus):
         for g in prime_corpus(sampled_corpus):
@@ -196,10 +187,6 @@ class TestEnumeration:
     def test_single_vertex_graph(self):
         family = enumerate_prime_convex_sets(Graph(1))
         assert [tuple(sorted(s)) for s in family] == [(), (0,)]
-
-    def test_checked_mode_rejects_reducible(self, bowtie):
-        with pytest.raises(ContractViolationError):
-            enumerate_prime_convex_sets(bowtie, checked=True)
 
     def test_equals_exhaustive_family_on_primes(self, sampled_corpus):
         for g in prime_corpus(sampled_corpus):
