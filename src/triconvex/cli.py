@@ -9,10 +9,12 @@ mismatch, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
 import time
+from typing import Iterator
 
 from . import __version__
 from .bitset import VertexSet
@@ -23,7 +25,7 @@ from .errors import ContractViolationError, Error, ValidationError
 from .generators import all_connected_graphs, from_spec, random_connected_graph
 from .graph import FORMATS, Graph, load_graph, to_edge_list
 from .hull_number import hull_number
-from .oracle import DEFAULT_BUDGET, run_cross_validation
+from .oracle import MAX_PATH_VERTICES, run_cross_validation
 from .prime import enumerate_prime_convex_sets
 
 EXIT_OK = 0
@@ -159,7 +161,8 @@ def _witness_json(witness) -> dict | None:
     return out
 
 
-def _corpus_graphs(spec: str, default_seed: int) -> list[Graph]:
+def _corpus_graphs(spec: str, default_seed: int) -> Iterator[Graph]:
+    """The graphs of a corpus spec, checked in full and then built lazily."""
     kind, _, argtext = spec.partition(":")
     fields = ",".join(a for a in argtext.split(",") if a)
     args = _parse_ints(fields, f"corpus spec {spec!r}") if fields else []
@@ -173,21 +176,22 @@ def _corpus_graphs(spec: str, default_seed: int) -> list[Graph]:
             raise ValidationError(
                 f"corpus spec {spec!r}: exhaustive corpora go up to n = {MAX_EXHAUSTIVE_N}"
             )
-        graphs: list[Graph] = []
-        for n in range(1, limit + 1):
-            graphs.extend(all_connected_graphs(n))
-        return graphs
+        return itertools.chain.from_iterable(map(all_connected_graphs, range(1, limit + 1)))
     if kind == "random":
         if len(args) not in (2, 3):
             raise ValidationError(f"corpus spec {spec!r} needs random:N,COUNT[,SEED]")
         n, count = args[0], args[1]
+        if n > MAX_PATH_VERTICES:
+            raise ValidationError(
+                f"corpus spec {spec!r}: the oracles go up to n = {MAX_PATH_VERTICES}"
+            )
         if count < 1:
             raise ValidationError(f"corpus spec {spec!r}: COUNT must be at least 1")
         seed0 = args[2] if len(args) > 2 else default_seed
         probs = (0.2, 0.3, 0.4, 0.5, 0.6)
-        return [
+        return (
             random_connected_graph(n, probs[i % len(probs)], seed0 + i) for i in range(count)
-        ]
+        )
     raise Error(f"unknown corpus spec {spec!r}")
 
 
@@ -208,9 +212,11 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int, Graph | None, int
             graphs = _corpus_graphs(args.corpus, args.seed)
         else:
             graphs = [_read_graph(args)]
-        mismatches = run_cross_validation(graphs, DEFAULT_BUDGET)
+        # zip draws a graph before a tick, so the ticks taken count the graphs.
+        ticks = itertools.count()
+        mismatches = run_cross_validation(g for g, _ in zip(graphs, ticks))
         payload = {
-            "graphs": len(graphs),
+            "graphs": next(ticks),
             "mismatches": mismatches,
         }
         return payload, EXIT_MISMATCH if mismatches else EXIT_OK, None, None

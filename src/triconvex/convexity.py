@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .bitset import VertexSet, bit_members
 # shortest_path stays a module attribute: benchmark/tracer.py wraps it here.
-from .graph import Graph, _check_universe, _components_bits, shortest_path  # noqa: F401
+from .graph import Graph, _check_universe, _components_bits, _non_edge, shortest_path  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,24 +94,16 @@ def _violating_components(
     vertex hangs from D by a tree that reaches no member, so A is also the
     member boundary of the component of G - S that contains D.
 
-    ``u`` is the smallest member of A with a non-neighbour in A and
-    ``missing`` all of its non-neighbours there; each lies above ``u``,
-    since a lower one would itself have ``u`` as a higher non-neighbour.
+    ``(u, missing)`` is ``graph._non_edge`` of A: the smallest member of A
+    with a non-neighbour in A, and all of its non-neighbours there.
     One search: O(|core| - |S|) mask operations for the components plus the
     smaller side's rows for every boundary, with no pass over the members
     per component.
     """
     for comp, boundary in _components_bits(adj, core & ~bits):
-        attached = boundary & bits
-        scan = attached
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            u = low.bit_length() - 1
-            missing = attached & ~adj[u] & ~((low << 1) - 1)
-            if missing:
-                yield u, missing, comp
-                break
+        hit = _non_edge(adj, boundary & bits)
+        if hit is not None:
+            yield *hit, comp
 
 
 def _mono_violation(adj: list[int], full: int, bits: int) -> tuple[int, int, int] | None:

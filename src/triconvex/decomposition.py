@@ -24,7 +24,7 @@ atom's overlap with its predecessors sits inside one earlier atom.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bitset import VertexSet, bit_members
 from .errors import AlgorithmError, ValidationError
@@ -33,7 +33,7 @@ from .graph import (
     _check_universe,
     _component_bits,
     _components_bits,
-    _is_clique,
+    _non_edge,
     is_connected,
 )
 
@@ -44,12 +44,15 @@ class Decomposition:
 
     ``r_sets[i]`` is the intersection of ``atoms[i + 1]`` with the union of
     all earlier atoms; each one is a clique of G and a relative minimal
-    separator. ``r_union`` is the union of all of them.
+    separator. ``r_union`` is the union of all of them. ``graph`` is the
+    graph that ``decompose`` split, which the per-atom functions check
+    their graph against; it takes no part in equality.
     """
 
     atoms: tuple[VertexSet, ...]
     r_sets: tuple[VertexSet, ...]
     r_union: VertexSet
+    graph: Graph | None = field(default=None, compare=False, repr=False)
 
     @property
     def t(self) -> int:
@@ -165,7 +168,7 @@ def decompose(g: Graph) -> Decomposition:
         raise ValidationError("decomposition requires a connected graph")
     n = g.n
     if n == 1:
-        return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0))
+        return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0), g)
     adj = g._adj
     madj, elim, carvers = _mcs_m(g)
 
@@ -191,7 +194,7 @@ def decompose(g: Graph) -> Decomposition:
         r_bits.append(r)
         r_union |= r
         union |= b
-    return Decomposition(atoms, tuple(VertexSet(n, r) for r in r_bits), VertexSet(n, r_union))
+    return Decomposition(atoms, tuple(VertexSet(n, r) for r in r_bits), VertexSet(n, r_union), g)
 
 
 def _d_order(atom_bits: list[int]) -> list[int]:
@@ -299,7 +302,7 @@ def verify_d_ordering(g: Graph, dec: Decomposition, check_atom_primality: bool =
             return False
         if not r:
             return False
-        if not _is_clique(adj, r):
+        if _non_edge(adj, r) is not None:
             return False
         if not _has_two_full_components(adj, full & ~r, r):
             return False
@@ -326,7 +329,9 @@ def _atom_arguments(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> int:
     that s and dec belong to g; the per-atom public functions call it."""
     if not 0 <= i < dec.t:
         raise ValidationError(f"atom index {i} outside 0..{dec.t - 1}")
-    _check_universe(g, s, dec.atoms[0])
+    _check_universe(g, s)
+    if dec.graph is not g and dec.graph != g:
+        raise ValidationError("decomposition belongs to another graph")
     return dec.atoms[i].bits
 
 

@@ -24,7 +24,7 @@ class ContractViolationError(Error):
 
 
 class BudgetExceededError(Error):
-    """An exponential oracle was asked to run beyond its configured budget."""
+    """An exponential oracle was asked to run beyond its fixed budget."""
 
 
 class AlgorithmError(Error):

@@ -20,8 +20,9 @@ MAX_RANDOM_VERTICES = 20_000
 # star k: 0 is the centre of K_{1,k}.
 #
 # Edges go to Graph as generators, so an oversized n from a CLI spec fails
-# Graph's vertex-count check before any edge is built; random_connected_graph
-# checks MAX_RANDOM_VERTICES itself before its pair scan.
+# Graph's vertex-count check before any edge is built, and no edge list is
+# held in memory; random_connected_graph checks MAX_RANDOM_VERTICES itself
+# before its pair scan.
 
 
 def path_graph(n: int) -> Graph:
@@ -67,14 +68,12 @@ def random_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
     _require(0.0 <= p <= 1.0, "edge probability must be in [0, 1]")
     _require(n <= MAX_RANDOM_VERTICES, f"random graph needs n <= {MAX_RANDOM_VERTICES}")
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    g = Graph(n, edges)
+    g = Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
     comps = _components_bits(g._adj, (1 << n) - 1)
     if len(comps) > 1:
         members = [list(bit_members(c)) for c, _ in comps]
-        for comp in members[1:]:
-            edges.append((rng.choice(members[0]), rng.choice(comp)))
-        g = Graph(n, edges)
+        bridges = [(rng.choice(members[0]), rng.choice(comp)) for comp in members[1:]]
+        g = Graph(n, itertools.chain(g.edges(), bridges))
     return g
 
 

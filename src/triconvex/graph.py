@@ -147,11 +147,19 @@ def _component_bits(adj: list[int], alive: int, seed: int) -> int:
     return comp
 
 
-def _is_clique(adj: list[int], bits: int) -> bool:
-    for v in bit_members(bits):
-        if bits & ~adj[v] & ~(1 << v):
-            return False
-    return True
+def _non_edge(adj: list[int], bits: int) -> tuple[int, int] | None:
+    """``(u, missing)`` for the smallest member u of ``bits`` with a
+    non-neighbour above it in ``bits``, ``missing`` all of those; None when
+    ``bits`` is a clique. A non-adjacent pair shows at its lower member, so
+    only higher non-neighbours are looked for."""
+    scan = bits
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        missing = bits & ~adj[low.bit_length() - 1] & ~((low << 1) - 1)
+        if missing:
+            return low.bit_length() - 1, missing
+    return None
 
 
 def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:

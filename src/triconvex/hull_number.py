@@ -19,7 +19,7 @@ from .bitset import VertexSet, bit_members
 from .convexity import _hull_bits
 from .decomposition import Decomposition, _atom_arguments, _pivot_details, decompose
 from .errors import AlgorithmError, ContractViolationError, ValidationError
-from .graph import Graph, is_connected
+from .graph import Graph, _non_edge, is_connected
 from .prime import prime_t_hull
 
 
@@ -102,10 +102,10 @@ def is_hull_set_by_characterization(g: Graph, dec: Decomposition, s: VertexSet) 
 def _first_nonadjacent_pair(adj: list[int], within: int) -> tuple[int, int]:
     """Lexicographically first non-adjacent pair of G[within]; its two
     smallest members when G[within] is complete."""
-    for u in bit_members(within):
-        missing = within & ~adj[u] & ~((1 << (u + 1)) - 1)
-        if missing:
-            return u, (missing & -missing).bit_length() - 1
+    hit = _non_edge(adj, within)
+    if hit is not None:
+        u, missing = hit
+        return u, (missing & -missing).bit_length() - 1
     first, second, *_ = bit_members(within)
     return first, second
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import signal
 from pathlib import Path
 
 import jsonschema
@@ -82,23 +83,66 @@ class TestSubcommands:
         assert out == "0 1\n0 3\n1 2\n2 3\n"
 
     def test_bench_csv_shape(self, capsys):
-        code, out = run(
-            capsys, "bench", "--algorithm", "convexity-number",
-            "--sizes", "12,16,20", "--p", "0.3", "--reps", "2",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "algorithm,n,m,median_ms,reps"
-        assert len(lines) == 4
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert fields[0] == "convexity-number" and fields[4] == "2"
+        for algorithm in ("convexity-number", "hull"):
+            code, out = run(
+                capsys, "bench", "--algorithm", algorithm,
+                "--sizes", "12,16,20", "--p", "0.3", "--reps", "2",
+            )
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert lines[0] == "algorithm,n,m,median_ms,reps"
+            assert len(lines) == 4
+            for line in lines[1:]:
+                fields = line.split(",")
+                assert fields[0] == algorithm and fields[4] == "2"
 
     def test_bench_json_schema(self, capsys):
         code, report = run_json(
             capsys, "bench", "--algorithm", "hull-number", "--sizes", "10", "--reps", "1"
         )
         jsonschema.validate(report["result"], load_schema("bench.json"))
+
+
+HUMAN_OUTPUT = {
+    "decompose": (
+        ["decompose", "--generate", "bowtie"],
+        "atom 1: [0, 1, 2]\natom 2: [0, 3, 4]\noverlap R_2: [0]\n",
+    ),
+    "convex-test convex": (
+        ["convex-test", "--generate", "cycle:5", "--vertices", "0,1"],
+        "convex\n",
+    ),
+    "convex-test p3 witness": (
+        ["convex-test", "--generate", "cycle:5", "--vertices", "0,2"],
+        "not convex: {'kind': 'p3-violation', 'vertex': 1}\n",
+    ),
+    "convex-test mono witness": (
+        ["convex-test", "--generate", "cycle:6", "--vertices", "0,3"],
+        "not convex: {'kind': 'mono-violation', 'pair': [0, 3], 'component': [1, 2]}\n",
+    ),
+    "hull": (["hull", "--generate", "path:4", "--vertices", "0,3"], "hull: [0, 1, 2, 3]\n"),
+    "hull of no vertices": (["hull", "--generate", "path:4", "--vertices", ""], "hull: []\n"),
+    "enumerate-prime": (
+        ["enumerate-prime", "--generate", "complete:3"],
+        "5 convex sets\n  []\n  [0]\n  [1]\n  [2]\n  [0, 1, 2]\n",
+    ),
+    "convexity-number": (
+        ["convexity-number", "--generate", "bowtie"],
+        "convexity number: 3 witness: [0, 3, 4]\n",
+    ),
+    "hull-number": (
+        ["hull-number", "--generate", "cycle:5"],
+        "hull number: 2 hull set: [0, 2]\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HUMAN_OUTPUT)
+def test_human_output(capsys, case):
+    argv, expected = HUMAN_OUTPUT[case]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 class TestGraphInput:
@@ -156,9 +200,7 @@ class TestExitCodes:
     def test_oracle_compare_mismatch_is_two(self, capsys, monkeypatch):
         from triconvex import oracle
 
-        monkeypatch.setattr(
-            oracle, "brute_hull_number", lambda g, budget=None: 99
-        )
+        monkeypatch.setattr(oracle, "brute_hull_number", lambda g: 99)
         code = cli.main(["oracle-compare", "--generate", "cycle:5"])
         assert code == 2
 
@@ -206,6 +248,25 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_oversized_random_corpus_fails_before_any_graph_is_built(self, capsys):
+        # 1000 graphs of 20,000 vertices take minutes to build and gigabytes
+        # to hold; the size is refused from the spec alone, well inside the
+        # alarm. main reports OSError as a one-line error, so the alarm
+        # raises something it lets through.
+        def stop(signum, frame):
+            raise AssertionError("the corpus was built")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code = cli.main(["oracle-compare", "--corpus", "random:20000,1000"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_oracle_compare_random_corpus(self, capsys):
         code, report = run_json(

@@ -9,7 +9,6 @@ from triconvex.bitset import VertexSet, bit_members
 from triconvex.decomposition import (
     Decomposition,
     _has_two_full_components,
-    _is_clique,
     _mcs_m,
     _outside_groups,
     decompose,
@@ -21,13 +20,21 @@ from triconvex.convexity_number import convex_extension
 from triconvex.errors import ContractViolationError, ValidationError
 from triconvex.generators import (
     all_connected_graphs,
+    bowtie_graph,
     complete_graph,
+    cycle_graph,
     path_graph,
     random_connected_graph,
     star_graph,
     triangle_star_graph,
 )
-from triconvex.graph import Graph, _component_bits, connected_components, is_connected
+from triconvex.graph import (
+    Graph,
+    _component_bits,
+    _non_edge,
+    connected_components,
+    is_connected,
+)
 from triconvex.hull_number import (
     SatisfactionVerdict,
     hull_number,
@@ -138,6 +145,37 @@ class TestRSetSeparatorProperties:
                             )
 
 
+P4 = path_graph(4)
+# 0 and 1 each see 2 and 3, and 2 has the pendant 4: {2} and {0, 1} are
+# both clique separators with two full components.
+DIAMOND_TAIL = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4)])
+
+# One (graph, atoms, r_sets, r_union) per invariant that verify_d_ordering
+# checks, each breaking that invariant and no earlier one.
+BROKEN_DECOMPOSITIONS = {
+    "no atoms": (P4, [], [], []),
+    "missing vertex": (P4, [[0, 1], [1, 2]], [[1]], [1]),
+    "uncovered edge": (P4, [[0, 1], [2, 3]], [[]], []),
+    "t >= n": (complete_graph(2), [[0, 1], [0, 1]], [[0, 1]], [0, 1]),
+    "r_sets length": (P4, [[0, 1], [1, 2], [2, 3]], [[1]], [1]),
+    "R recurrence": (P4, [[0, 1], [1, 2], [2, 3]], [[1], [1]], [1]),
+    "non-clique R": (cycle_graph(4), [[0, 1, 2], [0, 2, 3]], [[0, 2]], [0, 2]),
+    "non-separating R": (
+        Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+        [[0, 1, 2], [1, 2, 3]],
+        [[1, 2]],
+        [1, 2],
+    ),
+    "R outside every earlier atom": (
+        DIAMOND_TAIL,
+        [[0, 2], [1, 2, 4], [0, 1, 3]],
+        [[2], [0, 1]],
+        [0, 1, 2],
+    ),
+    "r_union": (bowtie_graph(), [[0, 1, 2], [0, 3, 4]], [[0]], [0, 1]),
+}
+
+
 class TestVerifyDOrdering:
     def test_accepts_decompose_output(self, bowtie, c5):
         assert verify_d_ordering(bowtie, decompose(bowtie))
@@ -159,6 +197,15 @@ class TestVerifyDOrdering:
             r_union=vs(4, [2]),
         )
         assert not verify_d_ordering(p4, merged)
+
+    @pytest.mark.parametrize("case", BROKEN_DECOMPOSITIONS)
+    def test_rejects_each_broken_invariant(self, case):
+        g, atoms, r_sets, r_union = BROKEN_DECOMPOSITIONS[case]
+        n = g.n
+        dec = Decomposition(
+            tuple(vs(n, a) for a in atoms), tuple(vs(n, r) for r in r_sets), vs(n, r_union)
+        )
+        assert not verify_d_ordering(g, dec, check_atom_primality=False)
 
     def test_holds_across_corpus(self, sampled_corpus):
         for g in sampled_corpus:
@@ -208,13 +255,17 @@ class TestPivots:
 # Bowtie atoms: 0 = {0, 1, 2}, 1 = {0, 3, 4}. Every per-atom function
 # rejects an atom index outside 0..t-1, a set of another universe and a
 # decomposition of another graph (here P_8, whose atom indices and vertex
-# ids would otherwise pass), and the within= routines also reject a seed
-# outside the named atom.
+# ids would otherwise pass, and P_5, of the bowtie's own size), and the
+# within= routines also reject a seed outside the named atom.
 OTHER = VertexSet(3, 0b001)
 
 
 def other_dec():
     return decompose(path_graph(8))
+
+
+def same_size_dec():
+    return decompose(path_graph(5))
 
 
 BAD_ATOM_ARGUMENTS = {
@@ -247,6 +298,22 @@ BAD_ATOM_ARGUMENTS = {
         lambda g, d: is_hull_set_by_characterization(g, other_dec(), vs(5, [0, 1])),
         ValidationError,
     ),
+    "pivots same-size decomposition": (
+        lambda g, d: pivots(g, same_size_dec(), 3, vs(5, [0])),
+        ValidationError,
+    ),
+    "satisfies same-size decomposition": (
+        lambda g, d: satisfies(g, same_size_dec(), vs(5, [0, 1]), 3),
+        ValidationError,
+    ),
+    "extension same-size decomposition": (
+        lambda g, d: convex_extension(g, same_size_dec(), 2, vs(5, [])),
+        ValidationError,
+    ),
+    "characterization same-size decomposition": (
+        lambda g, d: is_hull_set_by_characterization(g, same_size_dec(), vs(5, [0, 1])),
+        ValidationError,
+    ),
     "hull within universe": (
         lambda g, d: prime_t_hull(g, vs(5, [0]), within=VertexSet(3, 0b111)),
         ValidationError,
@@ -276,6 +343,21 @@ def test_bad_atom_arguments_are_rejected(bowtie, case):
     call, error = BAD_ATOM_ARGUMENTS[case]
     with pytest.raises(error):
         call(bowtie, decompose(bowtie))
+
+
+def test_decomposition_of_an_equal_graph_is_accepted(bowtie):
+    # the graph check compares graphs, not objects: a copy built from the
+    # same edges gets the answers of the graph that was decomposed
+    dec = decompose(bowtie)
+    copy = Graph(bowtie.n, bowtie.edges())
+    s = vs(5, [1, 3])
+    assert copy is not bowtie
+    assert pivots(copy, dec, 0, s) == pivots(bowtie, dec, 0, s)
+    assert satisfies(copy, dec, s, 1) == satisfies(bowtie, dec, s, 1)
+    assert convex_extension(copy, dec, 0, vs(5, [1])) == convex_extension(
+        bowtie, dec, 0, vs(5, [1])
+    )
+    assert is_hull_set_by_characterization(copy, dec, s)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +468,7 @@ def reference_decompose(g):
         sep = madjs[idx]
         if not sep or not (alive >> x) & 1 or sep & ~alive:
             continue
-        if not _is_clique(adj, sep):
+        if _non_edge(adj, sep) is not None:
             continue
         if not reference_has_two_full_components(adj, full & ~sep, sep):
             continue
@@ -512,7 +594,7 @@ class TestAgainstReferenceRoute:
             for x in reversed(ref_elim):
                 row = h[x] & later
                 later |= 1 << x
-                if (generators >> x) & 1 and _is_clique(g._adj, row):
+                if (generators >> x) & 1 and _non_edge(g._adj, row) is None:
                     ref_live |= 1 << x
                     assert madj[x] == row, sorted(g.edges())
             assert live == ref_live, sorted(g.edges())

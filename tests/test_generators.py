@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import signal
 
 import pytest
@@ -49,6 +50,18 @@ def test_random_connected_is_deterministic_and_connected():
     assert is_connected(a)
     assert random_connected_graph(10, 0.3, seed=2) != a
     assert is_connected(random_connected_graph(30, 0.0, seed=7))
+
+
+def test_random_connected_graphs_are_pinned():
+    # The edge stream and the bridging edges drawn after it fix every graph;
+    # this digest pins them, so a change in how edges reach Graph cannot
+    # silently change a seeded graph (and with it every seeded corpus).
+    h = hashlib.sha256()
+    for n in (1, 2, 7, 30, 90):
+        for p in (0.0, 0.05, 0.3, 1.0):
+            for seed in (0, 1, 2):
+                h.update(repr(list(random_connected_graph(n, p, seed).edges())).encode())
+    assert h.hexdigest() == "7cb47dc4b183763a1a7f6d10f25f628bd6dd76bca4906ede4906808bcf3b362c"
 
 
 def test_parameter_validation():

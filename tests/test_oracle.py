@@ -5,9 +5,9 @@ import pytest
 from triconvex.bitset import VertexSet
 from triconvex.errors import BudgetExceededError
 from triconvex.generators import bowtie_graph, complete_graph, cycle_graph, path_graph
+from triconvex import oracle
 from triconvex.graph import Graph
 from triconvex.oracle import (
-    OracleBudget,
     brute_atoms,
     brute_convexity_number,
     brute_hull,
@@ -57,8 +57,15 @@ class TestTrianglePathEnumeration:
         g = path_graph(12)
         with pytest.raises(BudgetExceededError):
             enumerate_triangle_paths(g, 0, 11)
-        with pytest.raises(BudgetExceededError):
-            enumerate_triangle_paths(g, 0, 5, OracleBudget(max_path_vertices=4))
+
+
+    def test_path_cap_is_one_count_per_pair(self, k4, monkeypatch):
+        # K4 has three triangle 0-1 paths: (0, 1), (0, 2, 1) and (0, 3, 1)
+        monkeypatch.setattr(oracle, "MAX_PATHS", 3)
+        assert len(enumerate_triangle_paths(k4, 0, 1)) == 3
+        monkeypatch.setattr(oracle, "MAX_PATHS", 2)
+        with pytest.raises(BudgetExceededError, match="triangle path cap exceeded"):
+            enumerate_triangle_paths(k4, 0, 1)
 
 
 class TestIntervalAndHull:
