@@ -16,18 +16,15 @@ row ORs. Every mono scan reads the members attached to each component D
 of G - S off the boundary N(D) that ``graph._components_bits`` returns
 with D, so one scan is one search: O(n) mask operations.
 
-Before its closure the hull peels the member-free pendant trees: it deletes,
-while it can, a non-member with at most one neighbour left, starting from the
-graph's degree <= 1 vertices outside S (``Graph._leaves``). Each peeled
-vertex has at most one neighbour among the vertices peeled after it and the
-core, so the peeled vertices form trees that each hang from at most one core
-vertex, and a path entering one has no way back out: no path joins two
-members, of S or of any superset that avoids the trees, through them, and
-the hull never enters them. Its rounds and mono scans then run on the core
-that is left, which on graphs with many hung trees is a fraction of V. The
-convexity test does not peel: its mono witness names a whole component of
-G - S, hung vertices included, and a core-only check run before the full
-scan measured slower on trees.
+Both the hull and the convexity test first drop the member-free pendant
+trees: a path entering one has no way back out, so no path joins two
+members, of S or of any superset that avoids the trees, through one. The
+graph's pendant forest is built once and cached on it
+(``graph._pendant_forest``), and ``_kept_core`` reads the core a set keeps
+off it in O(|S| + the paths walked) mask operations. The hull's rounds and
+mono scans run on that core, and so does the convexity test's mono scan,
+which widens a violating component to its whole component of G - S for
+the witness (``_mono_violation``).
 """
 
 from __future__ import annotations
@@ -36,8 +33,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitset import VertexSet, bit_members
+from .graph import Graph, _check_universe, _components_bits, _non_edge, _pendant_forest
 # shortest_path stays a module attribute: benchmark/tracer.py wraps it here.
-from .graph import Graph, _check_universe, _components_bits, _non_edge, shortest_path  # noqa: F401
+from .graph import shortest_path  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,18 +79,56 @@ def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
     return None
 
 
+def _kept_core(g: Graph, bits: int) -> int:
+    """What deleting, again and again, a non-member of ``bits`` with at most
+    one neighbour left keeps of G, read off the cached pendant forest.
+
+    The 2-core is never deleted and neither is a member. A forest vertex
+    stays exactly when a member hangs below it, on a tree hung from the
+    core, or when it lies on a path between two members, in a tree
+    component. So each member outside the core walks ``parent`` up to the
+    first vertex already kept, and in a tree component the walks end at its
+    root; a root that is no member and has one kept neighbour (its kept
+    child) is dropped, and its child becomes the root, until a member or a
+    vertex with two kept children tops the tree. O(|S| + the vertices
+    walked) mask operations.
+    """
+    core, parent = _pendant_forest(g)
+    kept = core | bits
+    roots = []
+    for v in bit_members(bits & ~core):
+        while True:
+            p = parent[v]
+            if p < 0:
+                roots.append(v)
+                break
+            if (kept >> p) & 1:
+                break
+            kept |= 1 << p
+            v = p
+    adj = g._adj
+    for r in roots:
+        while not (bits >> r) & 1:
+            below = adj[r] & kept
+            if below & (below - 1):
+                break
+            kept ^= 1 << r
+            r = below.bit_length() - 1
+    return kept
+
+
 def _violating_components(
     adj: list[int], core: int, bits: int
 ) -> Iterator[tuple[int, int, int]]:
     """``(u, missing, D)`` for every component D of G[core] - S whose
     attached members A = N(D) & S are not a clique, by minimum vertex id of D.
 
-    ``core`` is V for the convexity test and what the hull's peel leaves for
-    the hull. The boundary ``_components_bits`` pairs D with is every
-    neighbour of D outside ``core & ~S``, so with peeled vertices outside the
-    core it may hold some of them: A is that boundary cut to S. A peeled
-    vertex hangs from D by a tree that reaches no member, so A is also the
-    member boundary of the component of G - S that contains D.
+    ``core`` is what ``_kept_core`` keeps. The boundary ``_components_bits``
+    pairs D with is every neighbour of D outside ``core & ~S``, so it may
+    hold dropped vertices: A is that boundary cut to S. A dropped vertex
+    hangs from D by a tree that reaches no member, so D lies in one
+    component of G - S, whose member boundary is also A; a component of
+    G - S that holds no kept vertex has at most one attached member.
 
     ``(u, missing)`` is ``graph._non_edge`` of A: the smallest member of A
     with a non-neighbour in A, and all of its non-neighbours there.
@@ -106,15 +142,44 @@ def _violating_components(
             yield *hit, comp
 
 
-def _mono_violation(adj: list[int], full: int, bits: int) -> tuple[int, int, int] | None:
+def _mono_violation(
+    adj: list[int], full: int, bits: int, core: int
+) -> tuple[int, int, int] | None:
     """First non-adjacent pair of the set attached to a common component.
 
-    Components are scanned by minimum vertex id and the pair is the
-    lexicographically smallest one, so witnesses are reproducible.
+    Components of G - S are scanned by minimum vertex id and the pair is the
+    lexicographically smallest one, so witnesses are reproducible. The scan
+    runs on G[core] - S, with ``core`` what ``_kept_core`` keeps. When that
+    is all of ``full``, the first violating component is the answer.
+    Otherwise each violating component D found there is widened to its
+    component of G - S by a search of the dropped trees hung from it, from
+    the dropped vertices on its boundary (a dropped tree hangs from one kept
+    vertex, and holds no member). As the smallest vertex of the widened
+    component may lie in a dropped tree, every violating D is read before
+    the smallest is reported. The pair is the one D gives either way.
     """
-    for u, missing, comp in _violating_components(adj, full, bits):
-        return u, (missing & -missing).bit_length() - 1, comp
-    return None
+    dropped = full & ~core
+    best = None
+    for comp, boundary in _components_bits(adj, core & ~bits):
+        hit = _non_edge(adj, boundary & bits)
+        if hit is None:
+            continue
+        hung = boundary & dropped
+        while hung:
+            # the dropped trees hung from comp, a level at a time
+            comp |= hung
+            grown = 0
+            while hung:
+                low = hung & -hung
+                hung ^= low
+                grown |= adj[low.bit_length() - 1]
+            hung = grown & dropped & ~comp
+        if best is None or comp & -comp < best[2] & -best[2]:
+            u, missing = hit
+            best = u, (missing & -missing).bit_length() - 1, comp
+        if not dropped:
+            break
+    return best
 
 
 def _forced_paths(adj: list[int], comp: int, u: int, targets: int) -> int:
@@ -161,16 +226,22 @@ def is_p3_convex(g: Graph, s: VertexSet) -> bool:
 
 
 def is_m_convex(g: Graph, s: VertexSet) -> bool:
-    """No component of G - s touches two non-adjacent members of s."""
+    """No component of G - s touches two non-adjacent members of s.
+
+    Scanned on the kept core alone: a verdict needs no witness component.
+    """
     _check_universe(g, s)
-    return _mono_violation(g._adj, (1 << g.n) - 1, s.bits) is None
+    bits = s.bits
+    return next(_violating_components(g._adj, _kept_core(g, bits), bits), None) is None
 
 
 def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     """Triangle-path convexity test; on failure returns a witness.
 
     The outside-vertex condition is reported first: absorbing one vertex
-    is cheaper than a path, and the hull is the same either way.
+    is cheaper than a path, and the hull is the same either way. The mono
+    scan runs on the core ``_kept_core`` keeps; the witness component is
+    still the whole component of G - s, the first by minimum vertex id.
     """
     _check_universe(g, s)
     adj = g._adj
@@ -178,7 +249,7 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     v = _p3_violation(adj, full, s.bits)
     if v is not None:
         return False, ConvexityWitness(kind="p3-violation", vertex=v)
-    hit = _mono_violation(adj, full, s.bits)
+    hit = _mono_violation(adj, full, s.bits, _kept_core(g, s.bits))
     if hit is not None:
         u, v, comp = hit
         return False, ConvexityWitness(
@@ -188,21 +259,17 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 
 def _hull_bits(g: Graph, bits: int) -> int:
-    """Closure of ``bits``: pendant-tree peel, then p3 rounds from one member
-    fold and mono scans on the core that is left.
+    """Closure of ``bits``: p3 rounds from one member fold and mono scans,
+    on the core ``_kept_core`` keeps of G for ``bits``.
 
-    The peel deletes, while it can, a non-member with at most one neighbour
-    left, starting from the graph's degree <= 1 vertices outside S. Each
-    peeled vertex has at most one neighbour that is peeled later or stays, so
-    a path through one would have to leave it through an earlier peeled
-    vertex, and the earliest inner one has no such way out: no path
-    between members of S, or of any superset that avoids the peeled set,
-    enters it. The hull never does, so the closure runs on the core alone.
+    The dropped trees hold no member and each hangs from at most one kept
+    vertex, so no path between members of S, or of any superset that avoids
+    them, enters one: the closure runs on the core alone.
 
     ``once``/``twice`` hold the vertices seeing at least one/two members.
     Each round folds only the members added since the last one, so the p3
     work over the whole hull is O(|hull|) mask operations, and absorbs all
-    of ``twice & ~bits`` at once (a peeled vertex sees at most one member).
+    of ``twice & ~bits`` at once (a dropped vertex sees at most one member).
     Only a p3-closed set gets a mono scan: one search of the core minus S,
     and for every component whose attached members are not a clique, one
     BFS through it from the first of them with a non-neighbour among them to
@@ -212,18 +279,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
     round.
     """
     adj = g._adj
-    core = (1 << g.n) - 1
-    stack = [v for v in g._leaves if not (bits >> v) & 1]
-    while stack:
-        v = stack.pop()
-        core ^= 1 << v
-        rest = adj[v] & core & ~bits
-        if rest:
-            # v's last neighbour, a non-member; pushed once, when its
-            # degree in the core first drops to 1
-            w = rest.bit_length() - 1
-            if (adj[w] & core).bit_count() == 1:
-                stack.append(w)
+    core = _kept_core(g, bits)
     once = twice = 0
     new = bits
     while True:
@@ -252,7 +308,7 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     path through D to every such non-neighbour, whose vertices are all forced
     into the hull. Then the rounds resume. The hull is the same whatever
     order the forced vertices join in. All of this runs on the core left
-    once the pendant trees without a member of s are peeled, since no
+    once the pendant trees without a member of s are dropped, since no
     triangle path between members enters one (see ``_hull_bits``).
     """
     _check_universe(g, s)

@@ -24,11 +24,12 @@ MAX_VERTICES = 1_000_000
 class Graph:
     """An immutable simple undirected graph on vertices ``0..n-1``.
 
-    ``_leaves`` lists the vertices of degree at most 1, ascending: the
-    starting points of the hull's pendant-tree peel.
+    ``_forest`` caches the graph's pendant forest, ``(core, parent)`` from
+    :func:`_pendant_forest`, filled on first use: the hull and the
+    convexity test keep only the part of it that a vertex set needs.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_leaves")
+    __slots__ = ("n", "_adj", "_m", "_forest")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -47,11 +48,10 @@ class Graph:
         self._set_adjacency(adj)
 
     def _set_adjacency(self, adj: list[int]) -> None:
-        """Store the rows with the edge count and the degree-<=1 vertices."""
-        degrees = [a.bit_count() for a in adj]
+        """Store the rows with the edge count; the forest is not built yet."""
         self._adj = adj
-        self._m = sum(degrees) // 2
-        self._leaves = [v for v, d in enumerate(degrees) if d <= 1]
+        self._m = sum(a.bit_count() for a in adj) // 2
+        self._forest = None
 
     @property
     def m(self) -> int:
@@ -145,6 +145,41 @@ def _component_bits(adj: list[int], alive: int, seed: int) -> int:
         comp |= nxt
         frontier = nxt
     return comp
+
+
+def _pendant_forest(g: Graph) -> tuple[int, list[int]]:
+    """``(core, parent)``: the 2-core of G and, for every other vertex v,
+    ``parent[v]``, built once per graph and cached on it.
+
+    One peel deletes, while it can, a vertex with at most one neighbour
+    left; ``core`` is what is left. ``parent[v]`` is v's one neighbour left
+    when v is deleted, or -1 when it has none (the last vertex of a tree
+    component). Every other neighbour of v was deleted before it, with v as
+    its parent, so the deleted vertices form a forest: trees hung from one
+    core vertex each, and whole tree components rooted at their -1 vertex.
+    One pass: each vertex is deleted at most once, with one degree update,
+    so O(n) mask operations after the n row popcounts.
+    """
+    forest = g._forest
+    if forest is None:
+        adj = g._adj
+        degree = [a.bit_count() for a in adj]
+        parent = [-1] * g.n
+        core = (1 << g.n) - 1
+        # a vertex is pushed once: at degree <= 1, or when its degree drops to 1
+        stack = [v for v, d in enumerate(degree) if d <= 1]
+        while stack:
+            v = stack.pop()
+            core ^= 1 << v
+            rest = adj[v] & core
+            if rest:
+                w = rest.bit_length() - 1
+                parent[v] = w
+                degree[w] -= 1
+                if degree[w] == 1:
+                    stack.append(w)
+        forest = g._forest = (core, parent)
+    return forest
 
 
 def _non_edge(adj: list[int], bits: int) -> tuple[int, int] | None:

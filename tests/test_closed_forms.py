@@ -11,7 +11,8 @@ Each form is first confirmed against the brute-force oracles on small
 members of its family, then asserted at sizes the oracles cannot reach.
 
 A tree's hull of S is the union of its paths between members of S, checked
-on 10,000-vertex trees against parent-pointer walks. A tree's atoms are its
+on 10,000-vertex trees against parent-pointer walks; for a pair, the hull
+and the convexity test search nothing off the path between them. A tree's atoms are its
 edges, and a D-ordering places each edge after one that shares its single
 overlap vertex; that is checked on 10,000-vertex trees.
 """
@@ -23,8 +24,9 @@ import random
 
 import pytest
 
+from triconvex import convexity
 from triconvex.bitset import VertexSet, bit_members
-from triconvex.convexity import is_t_hull_set, t_convex_hull
+from triconvex.convexity import is_t_convex, is_t_hull_set, t_convex_hull
 from triconvex.convexity_number import convexity_number
 from triconvex.decomposition import decompose
 from triconvex.generators import complete_graph, cycle_graph, path_graph, star_graph
@@ -154,3 +156,27 @@ def test_tree_hull_is_the_union_of_member_paths_at_scale(name):
     leaf_set = [v for v in range(g.n) if g.degree(v) == 1]
     assert is_t_hull_set(g, VertexSet.from_iterable(g.n, leaf_set))
     assert not is_t_hull_set(g, VertexSet.from_iterable(g.n, leaf_set[1:]))
+
+
+def test_pair_queries_search_only_their_tree_path(monkeypatch):
+    # a work guard, not a clock: every component search of a pair's hull
+    # and convexity test stays on the tree path between the pair
+    g = TREES_AT_SCALE["random recursive tree:10000"]
+    searched = []
+    search = convexity._components_bits
+
+    def recorded(adj, alive):
+        searched.append(alive)
+        return search(adj, alive)
+
+    monkeypatch.setattr(convexity, "_components_bits", recorded)
+    rng = random.Random(61)
+    for _ in range(6):
+        pair = rng.sample(range(g.n), 2)
+        path = sum(1 << v for v in tree_path_union(g, pair))
+        searched.clear()
+        s = VertexSet.from_iterable(g.n, pair)
+        assert t_convex_hull(g, s).bits == path
+        assert is_t_convex(g, s)[0] == (path.bit_count() <= 2)
+        assert searched, pair
+        assert not any(alive & ~path for alive in searched), pair

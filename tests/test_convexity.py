@@ -9,6 +9,7 @@ from triconvex import convexity
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import (
     _forced_paths,
+    _kept_core,
     _mono_violation,
     _p3_violation,
     _violating_components,
@@ -20,10 +21,11 @@ from triconvex.convexity import (
 )
 from triconvex.decomposition import decompose
 from triconvex.generators import complete_graph, path_graph, random_connected_graph, star_graph
-from triconvex.graph import Graph, _components_bits, shortest_path
+from triconvex.graph import Graph, _components_bits, _non_edge, shortest_path
 from triconvex.oracle import brute_hull, brute_is_convex
 
 from .strategies import graphs_with_subsets
+from .test_closed_forms import random_recursive_tree
 
 
 def vs(n, items):
@@ -343,7 +345,9 @@ class TestAgainstRestartRoute:
                 for s_bits in sets:
                     expected = reference_mono_violation(g, s_bits)
                     context = (g.n, sorted(g.edges()), bin(s_bits))
-                    assert _mono_violation(g._adj, full, s_bits) == expected, context
+                    assert _mono_violation(g._adj, full, s_bits, full) == expected, context
+                    kept = _kept_core(g, s_bits)
+                    assert _mono_violation(g._adj, full, s_bits, kept) == expected, context
                     assert is_m_convex(g, VertexSet(g.n, s_bits)) == (expected is None), context
                     witnesses += expected is not None
                     convex += expected is None
@@ -540,3 +544,194 @@ class TestPendantPeel:
                         sorted(rebuilt.edges()),
                         sorted(s),
                     )
+
+
+def disjoint_union(graphs, seed):
+    """The graphs side by side under one random relabelling, and each part's
+    vertices under it."""
+    n = sum(g.n for g in graphs)
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges, parts, offset = [], [], 0
+    for g in graphs:
+        edges += [(label[offset + u], label[offset + v]) for u, v in g.edges()]
+        parts.append([label[offset + v] for v in range(g.n)])
+        offset += g.n
+    return Graph(n, edges), parts
+
+
+def forest_graphs():
+    """Forests with several tree components and isolated vertices, K1 and K2,
+    the empty graph, and a core with hung trees beside tree components.
+    Each comes with its tree components' vertex lists."""
+    trees = [path_graph(7), star_graph(4), random_recursive_tree(12, 1), Graph(1), complete_graph(2)]
+    forest, parts = disjoint_union(trees, 0)
+    mixed, mixed_parts = disjoint_union([cubic_core_with_trees(10, 15, 7)] + trees, 1)
+    return [
+        (Graph(0), []),
+        (Graph(1), [[0]]),
+        (complete_graph(2), [[0, 1]]),
+        (Graph(5), [[v] for v in range(5)]),
+        (forest, parts),
+        (mixed, mixed_parts[1:]),
+        (spider(4, 3), [list(range(13))]),
+    ]
+
+
+def tree_component_seeds(parts, rng):
+    """Sets whose members all lie in tree components: one member, two in one
+    component, and a few spread over several."""
+    sets = []
+    for part in parts:
+        sets.append(1 << rng.choice(part))
+        if len(part) > 1:
+            sets.append(sum(1 << v for v in rng.sample(part, 2)))
+    every = [v for part in parts for v in part]
+    for size in (2, 3, 6):
+        sets.append(sum(1 << v for v in rng.sample(every, min(size, len(every)))))
+    return sets
+
+
+def induced_pendant_graphs(rng):
+    """Induced subgraphs of graphs whose pendant forest is already built."""
+    out = []
+    for g in peel_graphs():
+        _kept_core(g, 0)
+        for _ in range(3):
+            keep = VertexSet(g.n, sum(1 << v for v in range(g.n) if rng.random() < 0.7))
+            out.append(g.induced(keep)[0])
+    return out
+
+
+class TestKeptCore:
+    def test_equals_the_sweep_peel(self):
+        rng = random.Random(47)
+        cases = [(g, hull_seeds(g, rng)) for g in peel_graphs() + induced_pendant_graphs(rng)]
+        trimmed = 0
+        for g, parts in forest_graphs():
+            seeds = hull_seeds(g, rng) + tree_component_seeds(parts, rng) if g.n else [0]
+            cases.append((g, seeds))
+        for g, seeds in cases:
+            full = (1 << g.n) - 1
+            for bits in seeds:
+                kept = _kept_core(g, bits)
+                context = (g.n, sorted(g.edges()), bin(bits))
+                assert kept == full & ~reference_peel(g, bits), context
+                # walks that run on to the forest roots keep more: the trim ran
+                core, parent = g._forest
+                walked = core | bits
+                for v in bit_members(bits & ~core):
+                    while parent[v] >= 0:
+                        v = parent[v]
+                        walked |= 1 << v
+                trimmed += walked != kept
+        assert trimmed > 20
+
+    def test_the_forest_is_built_once_per_graph(self):
+        g = cubic_core_with_trees(30, 60, 1)
+        assert g._forest is None
+        t_convex_hull(g, vs(g.n, [40, 70]))
+        forest = g._forest
+        is_t_convex(g, vs(g.n, [41, 71]))
+        assert g._forest is forest
+        sub, _ = g.induced(VertexSet.full(g.n))
+        assert sub._forest is None and sub == g
+
+
+def p3_closure(g, bits):
+    """The smallest superset of ``bits`` with no outside vertex seen twice."""
+    while True:
+        v = _p3_violation(g._adj, (1 << g.n) - 1, bits)
+        if v is None:
+            return bits
+        bits |= 1 << v
+
+
+def full_graph_mono(g, bits):
+    """``(pair, D)`` for the first component D of G - S by minimum vertex
+    whose attached members are not a clique, from a scan of all of G - S."""
+    adj = g._adj
+    for comp, boundary in _components_bits(adj, ((1 << g.n) - 1) & ~bits):
+        hit = _non_edge(adj, boundary & bits)
+        if hit is not None:
+            u, missing = hit
+            return (u, (missing & -missing).bit_length() - 1), comp
+    return None
+
+
+def full_graph_t_convex(g, bits):
+    """The convexity test on all of G: the p3 check, then ``full_graph_mono``."""
+    v = _p3_violation(g._adj, (1 << g.n) - 1, bits)
+    if v is not None:
+        return False, "p3-violation", v, None, None
+    hit = full_graph_mono(g, bits)
+    if hit is not None:
+        return False, "mono-violation", None, *hit
+    return True, None, None, None, None
+
+
+def t_convex_tuple(g, bits):
+    convex, witness = is_t_convex(g, VertexSet(g.n, bits))
+    if witness is None:
+        return convex, None, None, None, None
+    comp = witness.component.bits if witness.component is not None else None
+    return convex, witness.kind, witness.vertex, witness.pair, comp
+
+
+class TestWitnessesOnTheKeptCore:
+    def test_hung_minimum_names_the_whole_component(self):
+        # C8 through members 1 and 2 with a leaf 0 hung at 7: the two
+        # components of G - S are {3, 4, 5} and {0, 6, 7, 8}; the second
+        # comes first by its minimum, which lies in the dropped leaf
+        g = Graph(9, [(1, 3), (3, 4), (4, 5), (5, 2), (2, 6), (6, 7), (7, 8), (8, 1), (0, 7)])
+        s = 0b110
+        assert _kept_core(g, s) == 0b111111110
+        assert t_convex_tuple(g, s) == (False, "mono-violation", None, (1, 2), 0b111000001)
+        assert t_convex_tuple(g, s) == full_graph_t_convex(g, s)
+        assert not is_m_convex(g, VertexSet(9, s))
+
+    def test_match_the_full_graph_route(self):
+        rng = random.Random(53)
+        graphs = hull_corpus() + pendant_graphs() + [g for g, _ in forest_graphs()]
+        witnesses = widened = 0
+        for g in graphs:
+            full = (1 << g.n) - 1
+            for bits in hull_seeds(g, rng):
+                closed = p3_closure(g, bits)
+                hull = t_convex_hull(g, VertexSet(g.n, bits)).bits
+                for s_bits in (bits, full & ~bits, closed, full & ~closed, hull):
+                    expected = full_graph_t_convex(g, s_bits)
+                    context = (g.n, sorted(g.edges()), bin(s_bits))
+                    assert t_convex_tuple(g, s_bits) == expected, context
+                    s = VertexSet(g.n, s_bits)
+                    assert is_m_convex(g, s) == (full_graph_mono(g, s_bits) is None), context
+                    if expected[1] == "mono-violation":
+                        witnesses += 1
+                        widened += bool(expected[4] & ~_kept_core(g, s_bits))
+        assert witnesses > 500 and widened > 300
+
+
+def relabelled(g, label):
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+def relabel_bits(bits, label):
+    return sum(1 << label[v] for v in bit_members(bits))
+
+
+class TestLabelInvariance:
+    def test_hull_and_verdict_follow_a_relabelling(self):
+        rng = random.Random(59)
+        for g in pendant_graphs() + peel_graphs() + [g for g, _ in forest_graphs()]:
+            seeds = hull_seeds(g, rng)
+            hulls = [t_convex_hull(g, VertexSet(g.n, bits)).bits for bits in seeds]
+            verdicts = [is_t_convex(g, VertexSet(g.n, bits))[0] for bits in seeds]
+            for _ in range(8):
+                label = list(range(g.n))
+                rng.shuffle(label)
+                h = relabelled(g, label)
+                for bits, hull, verdict in zip(seeds, hulls, verdicts):
+                    s = VertexSet(h.n, relabel_bits(bits, label))
+                    context = (g.n, sorted(g.edges()), label, bin(bits))
+                    assert t_convex_hull(h, s).bits == relabel_bits(hull, label), context
+                    assert is_t_convex(h, s)[0] == verdict, context

@@ -6,7 +6,13 @@ from triconvex.bitset import VertexSet
 from triconvex.convexity import is_t_convex, is_t_hull_set, t_convex_hull
 from triconvex.decomposition import decompose
 from triconvex.errors import ContractViolationError, ValidationError
-from triconvex.generators import complete_graph, path_graph, star_graph, triangle_star_graph
+from triconvex.generators import (
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    triangle_star_graph,
+)
 from triconvex.graph import Graph, is_connected
 from triconvex.hull_number import (
     _reducible_hull_bits,
@@ -15,6 +21,8 @@ from triconvex.hull_number import (
     satisfies,
 )
 from triconvex.oracle import brute_hull_number
+
+from .test_acceptance import PROBS
 
 
 def vs(n, items):
@@ -187,6 +195,22 @@ class TestHullNumber:
     )
     def test_sweep_reaches_the_optimum(self, edges):
         g = Graph(6, edges)
+        assert hull_number(g).value == brute_hull_number(g)
+
+    # The acceptance corpus's random graphs where the sweep misses the optimum:
+    # at n = 8, seeds 806, 1217, 1242, 2661, 2841 and 2876 raise
+    # AlgorithmError, the others return a value above the minimum.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(7, seed) for seed in (772, 1029, 1233, 1326, 1698, 1922)]
+        + [
+            (8, seed)
+            for seed in (507, 806, 1217, 1242, 2055, 2126, 2287, 2592, 2661, 2841, 2876)
+        ],
+    )
+    def test_sweep_reaches_the_optimum_on_acceptance_seeds(self, n, seed):
+        g = random_connected_graph(n, PROBS[seed % len(PROBS)], seed)
         assert hull_number(g).value == brute_hull_number(g)
 
 
