@@ -260,6 +260,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int, Graph | None, int
 
 
 def _run_bench(args: argparse.Namespace) -> dict:
+    if args.reps < 1:
+        raise ValidationError(f"--reps must be at least 1, got {args.reps}")
     runners = {
         "decompose": lambda g: decompose(g),
         "hull": lambda g: t_convex_hull(g, _bench_seed_set(g)),
@@ -271,7 +273,7 @@ def _run_bench(args: argparse.Namespace) -> dict:
     for n in _parse_ints(args.sizes, "--sizes"):
         g = random_connected_graph(n, args.p, args.seed)
         times = []
-        for _ in range(max(1, args.reps)):
+        for _ in range(args.reps):
             t0 = time.perf_counter()
             run(g)
             times.append((time.perf_counter() - t0) * 1000.0)

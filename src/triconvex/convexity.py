@@ -6,15 +6,20 @@ of G - S. Every vertex either repair adds lies in the hull, so the hull is
 a closure taken in rounds: one round absorbs every outside vertex seen
 twice, read off a member fold (``twice |= once & adj[u]; once |= adj[u]``)
 that each round extends by the members it added. Only when no such vertex
-is left does a mono scan run: one search of G - S, and in every component
-D whose attached members N(D) are not a clique, one BFS from the first
-member u with a non-neighbour in N(D), which absorbs a shortest path
-through D from u to each such non-neighbour. The fold costs O(|hull|) mask
-operations per hull. The convexity test checks the outside condition over
-the smaller side, the members or the outside vertices, so a pair costs two
-row ORs. Every mono scan reads the members attached to each component D
-of G - S off the boundary N(D) that ``graph._components_bits`` returns
-with D, so one scan is one search: O(n) mask operations.
+is left does a mono round run. It crosses from a member first: one BFS
+through the rest of G - S from the first member u with a neighbour there
+and a non-neighbour in S absorbs every shortest path from u to each
+non-neighbour it reaches. Only when that absorbs nothing does a mono scan
+run, and the rest of the closure keeps to scans: one search of G - S, and
+in every component D whose attached members N(D) are not a clique, the
+same BFS, through D alone, from the first member u with a non-neighbour in
+N(D). So a closure wastes at most one member search, and needs at most one
+scan to show that it is closed. The fold costs O(|hull|) mask operations
+per hull. The convexity test checks the outside condition over the smaller
+side, the members or the outside vertices, so a pair costs two row ORs.
+Every mono scan reads the members attached to each component D of G - S
+off the boundary N(D) that ``graph._components_bits`` returns with D, so
+one scan is one search: O(n) mask operations.
 
 Both the hull and the convexity test first drop the member-free pendant
 trees: a path entering one has no way back out, so no path joins two
@@ -182,19 +187,27 @@ def _mono_violation(
     return best
 
 
-def _forced_paths(adj: list[int], comp: int, u: int, targets: int) -> int:
-    """Inner vertices of one shortest u-t path through ``comp`` per target t.
+def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
+    """Inner vertices of every shortest u-t path through ``alive``, for each
+    target t that a BFS from ``u`` through ``alive`` reaches.
 
-    One BFS from ``u`` that stays inside ``comp`` (every target has a
-    neighbour there and none is adjacent to ``u``). ``grown`` is all a
-    level reaches, so a single ``grown & targets`` per level finds the
-    targets next to it; each is walked back to ``u`` through the levels
-    before, lowest vertex first. A shortest path through D is induced, so
-    it is a triangle path and all its vertices lie in the hull.
+    The hull's one crossing routine: its member search passes the core minus
+    S and every non-neighbour of u in S, its scan one violating component
+    and the attached members u misses. No target is ``u`` or adjacent to it,
+    and none is alive. One forward BFS from ``u`` stays inside ``alive``
+    until every target is reached or the levels run out; ``grown`` is all a
+    level reaches, so one ``grown & targets`` per level finds the targets
+    first reached from it. One backward sweep then keeps, level by level
+    from the deepest, the vertices next to a target first reached from their
+    level or to a vertex kept one level deeper: exactly the inner vertices
+    of the shortest paths. A shortest u-t path with its inside in G - S is
+    induced, as a chord would shorten it, so it is a triangle path and all
+    its vertices lie in the hull. O(the vertices searched + the targets) row
+    ORs.
     """
-    levels = [adj[u] & comp]
+    levels = [adj[u] & alive]
+    hits = []
     seen = levels[0]
-    inner = 0
     while True:
         grown = 0
         f = levels[-1]
@@ -203,20 +216,24 @@ def _forced_paths(adj: list[int], comp: int, u: int, targets: int) -> int:
             f ^= low
             grown |= adj[low.bit_length() - 1]
         hit = grown & targets
-        if hit:
-            targets ^= hit
-            for t in bit_members(hit):
-                cur = t
-                for level in reversed(levels):
-                    step = adj[cur] & level
-                    step &= -step
-                    inner |= step
-                    cur = step.bit_length() - 1
-            if not targets:
-                return inner
-        grown &= comp & ~seen
+        targets ^= hit
+        hits.append(hit)
+        grown &= alive & ~seen
+        if not (grown and targets):
+            break
         seen |= grown
         levels.append(grown)
+    inner = kept = 0
+    for level, hit in zip(reversed(levels), reversed(hits)):
+        f = kept | hit
+        reach = 0
+        while f:
+            low = f & -f
+            f ^= low
+            reach |= adj[low.bit_length() - 1]
+        kept = level & reach
+        inner |= kept
+    return inner
 
 
 def is_p3_convex(g: Graph, s: VertexSet) -> bool:
@@ -259,7 +276,7 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 
 def _hull_bits(g: Graph, bits: int) -> int:
-    """Closure of ``bits``: p3 rounds from one member fold and mono scans,
+    """Closure of ``bits``: p3 rounds from one member fold and mono rounds,
     on the core ``_kept_core`` keeps of G for ``bits``.
 
     The dropped trees hold no member and each hangs from at most one kept
@@ -270,19 +287,28 @@ def _hull_bits(g: Graph, bits: int) -> int:
     Each round folds only the members added since the last one, so the p3
     work over the whole hull is O(|hull|) mask operations, and absorbs all
     of ``twice & ~bits`` at once (a dropped vertex sees at most one member).
-    Only a p3-closed set gets a mono scan: one search of the core minus S,
-    and for every component whose attached members are not a clique, one
-    BFS through it from the first of them with a non-neighbour among them to
-    every such non-neighbour (``_forced_paths``). Absorbing inside one
-    component leaves the others and their boundaries as they were, so all
-    are crossed in the same scan; the path vertices are folded in the next
-    round.
+    A p3-closed set gets a mono round. It first crosses, by
+    ``_forced_paths`` through all of ``alive`` (the core minus S), from the
+    first member u with a neighbour in ``alive`` and a non-neighbour in S.
+    ``border`` holds the members that may still have an alive neighbour; as
+    ``alive`` only shrinks, a member found without one leaves it for good,
+    so finding u costs O(|hull|) mask operations per closure. If no member
+    qualifies, every member next to ``alive`` sees all of S and S is
+    closed. Only when the crossing absorbs nothing does the full scan run:
+    one search of ``alive``, and every component whose attached members are
+    not a clique is crossed from the first of them with a non-neighbour
+    among them. ``scan`` then keeps the rest of the closure on the scan, so
+    at most one crossing absorbs nothing. The closure is unique, so the
+    order vertices join in does not change the hull.
     """
     adj = g._adj
     core = _kept_core(g, bits)
     once = twice = 0
     new = bits
+    border = 0
+    scan = False
     while True:
+        border |= new
         while new:
             low = new & -new
             new ^= low
@@ -291,10 +317,27 @@ def _hull_bits(g: Graph, bits: int) -> int:
             once |= row
         new = twice & ~bits
         if not new:
-            for u, missing, comp in _violating_components(adj, core, bits):
-                new |= _forced_paths(adj, comp, u, missing)
-            if not new:
+            alive = core & ~bits
+            if not alive:
                 return bits
+            if not scan:
+                for u in bit_members(border):
+                    row = adj[u]
+                    if not row & alive:
+                        border ^= 1 << u
+                        continue
+                    missing = bits & ~row & ~(1 << u)
+                    if missing:
+                        new = _forced_paths(adj, alive, u, missing)
+                        break
+                else:
+                    return bits
+                scan = not new
+            if scan:
+                for u, missing, comp in _violating_components(adj, core, bits):
+                    new |= _forced_paths(adj, comp, u, missing)
+                if not new:
+                    return bits
         bits |= new
 
 
@@ -302,14 +345,17 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     """The minimum convex superset of s.
 
     Each closure round absorbs, all at once, every outside vertex with two
-    neighbours inside. When a round finds none, every component D of the
-    complement whose attached members are not pairwise adjacent is crossed:
-    from its first attached member u that has a non-adjacent one, a shortest
-    path through D to every such non-neighbour, whose vertices are all forced
-    into the hull. Then the rounds resume. The hull is the same whatever
-    order the forced vertices join in. All of this runs on the core left
-    once the pendant trees without a member of s are dropped, since no
-    triangle path between members enters one (see ``_hull_bits``).
+    neighbours inside. When a round finds none, the first member u with a
+    neighbour outside and a non-neighbour inside is crossed from: every
+    shortest path from u through the complement to each such non-neighbour
+    is forced into the hull. Only when that forces nothing is every
+    component D of the complement whose attached members are not pairwise
+    adjacent crossed the same way, from its first attached member with a
+    non-adjacent one; the closure then stays on such scans. Then the rounds
+    resume. The hull is the same whatever order the forced vertices join
+    in. All of this runs on the core left once the pendant trees without a
+    member of s are dropped, since no triangle path between members enters
+    one (see ``_hull_bits``).
     """
     _check_universe(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

@@ -234,6 +234,9 @@ class TestExitCodes:
             ["generate", "--generate", "path:3,9"],
             # past generators.MAX_RANDOM_VERTICES, before the pair scan
             ["generate", "--generate", "random_connected:1000000,0"],
+            # no timing repetition at all
+            ["bench", "--algorithm", "hull", "--sizes", "10", "--reps", "0"],
+            ["bench", "--algorithm", "hull", "--sizes", "10", "--reps", "-3"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):

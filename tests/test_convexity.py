@@ -20,7 +20,13 @@ from triconvex.convexity import (
     t_convex_hull,
 )
 from triconvex.decomposition import decompose
-from triconvex.generators import complete_graph, path_graph, random_connected_graph, star_graph
+from triconvex.generators import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 from triconvex.graph import Graph, _components_bits, _non_edge, shortest_path
 from triconvex.oracle import brute_hull, brute_is_convex
 
@@ -288,6 +294,44 @@ def pendant_graphs():
     ]
 
 
+def wheel(rim):
+    """A hub 0 joined to every vertex of a cycle on 1..rim."""
+    edges = [(0, i) for i in range(1, rim + 1)]
+    edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return Graph(rim + 1, edges)
+
+
+def hang_blocks(base, blocks, seed, chain=False):
+    """``base`` with each of ``blocks`` hung at a random vertex (its vertex 0
+    becomes that vertex, a cut vertex): of anything built so far, or with
+    ``chain`` of the block hung just before. Then one random relabelling."""
+    rng = random.Random(seed)
+    edges, n = list(base.edges()), base.n
+    last = range(n)
+    for block in blocks:
+        ids = [rng.choice(last)] + list(range(n, n + block.n - 1))
+        edges += [(ids[u], ids[v]) for u, v in block.edges()]
+        n += block.n - 1
+        last = ids if chain else range(n)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def block_hung_graphs():
+    """C5 and K4 blocks and wheels hung at cut vertices, and chains of
+    cycles: a member at a cut vertex may meet only a member-free block."""
+    c5, k4 = cycle_graph(5), complete_graph(4)
+    return [
+        hang_blocks(random_connected_graph(20, 0.15, 0), [c5, k4, wheel(5), c5, wheel(6)], 0),
+        hang_blocks(cycle_graph(8), [c5, c5, c5, k4, k4], 1),
+        hang_blocks(k4, [wheel(5), c5, c5, wheel(4)], 2),
+        hang_blocks(random_connected_graph(60, 0.06, 1), [c5, k4, wheel(5)] * 6, 3),
+        hang_blocks(cycle_graph(5), [cycle_graph(k) for k in (4, 5, 6, 7, 5)], 4, chain=True),
+        hang_blocks(cycle_graph(6), [c5] * 10, 5, chain=True),
+    ]
+
+
 def hull_corpus():
     graphs = [
         random_connected_graph(n, p, seed)
@@ -303,6 +347,7 @@ def hull_corpus():
         for core, hung, seed in ((8, 12, 0), (30, 60, 1), (60, 140, 2), (150, 350, 3))
     ]
     graphs += pendant_graphs()
+    graphs += block_hung_graphs()
     return graphs
 
 
@@ -317,20 +362,33 @@ def hull_seeds(g, rng):
 
 
 class TestAgainstRestartRoute:
-    def test_hull_and_hull_set_match_restart_route(self):
+    def test_hull_and_hull_set_match_restart_route(self, monkeypatch):
+        scans = 0
+        scan = convexity._violating_components
+
+        def counted(adj, core, bits):
+            nonlocal scans
+            scans += 1
+            return scan(adj, core, bits)
+
+        monkeypatch.setattr(convexity, "_violating_components", counted)
         rng = random.Random(11)
-        full_hulls = 0
+        full_hulls = fallbacks = 0
         for g in hull_corpus():
             full = (1 << g.n) - 1
             for bits in hull_seeds(g, rng):
                 expected = reference_hull_bits(g, bits)
                 s = VertexSet(g.n, bits)
                 context = (g.n, sorted(g.edges()), sorted(s))
+                before = scans
                 assert t_convex_hull(g, s).bits == expected, context
+                fallbacks += scans > before
                 assert is_t_hull_set(g, s) == (expected == full), context
                 full_hulls += bits != full and expected == full
-        # proper seeds reach both answers of is_t_hull_set
+        # proper seeds reach both answers of is_t_hull_set, and the member
+        # search comes back empty-handed often enough to test the full scan
         assert full_hulls > 20
+        assert fallbacks >= 20
 
     def test_mono_witnesses_match_member_loop(self):
         # seeds, their complements and every p3-closed set the restart
@@ -378,13 +436,93 @@ def outside_scan_p3_violation(adj, full, bits):
     return None
 
 
+def bfs_levels(g, within, source):
+    """BFS levels from ``source`` inside G[within], as masks."""
+    levels, seen = [1 << source], 1 << source
+    while True:
+        grown = 0
+        for v in bit_members(levels[-1]):
+            grown |= g._adj[v]
+        grown &= within & ~seen
+        if not grown:
+            return levels
+        seen |= grown
+        levels.append(grown)
+
+
 def is_induced_path(g, bits, u, t):
     """Is G[bits] a path with ends u and t?"""
     degrees = {w: (g._adj[w] & bits).bit_count() for w in bit_members(bits)}
     ends = sorted(w for w, d in degrees.items() if d == 1)
     inner_ok = all(d == 2 for w, d in degrees.items() if w not in (u, t))
-    connected = reference_components(g, bits)[0][0] == bits
+    connected = sum(bfs_levels(g, bits, u)) == bits
     return ends == sorted((u, t)) and inner_ok and connected
+
+
+def geodesics(g, alive, u, targets):
+    """``{t: (inside, from_u, from_t)}`` for every target t that u reaches
+    inside alive + {u, t}: ``inside`` is every w in alive with
+    d_u(w) + d_t(w) = d(u, t), and ``from_u``/``from_t`` are the BFS levels
+    from u and t there."""
+    out = {}
+    for t in bit_members(targets):
+        within = alive | (1 << u) | (1 << t)
+        from_u = bfs_levels(g, within, u)
+        d = next((i for i, level in enumerate(from_u) if level >> t & 1), None)
+        if d is not None:
+            from_t = bfs_levels(g, within, t)
+            inside = 0
+            for i in range(1, d):
+                inside |= from_u[i] & from_t[d - i]
+            out[t] = inside, from_u, from_t
+    return out
+
+
+def walk_through(g, from_u, from_t, w):
+    """A u-t walk through ``w`` that steps one BFS level down at a time, to u
+    by ``from_u`` and to t by ``from_t``, as a mask."""
+    walk = 1 << w
+    for levels in (from_u, from_t):
+        v = w
+        i = next(i for i, level in enumerate(levels) if level >> v & 1)
+        for level in reversed(levels[:i]):
+            step = g._adj[v] & level
+            v = (step & -step).bit_length() - 1
+            walk |= 1 << v
+    return walk
+
+
+def component_scans_per_hull(monkeypatch, g, seed, pairs=50):
+    """Component searches per hull, over the hulls of random vertex pairs."""
+    calls = 0
+    search = convexity._components_bits
+
+    def counted(adj, alive):
+        nonlocal calls
+        calls += 1
+        return search(adj, alive)
+
+    monkeypatch.setattr(convexity, "_components_bits", counted)
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        t_convex_hull(g, vs(g.n, rng.sample(range(g.n), 2)))
+    return calls / pairs
+
+
+def member_beside_a_block(block, cycles, length):
+    """Vertex 0 on the square of a cycle through 0..block, joined to vertex
+    block + 1, where a chain of ``cycles`` cycles of ``length`` vertices
+    starts: each cycle meets the next at its vertex farthest from where it
+    meets the one before."""
+    ring = block + 1
+    edges = [(i, (i + step) % ring) for i in range(ring) for step in (1, 2)]
+    edges.append((0, ring))
+    start, n = ring, ring + 1
+    for _ in range(cycles):
+        ids = [start] + list(range(n, n + length - 1))
+        edges += [(ids[i], ids[(i + 1) % length]) for i in range(length)]
+        start, n = ids[length // 2], n + length - 1
+    return Graph(n, edges)
 
 
 class CountingRows(list):
@@ -411,7 +549,10 @@ class TestMonoStep:
                         g._adj, full, bits
                     ), (g.n, sorted(g.edges()), bin(bits))
 
-    def test_forced_paths_are_induced_and_inside_the_component_and_the_hull(self):
+    def test_forced_paths_are_every_shortest_path_inside_of_both_routes(self):
+        # the scan crosses (u, missing, D) for each violating component D;
+        # the member search crosses (u, S - N[u], core - S) from the first
+        # member next to the core minus S with a non-neighbour in S
         rng = random.Random(29)
         crossings = 0
         for g in hull_corpus():
@@ -421,39 +562,68 @@ class TestMonoStep:
                 sets = []
                 hull = reference_hull_bits(g, bits, sets)
                 for s_bits in sets:
-                    for u, missing, comp in _violating_components(adj, full, s_bits):
-                        context = (g.n, sorted(g.edges()), bin(s_bits), u)
-                        inner = _forced_paths(adj, comp, u, missing)
-                        assert inner and not inner & ~comp & ~hull, context
+                    alive = _kept_core(g, s_bits) & ~s_bits
+                    routes = list(_violating_components(adj, full, s_bits))
+                    for u in bit_members(s_bits):
+                        missing = s_bits & ~adj[u] & ~(1 << u)
+                        if missing and adj[u] & alive:
+                            routes.append((u, missing, alive))
+                            break
+                    for u, targets, within in routes:
+                        context = (g.n, sorted(g.edges()), bin(s_bits), u, bin(within))
+                        inner = _forced_paths(adj, within, u, targets)
+                        assert not inner & ~hull, context
                         union = 0
-                        for t in bit_members(missing):
-                            path = _forced_paths(adj, comp, u, 1 << t)
-                            walk = path | (1 << u) | (1 << t)
-                            assert is_induced_path(g, walk, u, t), (context, t)
-                            within = VertexSet(g.n, comp | (1 << u) | (1 << t))
-                            assert len(shortest_path(g, u, t, within)) == walk.bit_count()
-                            union |= path
-                            crossings += 1
+                        for t, (inside, from_u, from_t) in geodesics(g, within, u, targets).items():
+                            # each vertex of an induced u-t path lies on one
+                            left = inside & ~union
+                            while left:
+                                w = (left & -left).bit_length() - 1
+                                walk = walk_through(g, from_u, from_t, w)
+                                assert is_induced_path(g, walk, u, t), (context, w, t)
+                                left &= ~walk
+                            union |= inside
                         assert inner == union, context
+                        crossings += bool(inner)
         assert crossings > 100
 
     def test_a_hull_needs_few_component_scans(self, monkeypatch):
-        # 50 pairs of a 3-regular core with hung trees, the shape where a
-        # scan per crossed pair took about 16 searches per hull
-        calls = 0
-        search = convexity._components_bits
-
-        def counted(adj, alive):
-            nonlocal calls
-            calls += 1
-            return search(adj, alive)
-
-        monkeypatch.setattr(convexity, "_components_bits", counted)
+        # a 3-regular core with hung trees, the shape where a scan per
+        # crossed pair took about 16 searches per hull, and one per mono
+        # round about 5
         g = cubic_core_with_trees(150, 350, 5)
-        rng = random.Random(5)
-        for _ in range(50):
-            t_convex_hull(g, vs(g.n, rng.sample(range(g.n), 2)))
-        assert calls <= 8 * 50
+        assert component_scans_per_hull(monkeypatch, g, 5) <= 1
+
+    def test_a_prime_hull_needs_few_component_scans(self, monkeypatch):
+        # one prime atom, where a scan per mono round took about 2.3 per hull
+        g = random_connected_graph(300, 0.03, 0)
+        assert len(decompose(g).atoms) == 1
+        assert component_scans_per_hull(monkeypatch, g, 0) <= 1
+
+    def test_a_closure_makes_one_empty_member_search_at_most(self, monkeypatch):
+        # member 0 is the first member with an alive neighbour, but those
+        # all lie in a member-free 2-connected block hung at 0 that reaches
+        # no member; the closure must cross the chain of cycles by scans
+        block = 40
+        g = member_beside_a_block(block, cycles=4, length=7)
+        empty = []
+        crossing = convexity._forced_paths
+
+        def counted(adj, alive, u, targets):
+            inner = crossing(adj, alive, u, targets)
+            empty.append(not inner)
+            return inner
+
+        monkeypatch.setattr(convexity, "_forced_paths", counted)
+        first, far = block + 1, g.n - 1  # on the first and the last cycle
+        fallbacks = 0
+        for members in ([0, first, far], [0, first, far - 3], [0, first, 50], [0, first, 47, far]):
+            bits = sum(1 << v for v in members)
+            empty.clear()
+            assert t_convex_hull(g, VertexSet(g.n, bits)).bits == reference_hull_bits(g, bits)
+            assert sum(empty) <= 1, (members, empty)
+            fallbacks += any(empty)
+        assert fallbacks == 4
 
     def test_component_boundaries_are_folded_over_the_smaller_side(self):
         # the search reads each alive row once; the boundaries read the
@@ -488,14 +658,21 @@ def peel_graphs():
 
 class TestPendantPeel:
     def test_hull_and_searches_avoid_member_free_pendant_trees(self, monkeypatch):
+        # both searches: the component scan, and the crossing BFS, whose
+        # region is all it may enter
         searched = []
-        search = convexity._components_bits
+        search, crossing = convexity._components_bits, convexity._forced_paths
 
         def recorded(adj, alive):
             searched.append(alive)
             return search(adj, alive)
 
+        def recorded_crossing(adj, alive, u, targets):
+            searched.append(alive)
+            return crossing(adj, alive, u, targets)
+
         monkeypatch.setattr(convexity, "_components_bits", recorded)
+        monkeypatch.setattr(convexity, "_forced_paths", recorded_crossing)
         rng = random.Random(37)
         checked = 0
         for g in peel_graphs():
@@ -722,7 +899,8 @@ def relabel_bits(bits, label):
 class TestLabelInvariance:
     def test_hull_and_verdict_follow_a_relabelling(self):
         rng = random.Random(59)
-        for g in pendant_graphs() + peel_graphs() + [g for g, _ in forest_graphs()]:
+        graphs = pendant_graphs() + peel_graphs() + [g for g, _ in forest_graphs()]
+        for g in graphs + block_hung_graphs():
             seeds = hull_seeds(g, rng)
             hulls = [t_convex_hull(g, VertexSet(g.n, bits)).bits for bits in seeds]
             verdicts = [is_t_convex(g, VertexSet(g.n, bits))[0] for bits in seeds]
