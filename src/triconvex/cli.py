@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-prime", help="all convex sets of a prime graph")
     _add_graph_arguments(p)
     _add_common(p)
-    p.add_argument("--checked", action="store_true", help="reject a graph that is not prime")
 
     p = sub.add_parser("convexity-number", help="maximum proper convex set")
     _add_graph_arguments(p)
@@ -241,7 +240,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, int, Graph | None, int
         return {"hull": sorted(t_convex_hull(g, s))}, EXIT_OK, g, None
 
     if cmd == "enumerate-prime":
-        if args.checked and not is_prime(g):
+        if not is_prime(g):
             raise ContractViolationError("graph is not prime")
         family = enumerate_prime_convex_sets(g)
         return {"sets": [sorted(s) for s in family]}, EXIT_OK, g, None

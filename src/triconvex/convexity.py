@@ -17,9 +17,10 @@ N(D). So a closure wastes at most one member search, and needs at most one
 scan to show that it is closed. The fold costs O(|hull|) mask operations
 per hull. The convexity test checks the outside condition over the smaller
 side, the members or the outside vertices, so a pair costs two row ORs.
-Every mono scan reads the members attached to each component D of G - S
-off the boundary N(D) that ``graph._components_bits`` returns with D, so
-one scan is one search: O(n) mask operations.
+Every mono scan is ``_violating_components``, the one scan of G - S: it
+reads the members attached to each component D of G - S off the boundary
+N(D) that ``graph._components_bits`` returns with D, so one scan is one
+search: O(n) mask operations.
 
 Both the hull and the convexity test first drop the member-free pendant
 trees: a path entering one has no way back out, so no path joins two
@@ -27,9 +28,10 @@ members, of S or of any superset that avoids the trees, through one. The
 graph's pendant forest is built once and cached on it
 (``graph._pendant_forest``), and ``_kept_core`` reads the core a set keeps
 off it in O(|S| + the paths walked) mask operations. The hull's rounds and
-mono scans run on that core, and so does the convexity test's mono scan,
-which widens a violating component to its whole component of G - S for
-the witness (``_mono_violation``).
+mono scans run on that core, and so does the convexity test's mono scan;
+its witness pick (``_mono_violation``) widens a violating component to
+its whole component of G - S by one ``graph._component_bits`` search of
+the dropped trees.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitset import VertexSet, bit_members
-from .graph import Graph, _check_universe, _components_bits, _non_edge, _pendant_forest
+from .graph import (
+    Graph,
+    _check_universe,
+    _component_bits,
+    _components_bits,
+    _non_edge,
+    _pendant_forest,
+)
 # shortest_path stays a module attribute: benchmark/tracer.py wraps it here.
 from .graph import shortest_path  # noqa: F401
 
@@ -58,7 +67,7 @@ class ConvexityWitness:
     component: VertexSet | None = None
 
 
-def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
+def _p3_violation(adj: list[int], bits: int) -> int | None:
     """Smallest outside vertex with two or more neighbours inside, if any.
 
     The smaller side is scanned: with at most half the vertices inside, a
@@ -66,7 +75,7 @@ def _p3_violation(adj: list[int], full: int, bits: int) -> int | None:
     vertex seeing two members; otherwise each outside vertex counts its
     neighbours inside.
     """
-    outside = full & ~bits
+    outside = ((1 << len(adj)) - 1) & ~bits
     if bits.bit_count() <= outside.bit_count():
         once = twice = 0
         for u in bit_members(bits):
@@ -124,16 +133,18 @@ def _kept_core(g: Graph, bits: int) -> int:
 
 def _violating_components(
     adj: list[int], core: int, bits: int
-) -> Iterator[tuple[int, int, int]]:
-    """``(u, missing, D)`` for every component D of G[core] - S whose
-    attached members A = N(D) & S are not a clique, by minimum vertex id of D.
+) -> Iterator[tuple[int, int, int, int]]:
+    """``(u, missing, D, boundary)`` for every component D of G[core] - S
+    whose attached members A = N(D) & S are not a clique, by minimum vertex
+    id of D: the one scan of G[core] - S, for the hull and both tests.
 
-    ``core`` is what ``_kept_core`` keeps. The boundary ``_components_bits``
-    pairs D with is every neighbour of D outside ``core & ~S``, so it may
-    hold dropped vertices: A is that boundary cut to S. A dropped vertex
-    hangs from D by a tree that reaches no member, so D lies in one
-    component of G - S, whose member boundary is also A; a component of
-    G - S that holds no kept vertex has at most one attached member.
+    ``core`` is what ``_kept_core`` keeps. ``boundary`` is what
+    ``_components_bits`` pairs D with, every neighbour of D outside
+    ``core & ~S``, so it may hold dropped vertices: A is that boundary cut
+    to S. A dropped vertex hangs from D by a tree that reaches no member, so
+    D lies in one component of G - S, whose member boundary is also A; a
+    component of G - S that holds no kept vertex has at most one attached
+    member.
 
     ``(u, missing)`` is ``graph._non_edge`` of A: the smallest member of A
     with a non-neighbour in A, and all of its non-neighbours there.
@@ -144,43 +155,29 @@ def _violating_components(
     for comp, boundary in _components_bits(adj, core & ~bits):
         hit = _non_edge(adj, boundary & bits)
         if hit is not None:
-            yield *hit, comp
+            yield *hit, comp, boundary
 
 
-def _mono_violation(
-    adj: list[int], full: int, bits: int, core: int
-) -> tuple[int, int, int] | None:
-    """First non-adjacent pair of the set attached to a common component.
+def _mono_violation(adj: list[int], bits: int, core: int) -> tuple[int, int, int] | None:
+    """``(u, v, component)``: the first non-adjacent pair of the set attached
+    to a common component of G - S, picked from ``_violating_components``.
 
-    Components of G - S are scanned by minimum vertex id and the pair is the
-    lexicographically smallest one, so witnesses are reproducible. The scan
-    runs on G[core] - S, with ``core`` what ``_kept_core`` keeps. When that
-    is all of ``full``, the first violating component is the answer.
-    Otherwise each violating component D found there is widened to its
-    component of G - S by a search of the dropped trees hung from it, from
-    the dropped vertices on its boundary (a dropped tree hangs from one kept
-    vertex, and holds no member). As the smallest vertex of the widened
-    component may lie in a dropped tree, every violating D is read before
-    the smallest is reported. The pair is the one D gives either way.
+    The component is the first by minimum vertex id and the pair the
+    lexicographically smallest one it is attached to, so witnesses are
+    reproducible. The scan runs on G[core] - S, with ``core`` what
+    ``_kept_core`` keeps, and each violating D it yields is widened to its
+    component of G - S by one search of the dropped trees from the dropped
+    vertices on its boundary (a dropped tree hangs from one kept vertex and
+    holds no member). When nothing is dropped the first D is the answer;
+    otherwise the smallest vertex of a widened D may lie in a dropped tree,
+    so every D is widened before the smallest is picked. The pair is the
+    one D gives either way.
     """
-    dropped = full & ~core
+    dropped = ((1 << len(adj)) - 1) & ~core
     best = None
-    for comp, boundary in _components_bits(adj, core & ~bits):
-        hit = _non_edge(adj, boundary & bits)
-        if hit is None:
-            continue
-        hung = boundary & dropped
-        while hung:
-            # the dropped trees hung from comp, a level at a time
-            comp |= hung
-            grown = 0
-            while hung:
-                low = hung & -hung
-                hung ^= low
-                grown |= adj[low.bit_length() - 1]
-            hung = grown & dropped & ~comp
+    for u, missing, comp, boundary in _violating_components(adj, core, bits):
+        comp |= _component_bits(adj, dropped, boundary & dropped)
         if best is None or comp & -comp < best[2] & -best[2]:
-            u, missing = hit
             best = u, (missing & -missing).bit_length() - 1, comp
         if not dropped:
             break
@@ -239,7 +236,7 @@ def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
 def is_p3_convex(g: Graph, s: VertexSet) -> bool:
     """No vertex outside s has two neighbours in s."""
     _check_universe(g, s)
-    return _p3_violation(g._adj, (1 << g.n) - 1, s.bits) is None
+    return _p3_violation(g._adj, s.bits) is None
 
 
 def is_m_convex(g: Graph, s: VertexSet) -> bool:
@@ -261,12 +258,10 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     still the whole component of G - s, the first by minimum vertex id.
     """
     _check_universe(g, s)
-    adj = g._adj
-    full = (1 << g.n) - 1
-    v = _p3_violation(adj, full, s.bits)
+    v = _p3_violation(g._adj, s.bits)
     if v is not None:
         return False, ConvexityWitness(kind="p3-violation", vertex=v)
-    hit = _mono_violation(adj, full, s.bits, _kept_core(g, s.bits))
+    hit = _mono_violation(g._adj, s.bits, _kept_core(g, s.bits))
     if hit is not None:
         u, v, comp = hit
         return False, ConvexityWitness(
@@ -334,7 +329,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
                     return bits
                 scan = not new
             if scan:
-                for u, missing, comp in _violating_components(adj, core, bits):
+                for u, missing, comp, _ in _violating_components(adj, core, bits):
                     new |= _forced_paths(adj, comp, u, missing)
                 if not new:
                     return bits
@@ -344,18 +339,12 @@ def _hull_bits(g: Graph, bits: int) -> int:
 def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     """The minimum convex superset of s.
 
-    Each closure round absorbs, all at once, every outside vertex with two
-    neighbours inside. When a round finds none, the first member u with a
-    neighbour outside and a non-neighbour inside is crossed from: every
-    shortest path from u through the complement to each such non-neighbour
-    is forced into the hull. Only when that forces nothing is every
-    component D of the complement whose attached members are not pairwise
-    adjacent crossed the same way, from its first attached member with a
-    non-adjacent one; the closure then stays on such scans. Then the rounds
-    resume. The hull is the same whatever order the forced vertices join
-    in. All of this runs on the core left once the pendant trees without a
-    member of s are dropped, since no triangle path between members enters
-    one (see ``_hull_bits``).
+    It is taken as a closure (see ``_hull_bits``) on the core left once the
+    pendant trees holding no member of s are dropped: a triangle path
+    between two members that entered one would have to leave it the way it
+    came. Cost: O(|hull|) mask operations for all the rounds that absorb
+    outside vertices seen twice, and O(n) for each mono round, each of
+    which but the last absorbs a vertex.
     """
     _check_universe(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

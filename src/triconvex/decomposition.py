@@ -177,7 +177,7 @@ def decompose(g: Graph) -> Decomposition:
     for x in elim:
         if (carvers >> x) & 1:
             sep = madj[x]
-            comp = _component_bits(adj, alive & ~sep, x)
+            comp = _component_bits(adj, alive & ~sep, 1 << x)
             pieces.append(comp | sep)
             alive &= ~comp
     pieces.append(alive)

@@ -10,9 +10,12 @@ from .bitset import bit_members
 from .errors import ValidationError
 from .graph import Graph, _components_bits
 
-# Largest n random_connected_graph accepts, far below graph.MAX_VERTICES: its
+# Largest n random_connected_graph accepts, below graph.MAX_VERTICES: its
 # n(n-1)/2-pair scan takes some 20 s at this n (100 ns a pair, 2-vCPU host).
 MAX_RANDOM_VERTICES = 20_000
+# Largest n complete_graph accepts: its n(n-1)/2 edges take some 5 s at
+# this n (0.4 us an edge, 2-vCPU host).
+MAX_COMPLETE_VERTICES = 5_000
 
 # Vertex layout of the named families, used throughout the test-suite:
 # bowtie: 0 is the shared vertex of triangles {0,1,2} and {0,3,4}.
@@ -21,8 +24,8 @@ MAX_RANDOM_VERTICES = 20_000
 #
 # Edges go to Graph as generators, so an oversized n from a CLI spec fails
 # Graph's vertex-count check before any edge is built, and no edge list is
-# held in memory; random_connected_graph checks MAX_RANDOM_VERTICES itself
-# before its pair scan.
+# held in memory; complete_graph and random_connected_graph check their own
+# caps before their loops.
 
 
 def path_graph(n: int) -> Graph:
@@ -37,6 +40,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     _require(n >= 1, "complete graph needs n >= 1")
+    _require(n <= MAX_COMPLETE_VERTICES, f"complete graph needs n <= {MAX_COMPLETE_VERTICES}")
     return Graph(n, itertools.combinations(range(n), 2))
 
 

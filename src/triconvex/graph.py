@@ -15,10 +15,11 @@ from typing import Iterable, Iterator
 from .bitset import VertexSet, bit_members
 from .errors import ParseError, ValidationError
 
-# Largest accepted vertex count. Adjacency is one Python int per vertex, so
-# a count read from a file is checked before anything of that length is
-# allocated.
-MAX_VERTICES = 1_000_000
+# Largest accepted vertex count, checked before any row is allocated. Each
+# row is one Python int as long as its highest neighbour id, so even a path
+# holds about n^2/16 bytes of rows: 160 MB at this n, some 60 GB at
+# n = 1,000,000.
+MAX_VERTICES = 50_000
 
 
 class Graph:
@@ -130,10 +131,10 @@ class Path:
 # Internal bitmask traversal helpers, shared by the sibling modules.
 
 
-def _component_bits(adj: list[int], alive: int, seed: int) -> int:
-    """Connected component of ``seed`` in the subgraph induced on ``alive``."""
-    comp = 1 << seed
-    frontier = comp
+def _component_bits(adj: list[int], alive: int, seeds: int) -> int:
+    """``seeds`` plus every vertex they reach by paths through ``alive``; for
+    seeds inside ``alive``, the union of their components of G[alive]."""
+    comp = frontier = seeds
     while frontier:
         nxt = 0
         f = frontier
@@ -219,8 +220,7 @@ def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
     out = []
     rest = alive
     while rest:
-        seed = (rest & -rest).bit_length() - 1
-        comp = _component_bits(adj, rest, seed)
+        comp = _component_bits(adj, rest, rest & -rest)
         rest &= ~comp
         reach = 0
         for u in bit_members(comp & touch):
@@ -247,7 +247,7 @@ def connected_components(g: Graph, removed: VertexSet | None = None) -> list[Ver
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return _component_bits(g._adj, (1 << g.n) - 1, 0) == (1 << g.n) - 1
+    return _component_bits(g._adj, (1 << g.n) - 1, 1) == (1 << g.n) - 1
 
 
 def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> Path | None:

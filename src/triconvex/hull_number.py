@@ -127,15 +127,12 @@ def _line_seven_choice(g: Graph, atom: VertexSet, seed: int, hull: int) -> int:
     raise AlgorithmError("no completing vertex in a prime atom")
 
 
-def _reducible_hull_bits(
-    g: Graph, dec: Decomposition, trace: list[tuple[int, int, VertexSet]] | None = None
-) -> int:
+def _reducible_hull_bits(g: Graph, dec: Decomposition) -> int:
     """Reverse sweep of the atoms, then completion of the first atom.
 
-    When ``trace`` is given it receives (atom index, chosen vertex,
-    uncovered part of the atom) for every iteration that had to add a
-    vertex; the uncovered parts are the disjoint concave sets behind the
-    optimality argument.
+    Each atom whose seed falls short gets one vertex, chosen from the part
+    of the atom its seed's hull leaves uncovered. Those parts are pairwise
+    disjoint, so the sweep spends at most one vertex on each.
     """
     n = g.n
     selected = 0
@@ -147,8 +144,6 @@ def _reducible_hull_bits(
             continue
         chosen = _line_seven_choice(g, atom, seed, hull)
         selected |= 1 << chosen
-        if trace is not None:
-            trace.append((i, chosen, VertexSet(n, atom.bits & ~hull)))
 
     hull_so_far = _hull_bits(g, selected) if selected else 0
     f1 = dec.atoms[0].bits

@@ -8,8 +8,8 @@ import jsonschema
 import pytest
 
 from triconvex import cli
-from triconvex.generators import bowtie_graph
-from triconvex.graph import to_dimacs, to_edge_list
+from triconvex.generators import MAX_COMPLETE_VERTICES, bowtie_graph
+from triconvex.graph import MAX_VERTICES, to_dimacs, to_edge_list
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -185,9 +185,10 @@ class TestExitCodes:
             cli.main(["hull"])  # missing required --vertices and graph source
         assert exc.value.code == 64
 
-    def test_checked_belongs_to_enumerate_prime_only(self, capsys):
+    def test_enumerate_prime_has_no_checked_flag(self, capsys):
+        # enumerate-prime checks primality every time
         with pytest.raises(SystemExit) as exc:
-            cli.main(["hull", "--generate", "path:5", "--vertices", "0", "--checked"])
+            cli.main(["enumerate-prime", "--generate", "cycle:5", "--checked"])
         assert exc.value.code == 64
 
     def test_oracle_compare_clean_corpus_is_zero(self, capsys):
@@ -221,8 +222,8 @@ class TestExitCodes:
             ["oracle-compare", "--corpus", "exhaustive:7"],
             ["generate", "--generate", "random_connected:1000000000,0"],
             ["oracle-compare", "--corpus", "random:1000000000,1"],
-            # --checked rejects a graph that is not prime
-            ["enumerate-prime", "--generate", "bowtie", "--checked"],
+            # enumerate-prime rejects a graph that is not prime
+            ["enumerate-prime", "--generate", "bowtie"],
             # a graph file that is not UTF-8 text
             ["hull", "--graph", "binary.txt", "--vertices", "0"],
             # corpora that would compare no graph at all
@@ -237,14 +238,35 @@ class TestExitCodes:
             # no timing repetition at all
             ["bench", "--algorithm", "hull", "--sizes", "10", "--reps", "0"],
             ["bench", "--algorithm", "hull", "--sizes", "10", "--reps", "-3"],
+            # P4 is not prime: enumerated anyway, it listed 9 of its 11
+            # convex sets
+            ["enumerate-prime", "--generate", "path:4"],
+            # one past the vertex cap, whose rows would hold n^2/16 bytes,
+            # and one past complete_graph's cap, before its edge loop
+            ["enumerate-prime", "--generate", f"path:{MAX_VERTICES + 1}"],
+            ["hull", "--graph", "capped.col", "--vertices", "0"],
+            ["enumerate-prime", "--generate", f"complete:{MAX_COMPLETE_VERTICES + 1}"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
         (tmp_path / "huge.txt").write_text("999999999\n", encoding="utf-8")
         (tmp_path / "huge.col").write_text("p edge 1000000000 0\n", encoding="utf-8")
         (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\x00\x01\n")
+        (tmp_path / "capped.col").write_text(f"p edge {MAX_VERTICES + 1} 0\n", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        code = cli.main(argv)
+
+        # main reports OSError as a one-line error, so the alarm raises
+        # something it lets through
+        def stop(signum, frame):
+            raise AssertionError("the argument was not refused in time")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            code = cli.main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

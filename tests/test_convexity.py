@@ -27,7 +27,7 @@ from triconvex.generators import (
     random_connected_graph,
     star_graph,
 )
-from triconvex.graph import Graph, _components_bits, _non_edge, shortest_path
+from triconvex.graph import Graph, _component_bits, _components_bits, _non_edge, shortest_path
 from triconvex.oracle import brute_hull, brute_is_convex
 
 from .strategies import graphs_with_subsets
@@ -219,9 +219,8 @@ def reference_hull_bits(g, bits, mono_sets=None):
     """The hull; ``mono_sets``, when given, receives every set scanned for a
     mono violation."""
     adj = g._adj
-    full = (1 << g.n) - 1
     while True:
-        v = _p3_violation(adj, full, bits)
+        v = _p3_violation(adj, bits)
         if v is not None:
             bits |= 1 << v
             continue
@@ -403,9 +402,9 @@ class TestAgainstRestartRoute:
                 for s_bits in sets:
                     expected = reference_mono_violation(g, s_bits)
                     context = (g.n, sorted(g.edges()), bin(s_bits))
-                    assert _mono_violation(g._adj, full, s_bits, full) == expected, context
+                    assert _mono_violation(g._adj, s_bits, full) == expected, context
                     kept = _kept_core(g, s_bits)
-                    assert _mono_violation(g._adj, full, s_bits, kept) == expected, context
+                    assert _mono_violation(g._adj, s_bits, kept) == expected, context
                     assert is_m_convex(g, VertexSet(g.n, s_bits)) == (expected is None), context
                     witnesses += expected is not None
                     convex += expected is None
@@ -427,6 +426,32 @@ class TestAgainstRestartRoute:
                     sorted(g.edges()),
                     bin(alive),
                 )
+
+    def test_seed_mask_search_is_the_union_of_single_seed_searches(self):
+        # each seed keeps itself and adds every component of G[alive] it
+        # lies in or has a neighbour in; seeds outside alive and no seed
+        # at all included
+        rng = random.Random(19)
+        searches = outside = 0
+        for g in hull_corpus():
+            for density in (0.0, 0.3, 0.7, 1.0):
+                alive = sum(1 << v for v in range(g.n) if rng.random() < density)
+                components = [comp for comp, _ in reference_components(g, alive)]
+                for seed_density in (0.0, 0.1, 0.4):
+                    seeds = sum(1 << v for v in range(g.n) if rng.random() < seed_density)
+                    expected = seeds
+                    for v in bit_members(seeds):
+                        near = (1 << v) | g._adj[v]
+                        expected |= sum(comp for comp in components if comp & near)
+                    context = (g.n, sorted(g.edges()), bin(alive), bin(seeds))
+                    assert _component_bits(g._adj, alive, seeds) == expected, context
+                    union = 0
+                    for v in bit_members(seeds):
+                        union |= _component_bits(g._adj, alive, 1 << v)
+                    assert union == expected, context
+                    searches += 1
+                    outside += bool(seeds & ~alive)
+        assert searches > 500 and outside > 200
 
 
 def outside_scan_p3_violation(adj, full, bits):
@@ -545,7 +570,7 @@ class TestMonoStep:
             for size in range(g.n + 1):
                 for _ in range(3):
                     bits = sum(1 << v for v in rng.sample(range(g.n), size))
-                    assert _p3_violation(g._adj, full, bits) == outside_scan_p3_violation(
+                    assert _p3_violation(g._adj, bits) == outside_scan_p3_violation(
                         g._adj, full, bits
                     ), (g.n, sorted(g.edges()), bin(bits))
 
@@ -563,7 +588,7 @@ class TestMonoStep:
                 hull = reference_hull_bits(g, bits, sets)
                 for s_bits in sets:
                     alive = _kept_core(g, s_bits) & ~s_bits
-                    routes = list(_violating_components(adj, full, s_bits))
+                    routes = [route[:3] for route in _violating_components(adj, full, s_bits)]
                     for u in bit_members(s_bits):
                         missing = s_bits & ~adj[u] & ~(1 << u)
                         if missing and adj[u] & alive:
@@ -700,11 +725,17 @@ class TestPendantPeel:
                 core = full & ~reference_peel(g, bits)
                 got = list(_violating_components(adj, core, bits))
                 context = (g.n, sorted(g.edges()), bin(bits))
-                for u, missing, comp in got:
+                components = reference_components(g, core & ~bits)
+                for u, missing, comp, boundary in got:
                     assert (bits >> u) & 1 and not missing & ~bits, context
                     assert not comp & ~core, context
-                on_g = _violating_components(adj, full, bits)
-                assert set(got) == {(u, missing, comp & core) for u, missing, comp in on_g}, context
+                    assert (comp, boundary) in components, context
+                on_g = {
+                    (u, missing, comp & core, boundary & bits)
+                    for u, missing, comp, boundary in _violating_components(adj, full, bits)
+                }
+                on_core = {(*route[:3], route[3] & bits) for route in got}
+                assert on_core == on_g, context
                 crossings += len(got)
         assert crossings > 20
 
@@ -818,7 +849,7 @@ class TestKeptCore:
 def p3_closure(g, bits):
     """The smallest superset of ``bits`` with no outside vertex seen twice."""
     while True:
-        v = _p3_violation(g._adj, (1 << g.n) - 1, bits)
+        v = _p3_violation(g._adj, bits)
         if v is None:
             return bits
         bits |= 1 << v
@@ -838,7 +869,7 @@ def full_graph_mono(g, bits):
 
 def full_graph_t_convex(g, bits):
     """The convexity test on all of G: the p3 check, then ``full_graph_mono``."""
-    v = _p3_violation(g._adj, (1 << g.n) - 1, bits)
+    v = _p3_violation(g._adj, bits)
     if v is not None:
         return False, "p3-violation", v, None, None
     hit = full_graph_mono(g, bits)

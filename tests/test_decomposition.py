@@ -440,8 +440,7 @@ def reference_has_two_full_components(adj, rest, sep):
     """Per-component search, with fullness tested member by member."""
     found = 0
     while rest:
-        seed = (rest & -rest).bit_length() - 1
-        comp = _component_bits(adj, rest, seed)
+        comp = _component_bits(adj, rest, rest & -rest)
         rest &= ~comp
         if all(adj[s] & comp for s in bit_members(sep)):
             found += 1
@@ -472,7 +471,7 @@ def reference_decompose(g):
             continue
         if not reference_has_two_full_components(adj, full & ~sep, sep):
             continue
-        comp = _component_bits(adj, alive & ~sep, x)
+        comp = _component_bits(adj, alive & ~sep, 1 << x)
         if comp | sep == alive:
             continue
         carved.append(comp | sep)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from triconvex.bitset import VertexSet
@@ -23,6 +25,9 @@ from triconvex.hull_number import (
 from triconvex.oracle import brute_hull_number
 
 from .test_acceptance import PROBS
+
+# the package exports the function hull_number under the module's name
+sweep_module = importlib.import_module("triconvex.hull_number")
 
 
 def vs(n, items):
@@ -214,8 +219,27 @@ class TestHullNumber:
         assert hull_number(g).value == brute_hull_number(g)
 
 
+def sweep_trace(monkeypatch, g, dec):
+    """(atom index, chosen vertex, uncovered part of the atom) for every
+    atom the reverse sweep had to add a vertex to."""
+    trace = []
+    choose = sweep_module._line_seven_choice
+
+    def recorded(graph, atom, seed, hull):
+        chosen = choose(graph, atom, seed, hull)
+        trace.append((dec.atoms.index(atom), chosen, VertexSet(graph.n, atom.bits & ~hull)))
+        return chosen
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep_module, "_line_seven_choice", recorded)
+        _reducible_hull_bits(g, dec)
+    return trace
+
+
 class TestSweepTrace:
-    def test_uncovered_parts_are_disjoint_with_private_choices(self, sampled_corpus):
+    def test_uncovered_parts_are_disjoint_with_private_choices(
+        self, monkeypatch, sampled_corpus
+    ):
         # every vertex the sweep adds sits in its own uncovered region and
         # the regions never overlap, so the loop spends at most one vertex
         # per region; optimality itself is pinned by the brute-force
@@ -226,8 +250,7 @@ class TestSweepTrace:
             dec = decompose(g)
             if dec.t < 2:
                 continue
-            trace = []
-            _reducible_hull_bits(g, dec, trace)
+            trace = sweep_trace(monkeypatch, g, dec)
             seen = 0
             for i, chosen, uncovered in trace:
                 assert chosen in uncovered
@@ -235,7 +258,7 @@ class TestSweepTrace:
                 assert uncovered.bits & seen == 0
                 seen |= uncovered.bits
 
-    def test_uncovered_parts_need_not_be_concave_globally(self):
+    def test_uncovered_parts_need_not_be_concave_globally(self, monkeypatch):
         # with the ordering rooted at the leaf atom {0,1}, the uncovered
         # part {2,3} of atom {0,2,3} is crossed by the triangle path 0,2,4
         # of the complement, and the minimum hull set {1,4} misses it
@@ -244,9 +267,7 @@ class TestSweepTrace:
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4)])
         dec = decompose(g)
         assert [sorted(a) for a in dec.atoms] == [[0, 1], [0, 2, 3], [0, 2, 4]]
-        trace = []
-        _reducible_hull_bits(g, dec, trace)
-        (i, chosen, uncovered), = trace
+        (i, chosen, uncovered), = sweep_trace(monkeypatch, g, dec)
         assert sorted(uncovered) == [2, 3]
         complement = VertexSet(5, 0b11111 & ~uncovered.bits)
         assert not is_t_convex(g, complement)[0]
