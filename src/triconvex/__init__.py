@@ -19,7 +19,7 @@ from .convexity import (
     t_convex_hull,
 )
 from .convexity_number import ConvexityNumberResult, convex_extension, convexity_number
-from .decomposition import Decomposition, decompose, is_prime, pivots, verify_d_ordering
+from .decomposition import Decomposition, decompose, is_prime, verify_d_ordering
 from .errors import (
     AlgorithmError,
     BudgetExceededError,
@@ -31,21 +31,13 @@ from .errors import (
 from .graph import (
     Graph,
     Path,
-    connected_components,
     is_connected,
     load_graph,
     parse_graph,
-    shortest_path,
     to_dimacs,
     to_edge_list,
 )
-from .hull_number import (
-    HullNumberResult,
-    SatisfactionVerdict,
-    hull_number,
-    is_hull_set_by_characterization,
-    satisfies,
-)
+from .hull_number import HullNumberResult, hull_number, is_hull_set_by_characterization
 from .prime import PrimeConvexFamily, enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
 
 __version__ = "0.1.0"
@@ -63,10 +55,8 @@ __all__ = [
     "ParseError",
     "Path",
     "PrimeConvexFamily",
-    "SatisfactionVerdict",
     "ValidationError",
     "VertexSet",
-    "connected_components",
     "convex_extension",
     "convexity_number",
     "decompose",
@@ -81,11 +71,8 @@ __all__ = [
     "is_t_hull_set",
     "load_graph",
     "parse_graph",
-    "pivots",
     "prime_is_t_convex",
     "prime_t_hull",
-    "satisfies",
-    "shortest_path",
     "t_convex_hull",
     "to_dimacs",
     "to_edge_list",

@@ -74,7 +74,7 @@ class VertexSet:
         return self.bits & ~other.bits == 0
 
     def first(self) -> int:
-        """Smallest member; used everywhere as the deterministic tie-break."""
+        """Smallest member."""
         if not self.bits:
             raise ValueError("empty vertex set has no first element")
         return (self.bits & -self.bits).bit_length() - 1

@@ -4,23 +4,23 @@ A set S is convex exactly when no outside vertex has two neighbours in S
 and no two non-adjacent members of S have neighbours in a common component
 of G - S. Every vertex either repair adds lies in the hull, so the hull is
 a closure taken in rounds: one round absorbs every outside vertex seen
-twice, read off a member fold (``twice |= once & adj[u]; once |= adj[u]``)
-that each round extends by the members it added. Only when no such vertex
-is left does a mono round run. It crosses from a member first: one BFS
-through the rest of G - S from the first member u with a neighbour there
-and a non-neighbour in S absorbs every shortest path from u to each
-non-neighbour it reaches. Only when that absorbs nothing does a mono scan
-run, and the rest of the closure keeps to scans: one search of G - S, and
-in every component D whose attached members N(D) are not a clique, the
-same BFS, through D alone, from the first member u with a non-neighbour in
-N(D). So a closure wastes at most one member search, and needs at most one
-scan to show that it is closed. The fold costs O(|hull|) mask operations
-per hull. The convexity test checks the outside condition over the smaller
-side, the members or the outside vertices, so a pair costs two row ORs.
-Every mono scan is ``_violating_components``, the one scan of G - S: it
-reads the members attached to each component D of G - S off the boundary
-N(D) that ``graph._components_bits`` returns with D, so one scan is one
-search: O(n) mask operations.
+twice, read off the member fold ``graph._fold``, which each round extends
+by the members it added. Only when no such vertex is left does a mono
+round run. It crosses from a member first: one BFS through the rest of
+G - S from the first member u with a neighbour there and a non-neighbour
+in S absorbs every shortest path from u to each non-neighbour it reaches.
+Only when that absorbs nothing does a mono scan run, and the rest of the
+closure keeps to scans: one search of G - S, and in every component D
+whose attached members N(D) are not a clique, the same BFS, through D
+alone, from the first member u with a non-neighbour in N(D). So a closure
+wastes at most one member search, and needs at most one scan to show that
+it is closed. The fold costs O(|hull|) mask operations per hull. The
+convexity test checks the outside condition over the smaller side, the
+members or the outside vertices, so a pair costs two row ORs. Every mono
+scan is ``_violating_components``, the one scan of G - S: it reads the
+members attached to each component D of G - S off the boundary N(D) that
+``graph._components_bits`` returns with D, so one scan is one search:
+O(n) mask operations.
 
 Both the hull and the convexity test first drop the member-free pendant
 trees: a path entering one has no way back out, so no path joins two
@@ -45,6 +45,7 @@ from .graph import (
     _check_universe,
     _component_bits,
     _components_bits,
+    _fold,
     _non_edge,
     _pendant_forest,
 )
@@ -70,19 +71,13 @@ class ConvexityWitness:
 def _p3_violation(adj: list[int], bits: int) -> int | None:
     """Smallest outside vertex with two or more neighbours inside, if any.
 
-    The smaller side is scanned: with at most half the vertices inside, a
-    member fold (``twice |= once & adj[u]; once |= adj[u]``) marks every
-    vertex seeing two members; otherwise each outside vertex counts its
-    neighbours inside.
+    The smaller side is scanned: with at most half the vertices inside, the
+    member fold (``graph._fold``) marks every vertex seeing two members;
+    otherwise each outside vertex counts its neighbours inside.
     """
     outside = ((1 << len(adj)) - 1) & ~bits
     if bits.bit_count() <= outside.bit_count():
-        once = twice = 0
-        for u in bit_members(bits):
-            row = adj[u]
-            twice |= once & row
-            once |= row
-        twice &= outside
+        twice = _fold(adj, bits, 0, 0)[1] & outside
         return (twice & -twice).bit_length() - 1 if twice else None
     while outside:
         low = outside & -outside
@@ -278,11 +273,10 @@ def _hull_bits(g: Graph, bits: int) -> int:
     vertex, so no path between members of S, or of any superset that avoids
     them, enters one: the closure runs on the core alone.
 
-    ``once``/``twice`` hold the vertices seeing at least one/two members.
-    Each round folds only the members added since the last one, so the p3
-    work over the whole hull is O(|hull|) mask operations, and absorbs all
-    of ``twice & ~bits`` at once (a dropped vertex sees at most one member).
-    A p3-closed set gets a mono round. It first crosses, by
+    Each round folds (``graph._fold``) only the members added since the last
+    one, so the p3 work over the whole hull is O(|hull|) mask operations,
+    and absorbs all of ``twice & ~bits`` at once (a dropped vertex sees at
+    most one member). A p3-closed set gets a mono round. It first crosses, by
     ``_forced_paths`` through all of ``alive`` (the core minus S), from the
     first member u with a neighbour in ``alive`` and a non-neighbour in S.
     ``border`` holds the members that may still have an alive neighbour; as
@@ -304,12 +298,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
     scan = False
     while True:
         border |= new
-        while new:
-            low = new & -new
-            new ^= low
-            row = adj[low.bit_length() - 1]
-            twice |= once & row
-            once |= row
+        once, twice = _fold(adj, new, once, twice)
         new = twice & ~bits
         if not new:
             alive = core & ~bits

@@ -375,14 +375,3 @@ def _pivot_details(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> int:
         if union & s.bits:
             out |= boundary
     return out
-
-
-def pivots(g: Graph, dec: Decomposition, i: int, s: VertexSet) -> VertexSet:
-    """Pivots of atom i with respect to s, straight from the definition.
-
-    A vertex of F_i is a pivot when it lies in N(D) for a component D of
-    G - F_i that holds a vertex of s: flow from that vertex enters F_i
-    through N(D), the overlap of F_i with the atom on D's side.
-    """
-    _atom_arguments(g, dec, i, s)
-    return VertexSet(g.n, _pivot_details(g, dec, i, s))

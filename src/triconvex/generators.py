@@ -8,7 +8,7 @@ from typing import Iterator
 
 from .bitset import bit_members
 from .errors import ValidationError
-from .graph import Graph, _components_bits
+from .graph import Graph, _components_bits, is_connected
 
 # Largest n random_connected_graph accepts, below graph.MAX_VERTICES: its
 # n(n-1)/2-pair scan takes some 20 s at this n (100 ns a pair, 2-vCPU host).
@@ -142,5 +142,5 @@ def all_connected_graphs(n: int) -> Iterator[Graph]:
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         g = Graph(n, edges)
-        if len(_components_bits(g._adj, (1 << n) - 1)) == 1:
+        if is_connected(g):
             yield g

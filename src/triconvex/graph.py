@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .bitset import VertexSet, bit_members
 from .errors import ParseError, ValidationError
@@ -198,6 +198,25 @@ def _non_edge(adj: list[int], bits: int) -> tuple[int, int] | None:
     return None
 
 
+def _fold(adj: list[int], bits: int, once: int, twice: int) -> tuple[int, int]:
+    """``(once, twice)`` with the rows of the members of ``bits`` folded in:
+    the vertices seeing at least one, and at least two, members folded so far.
+
+    The P3 half of the convexity test: folded from ``(0, 0)`` over all of S,
+    ``twice & ~S`` holds the outside vertices with two neighbours in S. It
+    costs two mask operations per member, however many vertices lie outside,
+    and a set that grows (the hull's rounds) folds each new member once by
+    passing the masks back in.
+    """
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        row = adj[low.bit_length() - 1]
+        twice |= once & row
+        once |= row
+    return once, twice
+
+
 def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
     """Components D of the subgraph induced on ``alive``, by min vertex id,
     each paired with N(D) - ``alive``, its neighbours outside ``alive``.
@@ -233,15 +252,6 @@ def _check_universe(g: Graph, *sets: VertexSet | None) -> None:
     """Reject any of ``sets`` (None is skipped) not drawn from ``0..g.n-1``."""
     if any(s is not None and s.n != g.n for s in sets):
         raise ValidationError("vertex set has wrong universe size")
-
-
-def connected_components(g: Graph, removed: VertexSet | None = None) -> list[VertexSet]:
-    """Components of ``G - removed``, ordered by their minimum vertex id."""
-    _check_universe(g, removed)
-    mask = (1 << g.n) - 1
-    if removed is not None:
-        mask &= ~removed.bits
-    return [VertexSet(g.n, c) for c, _ in _components_bits(g._adj, mask)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -295,16 +305,16 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
 # Parsing and serialization.
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the whitespace edge-list format.
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
+    """Parse the whitespace edge-list format from a text or its lines.
 
     One ``u v`` pair per line, 0-based ids, ``#`` comments. A line holding a
     single integer declares an (isolated) vertex. The vertex count is the
-    largest id mentioned plus one.
+    largest id mentioned plus one; an id past the cap fails at its line.
     """
     edges = []
     max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -313,8 +323,8 @@ def parse_edge_list(text: str) -> Graph:
             ids = [int(p) for p in parts]
         except ValueError:
             raise ParseError(f"expected integers, got {line!r}", line=lineno) from None
-        if any(i < 0 for i in ids):
-            raise ValidationError(f"line {lineno}: vertex id out of range: {min(ids)}")
+        if min(ids) < 0 or max(ids) >= MAX_VERTICES:
+            raise ValidationError(f"line {lineno}: vertex id out of range 0..{MAX_VERTICES - 1}")
         if len(ids) == 1:
             max_id = max(max_id, ids[0])
         elif len(ids) == 2:
@@ -328,11 +338,12 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(max_id + 1, edges)
 
 
-def parse_dimacs(text: str) -> Graph:
-    """Parse DIMACS format: ``p edge n m`` header, 1-based ``e u v`` lines."""
+def parse_dimacs(text: str | Iterable[str]) -> Graph:
+    """Parse DIMACS format, from a text or its lines: ``p edge n m`` header,
+    checked against ``MAX_VERTICES`` at once, and 1-based ``e u v`` lines."""
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -346,6 +357,8 @@ def parse_dimacs(text: str) -> Graph:
                 n = int(parts[2])
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=lineno) from None
+            if n > MAX_VERTICES:
+                raise ValidationError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line=lineno)
@@ -370,7 +383,7 @@ def parse_dimacs(text: str) -> Graph:
 FORMATS = ("edge-list", "dimacs")
 
 
-def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
+def parse_graph(text: str | Iterable[str], fmt: str = "edge-list") -> Graph:
     if fmt == "edge-list":
         return parse_edge_list(text)
     if fmt == "dimacs":
@@ -381,12 +394,7 @@ def parse_graph(text: str, fmt: str = "edge-list") -> Graph:
 def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format; round-trips through parse_edge_list."""
     lines = [f"{u} {v}" for u, v in g.edges()]
-    covered = 0
-    for u, v in g.edges():
-        covered |= (1 << u) | (1 << v)
-    for v in range(g.n):
-        if not (covered >> v) & 1:
-            lines.append(str(v))
+    lines.extend(str(v) for v, row in enumerate(g._adj) if not row)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -402,12 +410,24 @@ def sniff_format(path: str) -> str:
 
 
 def load_graph(path: str, fmt: str | None = None) -> Graph:
-    """Read a graph file, guessing the format from the extension."""
+    """Read a graph file, guessing the format from the extension.
+
+    The parser gets the lines, split as ``str.splitlines`` splits the text,
+    while they are read and decoded one at a time (no UTF-8 character holds a
+    newline byte), so an oversize file is refused at the line that crosses
+    the cap.
+    """
     if fmt is None:
         fmt = sniff_format(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return parse_graph(text, fmt)
+
+    def lines(fh: BinaryIO) -> Iterator[str]:
+        for raw in fh:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                at = fh.tell() - len(raw) + exc.start
+                raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {at})") from None
+            yield from text.splitlines()
+
+    with open(path, "rb") as fh:
+        return parse_graph(lines(fh), fmt)

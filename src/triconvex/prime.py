@@ -2,14 +2,12 @@
 
 On a prime graph a proper convex set is exactly a clique whose outside
 vertices see at most one of its members, which makes the convex family
-small enough to enumerate outright. Both halves of that test come from one
-fold over the members u of S, never over the vertices outside it:
-
-    twice |= once & adj[u]; once |= adj[u]      (clique: S inside N[u])
-
-after which the doubly-seen outside vertices are ``twice & ~S``. The
-convexity test and the hull's single closure round, ``S | twice``, thus
-cost O(|S|) mask operations instead of O(n).
+small enough to enumerate outright. Both halves of that test read only
+the rows of the members of S, never those of the vertices outside it: the
+clique test ``graph._non_edge`` and the member fold ``graph._fold``, whose
+``twice & ~S`` are the doubly-seen outside vertices. The convexity test and
+the hull's single closure round, ``S | twice``, thus cost O(|S|) mask
+operations instead of O(n).
 
 With ``within=F`` each routine works on the prime subgraph G[F], such as
 an atom, in G's own vertex ids: the fold reads only rows of members of
@@ -24,7 +22,7 @@ from typing import Iterator
 
 from .bitset import VertexSet, bit_members
 from .errors import ContractViolationError
-from .graph import Graph, _check_universe
+from .graph import Graph, _check_universe, _fold, _non_edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,32 +53,10 @@ def _atom_bits(g: Graph, within: VertexSet | None, s: VertexSet | None) -> int:
     return atom
 
 
-def _twice_seen(adj: list[int], bits: int) -> int | None:
-    """Vertices with two or more neighbours in ``bits``, or None when
-    ``bits`` is not a clique.
-
-    One pass over the members: ``twice |= once & adj[u]; once |= adj[u]``,
-    with the clique test on the same row, so the cost is O(|bits|) mask
-    operations however many vertices lie outside.
-    """
-    once = twice = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        row = adj[low.bit_length() - 1]
-        if bits & ~row & ~low:
-            return None
-        twice |= once & row
-        once |= row
-    return twice
-
-
 def _prime_convex_bits(adj: list[int], atom: int, bits: int) -> bool:
     if bits == atom:
         return True
-    twice = _twice_seen(adj, bits)
-    return twice is not None and not twice & atom & ~bits
+    return _non_edge(adj, bits) is None and not _fold(adj, bits, 0, 0)[1] & atom & ~bits
 
 
 def prime_is_t_convex(g: Graph, s: VertexSet, *, within: VertexSet | None = None) -> bool:
@@ -103,12 +79,10 @@ def prime_t_hull(g: Graph, s: VertexSet, *, within: VertexSet | None = None) -> 
     atom = _atom_bits(g, within, s)
     bits = s.bits
     adj = g._adj
-    if bits != atom:
-        twice = _twice_seen(adj, bits)
-        if twice is not None:
-            ext = bits | (twice & atom)
-            if _prime_convex_bits(adj, atom, ext):
-                return VertexSet(g.n, ext)
+    if bits != atom and _non_edge(adj, bits) is None:
+        ext = bits | (_fold(adj, bits, 0, 0)[1] & atom)
+        if _prime_convex_bits(adj, atom, ext):
+            return VertexSet(g.n, ext)
     return VertexSet(g.n, atom)
 
 

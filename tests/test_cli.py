@@ -246,6 +246,12 @@ class TestExitCodes:
             ["enumerate-prime", "--generate", f"path:{MAX_VERTICES + 1}"],
             ["hull", "--graph", "capped.col", "--vertices", "0"],
             ["enumerate-prime", "--generate", f"complete:{MAX_COMPLETE_VERTICES + 1}"],
+            # refused at the line that crosses the cap, not after the last
+            # (P_1,000,000 took 2-3 s and 230 MB to be refused at its end):
+            # a path edge list whose line 50,000 names vertex 50,000, and a
+            # DIMACS header past the cap followed by its edge lines
+            ["decompose", "--graph", "long.txt"],
+            ["decompose", "--graph", "long.col"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
@@ -253,6 +259,13 @@ class TestExitCodes:
         (tmp_path / "huge.col").write_text("p edge 1000000000 0\n", encoding="utf-8")
         (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\x00\x01\n")
         (tmp_path / "capped.col").write_text(f"p edge {MAX_VERTICES + 1} 0\n", encoding="utf-8")
+        if "long.txt" in argv:
+            lines = (f"{i} {i + 1}\n" for i in range(999_999))
+            (tmp_path / "long.txt").write_text("".join(lines), encoding="utf-8")
+        if "long.col" in argv:
+            lines = (f"e {i} {i + 1}\n" for i in range(1, 1_000_000))
+            header = "p edge 1000000 999999\n"
+            (tmp_path / "long.col").write_text(header + "".join(lines), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
 
         # main reports OSError as a one-line error, so the alarm raises
@@ -261,7 +274,7 @@ class TestExitCodes:
             raise AssertionError("the argument was not refused in time")
 
         previous = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
         try:
             code = cli.main(argv)
         finally:

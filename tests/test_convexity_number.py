@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from triconvex.bitset import VertexSet
@@ -13,7 +16,7 @@ from triconvex.generators import (
     star_graph,
     triangle_star_graph,
 )
-from triconvex.graph import Graph, connected_components, is_connected
+from triconvex.graph import Graph, _components_bits, is_connected
 from triconvex.oracle import brute_convexity_number
 from triconvex.prime import enumerate_prime_convex_sets
 
@@ -27,9 +30,9 @@ def bfs_extension(g, dec, i, c):
     components that avoid the rest of atom i."""
     remainder = dec.atoms[i].bits & ~c.bits
     out = c.bits
-    for comp in connected_components(g, c):
-        if not comp.bits & remainder:
-            out |= comp.bits
+    for comp, _ in _components_bits(g._adj, ((1 << g.n) - 1) & ~c.bits):
+        if not comp & remainder:
+            out |= comp
     return VertexSet(g.n, out)
 
 
@@ -68,6 +71,88 @@ DIFFERENTIAL_GRAPHS = {
     "triangle_star:1": triangle_star_graph(1),
     "triangle_star:6": triangle_star_graph(6),
 }
+
+
+# Clique sums: pieces glued one at a time along a clique of the graph built
+# so far, so the pieces' cliques become clique separators and the atoms are
+# the pieces (or merge where a glue is not minimal). The pieces are primes
+# with clique numbers 2 to 4.
+PIECES = (
+    (2, [(0, 1)]),
+    (3, [(0, 1), (0, 2), (1, 2)]),
+    (4, list(itertools.combinations(range(4), 2))),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    (5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)]),
+    (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+)
+
+
+def cliques(n, edges, k):
+    """Every k-clique of the graph on 0..n-1 with ``edges``, as tuples."""
+    es = set(edges) | {(b, a) for a, b in edges}
+    return [
+        c
+        for c in itertools.combinations(range(n), k)
+        if all(pair in es for pair in itertools.combinations(c, 2))
+    ]
+
+
+def clique_sum(rng, lo=9, hi=14):
+    """A random clique sum on lo..hi vertices with shuffled labels.
+
+    It starts from a random piece (K2, K3, K4, C4, C5, the wheel W4 or
+    K_{2,3}) and glues random pieces along a random clique of size 1, 1, 2,
+    2 or 3 of the graph so far, size 1 when the graph or the piece has no
+    clique of the size drawn, while n stays at most a cap drawn from lo..hi.
+    """
+    cap = rng.randint(lo, hi)
+    n, edges = rng.choice(PIECES)
+    edges = list(edges)
+    while True:
+        size, piece = rng.choice(PIECES)
+        k = rng.choice((1, 1, 2, 2, 3))
+        here, there = cliques(n, edges, k), cliques(size, piece, k)
+        if not (here and there):
+            k, here, there = 1, [(v,) for v in range(n)], [(v,) for v in range(size)]
+        if n + size - k > cap:
+            if n >= lo:
+                break
+            continue
+        glue = dict(zip(rng.choice(there), rng.sample(rng.choice(here), k)))
+        for v in range(size):
+            if v not in glue:
+                glue[v] = n
+                n += 1
+        edges += [(glue[a], glue[b]) for a, b in piece]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph(n, [(labels[a], labels[b]) for a, b in edges])
+
+
+def relabelled(g, rng):
+    labels = list(range(g.n))
+    rng.shuffle(labels)
+    return Graph(g.n, [(labels[u], labels[v]) for u, v in g.edges()])
+
+
+class TestCliqueSums:
+    def test_generator_builds_connected_reducible_graphs_in_range(self):
+        rng = random.Random(1)
+        graphs = [clique_sum(rng) for _ in range(200)]
+        assert all(9 <= g.n <= 14 and is_connected(g) for g in graphs)
+        assert sum(decompose(g).t > 1 for g in graphs) >= 180
+        assert max(decompose(g).t for g in graphs) >= 5
+
+    def test_matches_bruteforce_and_ignores_labels(self):
+        # past the path oracles' reach (n > 9) the brute force scans every
+        # subset with the polynomial convexity test
+        rng = random.Random(2)
+        for _ in range(1000):
+            g = clique_sum(rng)
+            value = convexity_number(g).value
+            assert value == brute_convexity_number(g), sorted(g.edges())
+            assert convexity_number(relabelled(g, rng)).value == value, sorted(g.edges())
 
 
 class TestConvexExtension:

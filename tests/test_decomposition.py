@@ -11,9 +11,9 @@ from triconvex.decomposition import (
     _has_two_full_components,
     _mcs_m,
     _outside_groups,
+    _pivot_details,
     decompose,
     is_prime,
-    pivots,
     verify_d_ordering,
 )
 from triconvex.convexity_number import convex_extension
@@ -31,8 +31,8 @@ from triconvex.generators import (
 from triconvex.graph import (
     Graph,
     _component_bits,
+    _components_bits,
     _non_edge,
-    connected_components,
     is_connected,
 )
 from triconvex.hull_number import (
@@ -229,17 +229,17 @@ class TestIsPrime:
 class TestPivots:
     def test_bowtie_far_seed_marks_shared_vertex(self, bowtie):
         dec = decompose(bowtie)
-        assert sorted(pivots(bowtie, dec, 0, vs(5, [3]))) == [0]
+        assert _pivot_details(bowtie, dec, 0, vs(5, [3])) == 0b00001
 
     def test_seed_inside_atom_has_no_pivots(self, bowtie):
         dec = decompose(bowtie)
         for i in range(dec.t):
             inside = dec.atoms[i]
-            assert pivots(bowtie, dec, i, inside) == vs(5, [])
+            assert _pivot_details(bowtie, dec, i, inside) == 0
 
     def test_triangle_star_far_leaves(self, tri_star3):
         dec = decompose(tri_star3)
-        assert sorted(pivots(tri_star3, dec, 0, vs(7, [3, 5]))) == [0]
+        assert _pivot_details(tri_star3, dec, 0, vs(7, [3, 5])) == 0b0000001
 
     def test_ridge_locked_pivots_are_found(self):
         # 2 witnesses both shared vertices of the two atoms, although its
@@ -249,7 +249,7 @@ class TestPivots:
         dec = decompose(g)
         assert [sorted(a) for a in dec.atoms] == [[0, 1, 2, 3], [0, 1, 4]]
         s = vs(5, [2])
-        assert sorted(pivots(g, dec, 1, s)) == [0, 1]
+        assert _pivot_details(g, dec, 1, s) == 0b00011
 
 
 # Bowtie atoms: 0 = {0, 1, 2}, 1 = {0, 3, 4}. Every per-atom function
@@ -272,18 +272,11 @@ BAD_ATOM_ARGUMENTS = {
     "satisfies index -1": (lambda g, d: satisfies(g, d, vs(5, [1]), -1), ValidationError),
     "satisfies index t": (lambda g, d: satisfies(g, d, vs(5, [1]), 2), ValidationError),
     "satisfies universe": (lambda g, d: satisfies(g, d, OTHER, 0), ValidationError),
-    "pivots index -1": (lambda g, d: pivots(g, d, -1, vs(5, [3])), ValidationError),
-    "pivots index t": (lambda g, d: pivots(g, d, 2, vs(5, [3])), ValidationError),
-    "pivots universe": (lambda g, d: pivots(g, d, 0, OTHER), ValidationError),
     "extension index -1": (lambda g, d: convex_extension(g, d, -1, vs(5, [0])), ValidationError),
     "extension index 5": (lambda g, d: convex_extension(g, d, 5, vs(5, [0])), ValidationError),
     "extension universe": (lambda g, d: convex_extension(g, d, 0, OTHER), ValidationError),
     "characterization universe": (
         lambda g, d: is_hull_set_by_characterization(g, d, VertexSet(3, 0b011)),
-        ValidationError,
-    ),
-    "pivots other decomposition": (
-        lambda g, d: pivots(g, other_dec(), 3, vs(5, [0])),
         ValidationError,
     ),
     "satisfies other decomposition": (
@@ -296,10 +289,6 @@ BAD_ATOM_ARGUMENTS = {
     ),
     "characterization other decomposition": (
         lambda g, d: is_hull_set_by_characterization(g, other_dec(), vs(5, [0, 1])),
-        ValidationError,
-    ),
-    "pivots same-size decomposition": (
-        lambda g, d: pivots(g, same_size_dec(), 3, vs(5, [0])),
         ValidationError,
     ),
     "satisfies same-size decomposition": (
@@ -352,7 +341,6 @@ def test_decomposition_of_an_equal_graph_is_accepted(bowtie):
     copy = Graph(bowtie.n, bowtie.edges())
     s = vs(5, [1, 3])
     assert copy is not bowtie
-    assert pivots(copy, dec, 0, s) == pivots(bowtie, dec, 0, s)
     assert satisfies(copy, dec, s, 1) == satisfies(bowtie, dec, s, 1)
     assert convex_extension(copy, dec, 0, vs(5, [1])) == convex_extension(
         bowtie, dec, 0, vs(5, [1])
@@ -602,7 +590,7 @@ class TestAgainstReferenceRoute:
 # ---------------------------------------------------------------------------
 # Reference pivot route: one search of G - (F_i & F_j) per distinct overlap,
 # with the qualifying atoms j kept, and condition 2 taking its candidates
-# outside F_j. pivots and satisfies must give the same masks and verdicts.
+# outside F_j. _pivot_details and satisfies must give the same masks and verdicts.
 
 
 def reference_pivot_details(g, dec, i, s):
@@ -623,10 +611,10 @@ def reference_pivot_details(g, dec, i, s):
             continue
         comps = comp_cache.get(shared)
         if comps is None:
-            comps = connected_components(g, VertexSet(g.n, shared))
+            comps = [c for c, _ in _components_bits(g._adj, ((1 << g.n) - 1) & ~shared)]
             comp_cache[shared] = comps
         seed = (rest & -rest).bit_length() - 1
-        comp = next(c.bits for c in comps if seed in c)
+        comp = next(c for c in comps if (c >> seed) & 1)
         if comp & (f_bits & ~shared):
             continue
         if comp & s_out:
@@ -703,7 +691,7 @@ class TestAgainstReferencePivots:
                     expected = 0
                     for _, shared in reference_pivot_details(g, dec, i, s):
                         expected |= shared
-                    assert pivots(g, dec, i, s).bits == expected, (sorted(g.edges()), i, sorted(s))
+                    assert _pivot_details(g, dec, i, s) == expected, (sorted(g.edges()), i, sorted(s))
                     assert satisfies(g, dec, s, i) == reference_satisfies(g, dec, s, i), (
                         sorted(g.edges()),
                         i,
@@ -752,9 +740,8 @@ class TestOutsideGroups:
 
 
 def _separates(g, sep, a, b):
-    comps = connected_components(g, sep)
-    ca = next(c for c in comps if a in c)
-    return b not in ca
+    reach = _component_bits(g._adj, ((1 << g.n) - 1) & ~sep.bits, 1 << a)
+    return not (reach >> b) & 1
 
 
 def _is_chordal(g):

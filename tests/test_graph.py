@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from triconvex.bitset import VertexSet
+from triconvex.bitset import VertexSet, bit_members
 from triconvex.errors import ParseError, ValidationError
 from triconvex.graph import (
     Graph,
-    connected_components,
+    _components_bits,
     is_connected,
     load_graph,
     parse_dimacs,
@@ -96,7 +96,7 @@ class TestParsing:
     def test_non_utf8_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_bytes(b"0 1\n\xff 2\n")
-        with pytest.raises(ParseError, match="not UTF-8"):
+        with pytest.raises(ParseError, match=r"not UTF-8 \(invalid start byte at byte 4\)"):
             load_graph(str(path))
 
     @given(graphs(max_n=8))
@@ -105,33 +105,40 @@ class TestParsing:
         assert parse_dimacs(to_dimacs(g)) == g
 
 
+def components(g, removed=0):
+    """(D, N(D)) of each component D of G - removed, by min vertex, as masks."""
+    return _components_bits(g._adj, ((1 << g.n) - 1) & ~removed)
+
+
 class TestComponents:
     def test_path_cut(self, p4):
-        comps = connected_components(p4, VertexSet.from_iterable(4, [1]))
-        assert [sorted(c) for c in comps] == [[0], [2, 3]]
+        assert components(p4, 0b0010) == [(0b0001, 0b0010), (0b1100, 0b0010)]
 
     def test_whole_graph_when_nothing_removed(self, c5):
-        comps = connected_components(c5)
-        assert len(comps) == 1 and len(comps[0]) == 5
+        assert components(c5) == [(0b11111, 0)]
 
     def test_cycle_cut(self, c5):
-        comps = connected_components(c5, VertexSet.from_iterable(5, [0, 2]))
-        assert [sorted(c) for c in comps] == [[1], [3, 4]]
+        assert components(c5, 0b00101) == [(0b00010, 0b00101), (0b11000, 0b00101)]
 
     @given(graphs_with_subsets(max_n=9))
     def test_partition_with_no_crossing_edges(self, case):
         g, removed = case
-        comps = connected_components(g, removed)
+        comps = components(g, removed.bits)
         seen = 0
-        for c in comps:
-            assert c.bits & removed.bits == 0
-            assert c.bits & seen == 0
-            seen |= c.bits
+        for c, boundary in comps:
+            assert c and c & removed.bits == 0
+            assert c & seen == 0
+            seen |= c
+            reach = 0
+            for v in bit_members(c):
+                reach |= g._adj[v]
+            assert boundary == reach & removed.bits
         assert seen == ((1 << g.n) - 1) & ~removed.bits
-        for a in comps:
-            for b in comps:
-                if a is not b:
-                    assert not any(g._adj[v] & b.bits for v in a)
+        assert [c & -c for c, _ in comps] == sorted(c & -c for c, _ in comps)
+        for a, _ in comps:
+            for b, _ in comps:
+                if a != b:
+                    assert not any(g._adj[v] & b for v in bit_members(a))
 
 
 class TestShortestPath:

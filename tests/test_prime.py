@@ -7,7 +7,7 @@ import pytest
 
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import is_t_convex, t_convex_hull
-from triconvex.decomposition import decompose, is_prime, pivots
+from triconvex.decomposition import _pivot_details, decompose, is_prime
 from triconvex.generators import complete_graph, cycle_graph, random_connected_graph
 from triconvex.graph import Graph, is_connected
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
@@ -254,7 +254,7 @@ def atom_seeds(g, dec, i, rng):
     seeds.append(clique | (1 << rng.choice(members)))
     if i:
         seeds.append(dec.r_sets[i - 1].bits)
-    seeds.append(pivots(g, dec, i, VertexSet(g.n, ((1 << g.n) - 1) & ~atom)).bits)
+    seeds.append(_pivot_details(g, dec, i, VertexSet(g.n, ((1 << g.n) - 1) & ~atom)))
     return seeds
 
 

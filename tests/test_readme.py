@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+import triconvex
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -26,3 +28,14 @@ def test_library_example_matches_its_comments():
     assert [sorted(r) for r in dec.r_sets] == [[0]]
     assert sorted(namespace["hull"]) == [0, 1, 2, 3, 4]
     assert out.getvalue().split() == ["3", "2"]
+
+
+def test_every_export_is_named_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in triconvex.__all__ if f"`{name}`" not in text] == []
+
+
+def test_every_name_the_example_imports_is_exported():
+    imported = re.search(r"from triconvex import \((.*?)\)", library_block(), re.S).group(1)
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert names and set(names) <= set(triconvex.__all__)
