@@ -29,6 +29,8 @@ class VertexSet:
         bits = 0
         for v in vertices:
             if not 0 <= v < n:
+                if not n:
+                    raise ValueError(f"vertex {v}: the graph has no vertices")
                 raise ValueError(f"vertex {v} outside universe 0..{n - 1}")
             bits |= 1 << v
         return cls(n, bits)

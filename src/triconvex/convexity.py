@@ -25,13 +25,18 @@ O(n) mask operations.
 Both the hull and the convexity test first drop the member-free pendant
 trees: a path entering one has no way back out, so no path joins two
 members, of S or of any superset that avoids the trees, through one. The
-graph's pendant forest is built once and cached on it
-(``graph._pendant_forest``), and ``_kept_core`` reads the core a set keeps
-off it in O(|S| + the paths walked) mask operations. The hull's rounds and
-mono scans run on that core, and so does the convexity test's mono scan;
-its witness pick (``_mono_violation``) widens a violating component to
-its whole component of G - S by one ``graph._component_bits`` search of
-the dropped trees.
+graph's pendant forest, with each forest vertex's depth and tree
+component, is built once and cached on it (``graph._pendant_forest``), and
+``_kept_core`` reads off it what a set keeps: the 2-core, the walks from
+the members on trees hung from it up to the first kept vertex, and in each
+tree component the tree paths between its members, in O(|S| + the forest
+vertices kept) steps. Every path of a tree is induced, so a tree
+component's kept part is its part of the hull and joins the hull with no
+round: the hull's folds, crossings and scans run only on the kept part
+that meets the 2-core, and on a forest none runs. The convexity test's
+mono scan runs on the whole kept set; its witness pick
+(``_mono_violation``) widens a violating component to its whole component
+of G - S by one ``graph._component_bits`` search of the dropped trees.
 """
 
 from __future__ import annotations
@@ -88,42 +93,52 @@ def _p3_violation(adj: list[int], bits: int) -> int | None:
     return None
 
 
-def _kept_core(g: Graph, bits: int) -> int:
-    """What deleting, again and again, a non-member of ``bits`` with at most
-    one neighbour left keeps of G, read off the cached pendant forest.
+def _kept_core(g: Graph, bits: int) -> tuple[int, int]:
+    """``(core, trees)``: what deleting, again and again, a non-member of
+    ``bits`` with at most one neighbour left keeps of G, read off the cached
+    pendant forest, split into the part that meets the 2-core or hangs from
+    it and the part in tree components.
 
     The 2-core is never deleted and neither is a member. A forest vertex
     stays exactly when a member hangs below it, on a tree hung from the
     core, or when it lies on a path between two members, in a tree
-    component. So each member outside the core walks ``parent`` up to the
-    first vertex already kept, and in a tree component the walks end at its
-    root; a root that is no member and has one kept neighbour (its kept
-    child) is dropped, and its child becomes the root, until a member or a
-    vertex with two kept children tops the tree. O(|S| + the vertices
-    walked) mask operations.
+    component. So each member on a hung tree walks ``parent`` up to the
+    first vertex already kept. In a tree component the kept part is the
+    union of the tree paths between its members: ``top`` is the meeting
+    point of the members so far, the one kept vertex closest to the root,
+    and each new member climbs against it, deeper side first, until the two
+    sides meet, or until the member's side reaches a kept vertex, below
+    ``top``. O(|S| + the vertices kept off the core) steps, each one or two
+    mask operations.
     """
-    core, parent = _pendant_forest(g)
+    core, parent, depth, tree = _pendant_forest(g)
     kept = core | bits
-    roots = []
+    trees = 0
+    tops = {}
     for v in bit_members(bits & ~core):
-        while True:
+        t = tree[v]
+        if t < 0:
             p = parent[v]
-            if p < 0:
-                roots.append(v)
+            while not (kept >> p) & 1:
+                kept |= 1 << p
+                p = parent[p]
+            continue
+        trees |= 1 << v
+        top = tops.setdefault(t, v)
+        while depth[v] > depth[top]:
+            v = parent[v]
+            if (trees >> v) & 1:
                 break
-            if (kept >> p) & 1:
-                break
-            kept |= 1 << p
-            v = p
-    adj = g._adj
-    for r in roots:
-        while not (bits >> r) & 1:
-            below = adj[r] & kept
-            if below & (below - 1):
-                break
-            kept ^= 1 << r
-            r = below.bit_length() - 1
-    return kept
+            trees |= 1 << v
+        else:
+            while depth[top] > depth[v]:
+                top = parent[top]
+                trees |= 1 << top
+            while v != top:
+                v, top = parent[v], parent[top]
+                trees |= (1 << v) | (1 << top)
+            tops[t] = top
+    return kept & ~trees, trees
 
 
 def _violating_components(
@@ -241,7 +256,8 @@ def is_m_convex(g: Graph, s: VertexSet) -> bool:
     """
     _check_universe(g, s)
     bits = s.bits
-    return next(_violating_components(g._adj, _kept_core(g, bits), bits), None) is None
+    core, trees = _kept_core(g, bits)
+    return next(_violating_components(g._adj, core | trees, bits), None) is None
 
 
 def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
@@ -256,7 +272,8 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     v = _p3_violation(g._adj, s.bits)
     if v is not None:
         return False, ConvexityWitness(kind="p3-violation", vertex=v)
-    hit = _mono_violation(g._adj, s.bits, _kept_core(g, s.bits))
+    core, trees = _kept_core(g, s.bits)
+    hit = _mono_violation(g._adj, s.bits, core | trees)
     if hit is not None:
         u, v, comp = hit
         return False, ConvexityWitness(
@@ -267,11 +284,15 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 def _hull_bits(g: Graph, bits: int) -> int:
     """Closure of ``bits``: p3 rounds from one member fold and mono rounds,
-    on the core ``_kept_core`` keeps of G for ``bits``.
+    on the core side of what ``_kept_core`` keeps of G for ``bits``.
 
     The dropped trees hold no member and each hangs from at most one kept
     vertex, so no path between members of S, or of any superset that avoids
-    them, enters one: the closure runs on the core alone.
+    them, enters one. A tree component's kept part is the union of the tree
+    paths between its members; every path of a tree is induced, so that is
+    its part of the hull, added at once. The closure runs on the rest, the
+    kept part that meets the 2-core, from the members there; with none of
+    them it returns the tree paths with no round.
 
     Each round folds (``graph._fold``) only the members added since the last
     one, so the p3 work over the whole hull is O(|hull|) mask operations,
@@ -291,7 +312,8 @@ def _hull_bits(g: Graph, bits: int) -> int:
     order vertices join in does not change the hull.
     """
     adj = g._adj
-    core = _kept_core(g, bits)
+    core, trees = _kept_core(g, bits)
+    bits &= core
     once = twice = 0
     new = bits
     border = 0
@@ -303,7 +325,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
         if not new:
             alive = core & ~bits
             if not alive:
-                return bits
+                return bits | trees
             if not scan:
                 for u in bit_members(border):
                     row = adj[u]
@@ -315,25 +337,28 @@ def _hull_bits(g: Graph, bits: int) -> int:
                         new = _forced_paths(adj, alive, u, missing)
                         break
                 else:
-                    return bits
+                    return bits | trees
                 scan = not new
             if scan:
                 for u, missing, comp, _ in _violating_components(adj, core, bits):
                     new |= _forced_paths(adj, comp, u, missing)
                 if not new:
-                    return bits
+                    return bits | trees
         bits |= new
 
 
 def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     """The minimum convex superset of s.
 
-    It is taken as a closure (see ``_hull_bits``) on the core left once the
-    pendant trees holding no member of s are dropped: a triangle path
+    The pendant trees holding no member of s are dropped: a triangle path
     between two members that entered one would have to leave it the way it
-    came. Cost: O(|hull|) mask operations for all the rounds that absorb
-    outside vertices seen twice, and O(n) for each mono round, each of
-    which but the last absorbs a vertex.
+    came. In a tree component the hull is the union of the tree paths
+    between the members there, taken with no round. On the part that meets
+    the 2-core it is a closure (see ``_hull_bits``). Cost: O(|S| + the
+    forest vertices kept) steps to find what is kept, then, only when a
+    member lies on the core side, O(|hull|) mask operations for all the
+    rounds that absorb outside vertices seen twice, and O(n) for each mono
+    round, each of which but the last absorbs a vertex.
     """
     _check_universe(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

@@ -25,9 +25,9 @@ MAX_VERTICES = 50_000
 class Graph:
     """An immutable simple undirected graph on vertices ``0..n-1``.
 
-    ``_forest`` caches the graph's pendant forest, ``(core, parent)`` from
-    :func:`_pendant_forest`, filled on first use: the hull and the
-    convexity test keep only the part of it that a vertex set needs.
+    ``_forest`` caches the graph's pendant forest, ``(core, parent, depth,
+    tree)`` from :func:`_pendant_forest`, filled on first use: the hull and
+    the convexity test keep only the part of it that a vertex set needs.
     """
 
     __slots__ = ("n", "_adj", "_m", "_forest")
@@ -63,6 +63,8 @@ class Graph:
 
     def neighbors(self, v: int) -> VertexSet:
         if not 0 <= v < self.n:
+            if not self.n:
+                raise ValidationError(f"vertex {v}: the graph has no vertices")
             raise ValidationError(f"vertex {v} outside 0..{self.n - 1}")
         return VertexSet(self.n, self._adj[v])
 
@@ -148,9 +150,9 @@ def _component_bits(adj: list[int], alive: int, seeds: int) -> int:
     return comp
 
 
-def _pendant_forest(g: Graph) -> tuple[int, list[int]]:
-    """``(core, parent)``: the 2-core of G and, for every other vertex v,
-    ``parent[v]``, built once per graph and cached on it.
+def _pendant_forest(g: Graph) -> tuple[int, list[int], list[int], list[int]]:
+    """``(core, parent, depth, tree)``: the 2-core of G and, for every other
+    vertex v, its forest links, built once per graph and cached on it.
 
     One peel deletes, while it can, a vertex with at most one neighbour
     left; ``core`` is what is left. ``parent[v]`` is v's one neighbour left
@@ -158,8 +160,13 @@ def _pendant_forest(g: Graph) -> tuple[int, list[int]]:
     component). Every other neighbour of v was deleted before it, with v as
     its parent, so the deleted vertices form a forest: trees hung from one
     core vertex each, and whole tree components rooted at their -1 vertex.
-    One pass: each vertex is deleted at most once, with one degree update,
-    so O(n) mask operations after the n row popcounts.
+    ``depth[v]`` is v's distance to its tree component's root, or to the
+    core vertex its tree hangs from, and ``tree[v]`` is that root, or -1 on
+    a hung tree; a core vertex has depth 0 and tree -1. A parent is deleted
+    after its children, so one pass over the peel order in reverse fills
+    both from the parents, with no mask operation. Each vertex is deleted
+    at most once, with one degree update, so O(n) mask operations after the
+    n row popcounts.
     """
     forest = g._forest
     if forest is None:
@@ -167,10 +174,12 @@ def _pendant_forest(g: Graph) -> tuple[int, list[int]]:
         degree = [a.bit_count() for a in adj]
         parent = [-1] * g.n
         core = (1 << g.n) - 1
+        order = []
         # a vertex is pushed once: at degree <= 1, or when its degree drops to 1
         stack = [v for v, d in enumerate(degree) if d <= 1]
         while stack:
             v = stack.pop()
+            order.append(v)
             core ^= 1 << v
             rest = adj[v] & core
             if rest:
@@ -179,7 +188,16 @@ def _pendant_forest(g: Graph) -> tuple[int, list[int]]:
                 degree[w] -= 1
                 if degree[w] == 1:
                     stack.append(w)
-        forest = g._forest = (core, parent)
+        depth = [0] * g.n
+        tree = [-1] * g.n
+        for v in reversed(order):
+            p = parent[v]
+            if p < 0:
+                tree[v] = v
+            else:
+                tree[v] = tree[p]
+                depth[v] = depth[p] + 1
+        forest = g._forest = (core, parent, depth, tree)
     return forest
 
 

@@ -22,6 +22,8 @@ def test_rejects_out_of_universe():
         VertexSet.from_iterable(4, [4])
     with pytest.raises(ValueError):
         VertexSet(3, 1 << 5)
+    with pytest.raises(ValueError, match="^vertex 0: the graph has no vertices$"):
+        VertexSet.from_iterable(0, [0])
 
 
 def test_mixed_universes_rejected():

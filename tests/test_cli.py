@@ -252,12 +252,15 @@ class TestExitCodes:
             # DIMACS header past the cap followed by its edge lines
             ["decompose", "--graph", "long.txt"],
             ["decompose", "--graph", "long.col"],
+            # a vertex of a graph with no vertices, once "outside 0..-1"
+            ["hull", "--graph", "empty.txt", "--vertices", "0"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
         (tmp_path / "huge.txt").write_text("999999999\n", encoding="utf-8")
         (tmp_path / "huge.col").write_text("p edge 1000000000 0\n", encoding="utf-8")
         (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\x00\x01\n")
+        (tmp_path / "empty.txt").write_text("", encoding="utf-8")
         (tmp_path / "capped.col").write_text(f"p edge {MAX_VERTICES + 1} 0\n", encoding="utf-8")
         if "long.txt" in argv:
             lines = (f"{i} {i + 1}\n" for i in range(999_999))

@@ -11,10 +11,11 @@ Each form is first confirmed against the brute-force oracles on small
 members of its family, then asserted at sizes the oracles cannot reach.
 
 A tree's hull of S is the union of its paths between members of S, checked
-on 10,000-vertex trees against parent-pointer walks; for a pair, the hull
-and the convexity test search nothing off the path between them. A tree's atoms are its
-edges, and a D-ordering places each edge after one that shares its single
-overlap vertex; that is checked on 10,000-vertex trees.
+on 10,000-vertex trees against parent-pointer walks; for a pair, the
+convexity test searches nothing off the path between them, and the hull
+searches nothing at all and reads parent links only on that path. A tree's
+atoms are its edges, and a D-ordering places each edge after one that
+shares its single overlap vertex; that is checked on 10,000-vertex trees.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from triconvex.convexity import is_t_convex, is_t_hull_set, t_convex_hull
 from triconvex.convexity_number import convexity_number
 from triconvex.decomposition import decompose
 from triconvex.generators import complete_graph, cycle_graph, path_graph, star_graph
-from triconvex.graph import Graph
+from triconvex.graph import Graph, _pendant_forest
 from triconvex.hull_number import hull_number
 from triconvex.oracle import brute_convexity_number, brute_hull_number
 
@@ -180,3 +181,39 @@ def test_pair_queries_search_only_their_tree_path(monkeypatch):
         assert is_t_convex(g, s)[0] == (path.bit_count() <= 2)
         assert searched, pair
         assert not any(alive & ~path for alive in searched), pair
+
+
+class ReadLog(list):
+    """A list that records which indices are read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name", ["path:10000", "random recursive tree:10000"])
+def test_pair_hulls_climb_only_their_tree_path(monkeypatch, name):
+    # a work guard, not a clock: a pair's hull in a tree component is its
+    # tree path, read off parent links on that path alone, with no
+    # component search and no crossing
+    g = TREES_AT_SCALE[name]
+    called = []
+    for attr in ("_components_bits", "_forced_paths"):
+        real = getattr(convexity, attr)
+        monkeypatch.setattr(
+            convexity, attr, lambda *args, real=real, attr=attr: called.append(attr) or real(*args)
+        )
+    forest = _pendant_forest(g)
+    parent = ReadLog(forest[1])
+    monkeypatch.setattr(g, "_forest", (forest[0], parent, *forest[2:]))
+    rng = random.Random(name)
+    for pair in [(0, g.n - 1)] + [rng.sample(range(g.n), 2) for _ in range(6)]:
+        path = tree_path_union(g, pair)
+        parent.read.clear()
+        assert set(t_convex_hull(g, VertexSet.from_iterable(g.n, pair))) == path, pair
+        assert not called, (pair, called)
+        assert parent.read <= path, (pair, len(parent.read - path))

@@ -38,6 +38,12 @@ def vs(n, items):
     return VertexSet.from_iterable(n, items)
 
 
+def kept_bits(g, bits):
+    """All that ``_kept_core`` keeps: its core side and its tree paths."""
+    core, trees = _kept_core(g, bits)
+    return core | trees
+
+
 class TestP3Convexity:
     def test_two_vertices_of_a_clique_are_seen_twice(self, k4):
         assert not is_p3_convex(k4, vs(4, [0, 1]))
@@ -403,7 +409,7 @@ class TestAgainstRestartRoute:
                     expected = reference_mono_violation(g, s_bits)
                     context = (g.n, sorted(g.edges()), bin(s_bits))
                     assert _mono_violation(g._adj, s_bits, full) == expected, context
-                    kept = _kept_core(g, s_bits)
+                    kept = kept_bits(g, s_bits)
                     assert _mono_violation(g._adj, s_bits, kept) == expected, context
                     assert is_m_convex(g, VertexSet(g.n, s_bits)) == (expected is None), context
                     witnesses += expected is not None
@@ -587,7 +593,7 @@ class TestMonoStep:
                 sets = []
                 hull = reference_hull_bits(g, bits, sets)
                 for s_bits in sets:
-                    alive = _kept_core(g, s_bits) & ~s_bits
+                    alive = kept_bits(g, s_bits) & ~s_bits
                     routes = [route[:3] for route in _violating_components(adj, full, s_bits)]
                     for u in bit_members(s_bits):
                         missing = s_bits & ~adj[u] & ~(1 << u)
@@ -822,11 +828,12 @@ class TestKeptCore:
         for g, seeds in cases:
             full = (1 << g.n) - 1
             for bits in seeds:
-                kept = _kept_core(g, bits)
+                kept = kept_bits(g, bits)
                 context = (g.n, sorted(g.edges()), bin(bits))
                 assert kept == full & ~reference_peel(g, bits), context
-                # walks that run on to the forest roots keep more: the trim ran
-                core, parent = g._forest
+                # walks that run on to the forest roots keep more than the
+                # member paths do
+                core, parent, _, _ = g._forest
                 walked = core | bits
                 for v in bit_members(bits & ~core):
                     while parent[v] >= 0:
@@ -844,6 +851,73 @@ class TestKeptCore:
         assert g._forest is forest
         sub, _ = g.induced(VertexSet.full(g.n))
         assert sub._forest is None and sub == g
+
+
+def member_tree_paths(g, parts, bits):
+    """The union, over the tree components ``parts``, of the tree paths
+    between the members of ``bits`` in each: parent pointers from the first
+    member, and every member's path up to it."""
+    union = 0
+    for part in parts:
+        members = [v for v in part if (bits >> v) & 1]
+        if not members:
+            continue
+        parent = {members[0]: None}
+        queue = [members[0]]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        for v in members:
+            while v is not None:
+                union |= 1 << v
+                v = parent[v]
+    return union
+
+
+def shuffled_path(n, seed):
+    """P_n under a random relabelling, so the peel meets its vertices in no
+    particular order."""
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    return relabelled(path_graph(n), label)
+
+
+class TestTreeComponentPaths:
+    def test_kept_parts_and_hulls_match_the_references(self):
+        # 1-10 members in some of the tree components, and in the core-plus-
+        # trees graph sometimes in its core part too: the tree side is the
+        # union of member tree paths, the rest is the sweep peel's
+        rng = random.Random(67)
+        cases = [(g, parts, 6) for g, parts in forest_graphs()]
+        cases.append((shuffled_path(2000, 5), [list(range(2000))], 3))
+        cases += [
+            (random_recursive_tree(n, seed), [list(range(n))], 6)
+            for n, seed in ((40, 2), (300, 3), (1000, 4))
+        ]
+        climbs = 0
+        for g, parts, reps in cases:
+            full = (1 << g.n) - 1
+            in_trees = sum(1 << v for part in parts for v in part)
+            for _ in range(reps):
+                bits = 0
+                for part in parts:
+                    if len(parts) == 1 or rng.random() < 0.7:
+                        size = min(rng.randint(1, 10), len(part))
+                        bits |= sum(1 << v for v in rng.sample(part, size))
+                if full & ~in_trees and rng.random() < 0.5:
+                    bits |= sum(1 << v for v in rng.sample(list(bit_members(full & ~in_trees)), 2))
+                core, trees = _kept_core(g, bits)
+                paths = member_tree_paths(g, parts, bits)
+                context = (g.n, sorted(g.edges()), bin(bits))
+                assert trees == paths, context
+                assert core | trees == full & ~reference_peel(g, bits), context
+                hull = t_convex_hull(g, VertexSet(g.n, bits)).bits
+                assert hull == reference_hull_bits(g, bits), context
+                assert hull & in_trees == paths, context
+                climbs += (paths & ~bits).bit_count() > 1
+        assert climbs > 30
 
 
 def p3_closure(g, bits):
@@ -893,7 +967,7 @@ class TestWitnessesOnTheKeptCore:
         # comes first by its minimum, which lies in the dropped leaf
         g = Graph(9, [(1, 3), (3, 4), (4, 5), (5, 2), (2, 6), (6, 7), (7, 8), (8, 1), (0, 7)])
         s = 0b110
-        assert _kept_core(g, s) == 0b111111110
+        assert kept_bits(g, s) == 0b111111110
         assert t_convex_tuple(g, s) == (False, "mono-violation", None, (1, 2), 0b111000001)
         assert t_convex_tuple(g, s) == full_graph_t_convex(g, s)
         assert not is_m_convex(g, VertexSet(9, s))
@@ -915,7 +989,7 @@ class TestWitnessesOnTheKeptCore:
                     assert is_m_convex(g, s) == (full_graph_mono(g, s_bits) is None), context
                     if expected[1] == "mono-violation":
                         witnesses += 1
-                        widened += bool(expected[4] & ~_kept_core(g, s_bits))
+                        widened += bool(expected[4] & ~kept_bits(g, s_bits))
         assert witnesses > 500 and widened > 300
 
 

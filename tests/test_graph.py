@@ -44,6 +44,10 @@ class TestGraph:
         with pytest.raises(ValidationError):
             bowtie.degree(v)
 
+    def test_row_of_a_graph_with_no_vertices_says_so(self):
+        with pytest.raises(ValidationError, match="^vertex 0: the graph has no vertices$"):
+            Graph(0).neighbors(0)
+
     @pytest.mark.parametrize("u, v", [(0, -1), (-1, 0), (0, 5), (5, 0), (-1, 7)])
     def test_edge_with_an_unknown_end_is_absent(self, bowtie, u, v):
         assert not bowtie.has_edge(u, v)
