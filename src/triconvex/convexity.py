@@ -4,21 +4,29 @@ A set S is convex exactly when no outside vertex has two neighbours in S
 and no two non-adjacent members of S have neighbours in a common component
 of G - S. Every vertex either repair adds lies in the hull, so the hull is
 a closure taken in rounds: one round absorbs every outside vertex seen
-twice, read off the member fold ``graph._fold``, which each round extends
-by the members it added. Only when no such vertex is left does a mono
-round run. It crosses from a member first: one BFS through the rest of
-G - S from the first member u with a neighbour there and a non-neighbour
-in S absorbs every shortest path from u to each non-neighbour it reaches.
-Only when that absorbs nothing does a mono scan run, and the rest of the
-closure keeps to scans: one search of G - S, and in every component D
-whose attached members N(D) are not a clique, the same BFS, through D
-alone, from the first member u with a non-neighbour in N(D). So a closure
-wastes at most one member search, and needs at most one scan to show that
-it is closed. The fold costs O(|hull|) mask operations per hull. The
-convexity test checks the outside condition over the smaller side, the
-members or the outside vertices, so a pair costs two row ORs. Every mono
-scan is ``_violating_components``, the one scan of G - S: it reads the
-members attached to each component D of G - S off the boundary N(D) that
+twice, over the smaller side. While the members added since the last fold
+are no more than the vertices left outside, the round reads them off the
+member fold ``graph._fold``, extended by those members; once they
+outnumber what is left, it counts the members of each outside vertex
+instead (``_seen_twice``), and the next fold takes the members it skipped.
+Each member is folded at most once and a count round reads fewer rows than
+the members it skips, so all these rounds cost O(|hull|) mask operations
+per hull, and a closure that leaves nothing outside stops with no round.
+Only when no vertex is seen twice does a mono round run. It crosses from a
+member first: a search through the rest of G - S from the first member u
+with a neighbour there and a non-neighbour in S absorbs every shortest
+path from u to each non-neighbour it reaches. With one such non-neighbour
+t the search meets in the middle, growing the smaller of the two sides'
+newest levels (``_forced_paths``). Only when that absorbs nothing does a
+mono scan run, and the rest of the closure keeps to scans: one search of
+G - S, and in every component D whose attached members N(D) are not a
+clique, the same crossing, through D alone, from the first member u with a
+non-neighbour in N(D). So a closure wastes at most one member search, and
+needs at most one scan to show that it is closed. The convexity test
+checks the outside condition over the smaller side too, the members or
+the outside vertices, so a pair costs two row ORs. Every mono scan is
+``_violating_components``, the one scan of G - S: it reads the members
+attached to each component D of G - S off the boundary N(D) that
 ``graph._components_bits`` returns with D, so one scan is one search:
 O(n) mask operations.
 
@@ -73,24 +81,32 @@ class ConvexityWitness:
     component: VertexSet | None = None
 
 
+def _seen_twice(adj: list[int], bits: int, outside: int) -> Iterator[int]:
+    """The vertices of ``outside`` with two or more neighbours in ``bits``, by
+    increasing id: the outside count, one row read per vertex of ``outside``
+    however many members there are. ``_p3_violation`` takes the first, the
+    hull's count rounds all of them."""
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        v = low.bit_length() - 1
+        if (adj[v] & bits).bit_count() > 1:
+            yield v
+
+
 def _p3_violation(adj: list[int], bits: int) -> int | None:
     """Smallest outside vertex with two or more neighbours inside, if any.
 
     The smaller side is scanned: with at most half the vertices inside, the
     member fold (``graph._fold``) marks every vertex seeing two members;
-    otherwise each outside vertex counts its neighbours inside.
+    otherwise the outside count (``_seen_twice``) checks each outside vertex
+    in id order and stops at the first.
     """
     outside = ((1 << len(adj)) - 1) & ~bits
     if bits.bit_count() <= outside.bit_count():
         twice = _fold(adj, bits, 0, 0)[1] & outside
         return (twice & -twice).bit_length() - 1 if twice else None
-    while outside:
-        low = outside & -outside
-        outside ^= low
-        v = low.bit_length() - 1
-        if (adj[v] & bits).bit_count() >= 2:
-            return v
-    return None
+    return next(_seen_twice(adj, bits, outside), None)
 
 
 def _kept_core(g: Graph, bits: int) -> tuple[int, int]:
@@ -194,6 +210,16 @@ def _mono_violation(adj: list[int], bits: int, core: int) -> tuple[int, int, int
     return best
 
 
+def _reach(adj: list[int], bits: int) -> int:
+    """Every neighbour of a member of ``bits``: one row OR per member."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
+
+
 def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
     """Inner vertices of every shortest u-t path through ``alive``, for each
     target t that a BFS from ``u`` through ``alive`` reaches.
@@ -201,27 +227,54 @@ def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
     The hull's one crossing routine: its member search passes the core minus
     S and every non-neighbour of u in S, its scan one violating component
     and the attached members u misses. No target is ``u`` or adjacent to it,
-    and none is alive. One forward BFS from ``u`` stays inside ``alive``
+    and none is alive. A shortest u-t path with its inside in G - S is
+    induced, as a chord would shorten it, so it is a triangle path and all
+    its vertices lie in the hull.
+
+    One target t meets in the middle: levels grow from u and from t through
+    ``alive``, the smaller newest level first, until a new level meets what
+    the other side has seen. The seen sets were disjoint before, so that
+    meeting set lies in the other side's newest level and holds every inner
+    vertex at its distance from u; a side that runs dry first leaves u and t
+    apart. Each side then sweeps back from the meeting set through its
+    earlier levels, keeping the vertices next to one kept a level later.
+    With t two steps away the meeting set is ``adj[u] & adj[t] & alive``,
+    with no sweep.
+
+    More targets take one forward BFS from ``u`` that stays inside ``alive``
     until every target is reached or the levels run out; ``grown`` is all a
     level reaches, so one ``grown & targets`` per level finds the targets
     first reached from it. One backward sweep then keeps, level by level
     from the deepest, the vertices next to a target first reached from their
     level or to a vertex kept one level deeper: exactly the inner vertices
-    of the shortest paths. A shortest u-t path with its inside in G - S is
-    induced, as a chord would shorten it, so it is a triangle path and all
-    its vertices lie in the hull. O(the vertices searched + the targets) row
-    ORs.
+    of the shortest paths. Either way O(the vertices searched + the targets)
+    row ORs, and the meeting reads the rows of the smaller side at each
+    step.
     """
+    if not targets & (targets - 1):
+        ends = [[adj[u] & alive], [adj[targets.bit_length() - 1] & alive]]
+        seen = [ends[0][0], ends[1][0]]
+        meet = seen[0] & seen[1]
+        while not meet:
+            i = int(ends[0][-1].bit_count() > ends[1][-1].bit_count())
+            grown = _reach(adj, ends[i][-1]) & alive & ~seen[i]
+            if not grown:
+                return 0
+            meet = grown & seen[1 - i]
+            seen[i] |= grown
+            ends[i].append(grown)
+        inner = meet
+        for levels in ends:
+            kept = meet
+            for level in reversed(levels[:-1]):
+                kept = level & _reach(adj, kept)
+                inner |= kept
+        return inner
     levels = [adj[u] & alive]
     hits = []
     seen = levels[0]
     while True:
-        grown = 0
-        f = levels[-1]
-        while f:
-            low = f & -f
-            f ^= low
-            grown |= adj[low.bit_length() - 1]
+        grown = _reach(adj, levels[-1])
         hit = grown & targets
         targets ^= hit
         hits.append(hit)
@@ -232,13 +285,7 @@ def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
         levels.append(grown)
     inner = kept = 0
     for level, hit in zip(reversed(levels), reversed(hits)):
-        f = kept | hit
-        reach = 0
-        while f:
-            low = f & -f
-            f ^= low
-            reach |= adj[low.bit_length() - 1]
-        kept = level & reach
+        kept = level & _reach(adj, kept | hit)
         inner |= kept
     return inner
 
@@ -283,7 +330,7 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
 
 
 def _hull_bits(g: Graph, bits: int) -> int:
-    """Closure of ``bits``: p3 rounds from one member fold and mono rounds,
+    """Closure of ``bits``: p3 rounds over the smaller side and mono rounds,
     on the core side of what ``_kept_core`` keeps of G for ``bits``.
 
     The dropped trees hold no member and each hangs from at most one kept
@@ -294,38 +341,50 @@ def _hull_bits(g: Graph, bits: int) -> int:
     kept part that meets the 2-core, from the members there; with none of
     them it returns the tree paths with no round.
 
-    Each round folds (``graph._fold``) only the members added since the last
-    one, so the p3 work over the whole hull is O(|hull|) mask operations,
-    and absorbs all of ``twice & ~bits`` at once (a dropped vertex sees at
-    most one member). A p3-closed set gets a mono round. It first crosses, by
-    ``_forced_paths`` through all of ``alive`` (the core minus S), from the
-    first member u with a neighbour in ``alive`` and a non-neighbour in S.
-    ``border`` holds the members that may still have an alive neighbour; as
-    ``alive`` only shrinks, a member found without one leaves it for good,
-    so finding u costs O(|hull|) mask operations per closure. If no member
-    qualifies, every member next to ``alive`` sees all of S and S is
-    closed. Only when the crossing absorbs nothing does the full scan run:
-    one search of ``alive``, and every component whose attached members are
-    not a clique is crossed from the first of them with a non-neighbour
-    among them. ``scan`` then keeps the rest of the closure on the scan, so
-    at most one crossing absorbs nothing. The closure is unique, so the
-    order vertices join in does not change the hull.
+    Each round first takes ``alive``, the core minus S, and returns at once
+    when it is empty. Then it works the smaller side. When the members added
+    by the last round outnumber ``alive``, it counts each alive vertex's
+    members (``_seen_twice``) and leaves those members in ``unfolded``;
+    otherwise it folds (``graph._fold``) them and every unfolded member into
+    the running fold and reads off ``twice & alive``. Either way it absorbs
+    every alive vertex seen twice at once. Each member is folded at most once, and a count round reads fewer
+    rows than the members it skipped, so the p3 work over the whole hull is
+    O(|hull|) mask operations. A p3-closed set gets a mono round. It first
+    crosses, by ``_forced_paths`` through all of ``alive``, from the first
+    member u with a neighbour in ``alive`` and a non-neighbour in S; with
+    one such non-neighbour the crossing meets in the middle. ``border``
+    holds the members that may still have an alive neighbour; as ``alive``
+    only shrinks, a member found without one leaves it for good, so finding
+    u costs O(|hull|) mask operations per closure. If no member qualifies,
+    every member next to ``alive`` sees all of S and S is closed. Only when
+    the crossing absorbs nothing does the full scan run: one search of
+    ``alive``, and every component whose attached members are not a clique
+    is crossed from the first of them with a non-neighbour among them.
+    ``scan`` then keeps the rest of the closure on the scan, so at most one
+    crossing absorbs nothing. The closure is unique, so the order vertices
+    join in does not change the hull.
     """
     adj = g._adj
     core, trees = _kept_core(g, bits)
     bits &= core
-    once = twice = 0
+    once = twice = unfolded = border = 0
     new = bits
-    border = 0
     scan = False
     while True:
+        alive = core & ~bits
+        if not alive:
+            return bits | trees
         border |= new
-        once, twice = _fold(adj, new, once, twice)
-        new = twice & ~bits
+        if new.bit_count() > alive.bit_count():
+            unfolded |= new
+            new = 0
+            for v in _seen_twice(adj, bits, alive):
+                new |= 1 << v
+        else:
+            once, twice = _fold(adj, new | unfolded, once, twice)
+            unfolded = 0
+            new = twice & alive
         if not new:
-            alive = core & ~bits
-            if not alive:
-                return bits | trees
             if not scan:
                 for u in bit_members(border):
                     row = adj[u]
@@ -357,8 +416,11 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     the 2-core it is a closure (see ``_hull_bits``). Cost: O(|S| + the
     forest vertices kept) steps to find what is kept, then, only when a
     member lies on the core side, O(|hull|) mask operations for all the
-    rounds that absorb outside vertices seen twice, and O(n) for each mono
-    round, each of which but the last absorbs a vertex.
+    rounds that absorb outside vertices seen twice, each of which folds the
+    new members or counts the members of the vertices left outside, whichever
+    side is smaller, and O(n) for each mono round, each of which but the
+    last absorbs a vertex. A mono round that crosses to one member meets it
+    in the middle, reading the rows of the smaller side at each step.
     """
     _check_universe(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

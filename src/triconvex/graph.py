@@ -54,6 +54,15 @@ class Graph:
         self._m = sum(a.bit_count() for a in adj) // 2
         self._forest = None
 
+    @classmethod
+    def _from_rows(cls, adj: list[int]) -> Graph:
+        """The graph on ``0..len(adj)-1`` with these symmetric, loop-free
+        rows, already checked by the caller."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._set_adjacency(adj)
+        return g
+
     @property
     def m(self) -> int:
         return self._m
@@ -89,7 +98,6 @@ class Graph:
         """
         vertices = tuple(s)
         index = {v: i for i, v in enumerate(vertices)}
-        sub = Graph.__new__(Graph)
         adj = []
         for v in vertices:
             row = 0
@@ -97,9 +105,7 @@ class Graph:
             for w in bit_members(rest):
                 row |= 1 << index[w]
             adj.append(row)
-        sub.n = len(vertices)
-        sub._set_adjacency(adj)
-        return sub, vertices
+        return Graph._from_rows(adj), vertices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -329,38 +335,52 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     One ``u v`` pair per line, 0-based ids, ``#`` comments. A line holding a
     single integer declares an (isolated) vertex. The vertex count is the
     largest id mentioned plus one; an id past the cap fails at its line.
+    Each line sets its adjacency bits as it is read, in a row list that
+    grows as ids appear, so repeated edges take no memory. Row v holds
+    neighbour w as bit ``w - low[v]``, with ``low[v]`` the smallest of v and
+    its neighbours read so far: a smaller neighbour shifts the row, and
+    every row is shifted into place at the end. So a row spans only its own
+    ids, and a long path read up to the line that crosses the cap holds
+    O(n) bits, not the n^2/16 bytes its placed rows take.
     """
-    edges = []
-    max_id = -1
+    rows: list[int] = []
+    low: list[int] = []
     for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
-            ids = [int(p) for p in parts]
+            ids = sorted(map(int, parts))
         except ValueError:
+            line = raw.split("#", 1)[0].strip()
             raise ParseError(f"expected integers, got {line!r}", line=lineno) from None
-        if min(ids) < 0 or max(ids) >= MAX_VERTICES:
+        top = ids[-1]
+        if ids[0] < 0 or top >= MAX_VERTICES:
             raise ValidationError(f"line {lineno}: vertex id out of range 0..{MAX_VERTICES - 1}")
-        if len(ids) == 1:
-            max_id = max(max_id, ids[0])
-        elif len(ids) == 2:
+        if len(ids) > 2:
+            raise ParseError(f"expected 1 or 2 integers, got {len(ids)}", line=lineno)
+        while top >= len(rows):
+            low.append(len(rows))
+            rows.append(0)
+        if len(ids) == 2:
             u, v = ids
             if u == v:
                 raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
-        else:
-            raise ParseError(f"expected 1 or 2 integers, got {len(ids)}", line=lineno)
-    return Graph(max_id + 1, edges)
+            rows[u] |= 1 << (v - low[u])
+            base = low[v]
+            if u < base:
+                rows[v] = (rows[v] << (base - u)) | 1
+                low[v] = u
+            else:
+                rows[v] |= 1 << (u - base)
+    return Graph._from_rows([row << base for row, base in zip(rows, low)])
 
 
 def parse_dimacs(text: str | Iterable[str]) -> Graph:
     """Parse DIMACS format, from a text or its lines: ``p edge n m`` header,
-    checked against ``MAX_VERTICES`` at once, and 1-based ``e u v`` lines."""
+    checked against ``MAX_VERTICES`` at once, and 1-based ``e u v`` lines,
+    each setting its adjacency bits as it is read."""
     n = None
-    edges = []
     for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -377,6 +397,7 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
                 raise ParseError(f"malformed problem line {line!r}", line=lineno) from None
             if n > MAX_VERTICES:
                 raise ValidationError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+            adj = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line=lineno)
@@ -390,12 +411,15 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
                 raise ValidationError(f"line {lineno}: vertex id out of range 1..{n}")
             if u == v:
                 raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
         else:
             raise ParseError(f"unknown line type {parts[0]!r}", line=lineno)
     if n is None:
         raise ParseError("missing problem line")
-    return Graph(n, edges)
+    if n < 0:
+        raise ValidationError("vertex count must be nonnegative")
+    return Graph._from_rows(adj)
 
 
 FORMATS = ("edge-list", "dimacs")

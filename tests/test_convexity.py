@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -668,6 +669,179 @@ class TestMonoStep:
                 assert _components_bits(rows, alive) == reference_components(g, alive)
                 size, outside = alive.bit_count(), g.n - alive.bit_count()
                 assert rows.reads <= 2 * size + min(size, outside), (density, rows.reads)
+
+
+def min_degree_gnp(n, p, seed, min_degree=3):
+    """``random_connected_graph`` with each degree raised to ``min_degree``
+    by edges to uniform non-neighbours, as the benchmark's dense graphs are."""
+    rng = random.Random(seed)
+    adj = list(random_connected_graph(n, p, seed)._adj)
+    for u in range(n):
+        while adj[u].bit_count() < min_degree:
+            v = rng.randrange(n)
+            if v != u:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, [(u, v) for u in range(n) for v in bit_members(adj[u] >> u << u)])
+
+
+def dense_graphs():
+    """Dense G(n, p), alone and with small blocks hung at cut vertices (their
+    other vertices see one member of a hull through the dense part, so it
+    stays proper), and one min-degree-3 G(200, 10/200)."""
+    c5, k4 = cycle_graph(5), complete_graph(4)
+    graphs = []
+    for seed, (n, p) in enumerate(itertools.product((20, 32, 45, 60), (0.3, 0.5))):
+        g = random_connected_graph(n, p, seed)
+        graphs += [g, hang_blocks(g, [c5, k4, cycle_graph(4)][: 1 + seed % 3], seed)]
+    graphs.append(min_degree_gnp(200, 10 / 200, 0))
+    return graphs
+
+
+def dense_seeds(g, rng):
+    """Pairs and triples, and random sets from a tenth to most of V."""
+    sets = [sum(1 << v for v in rng.sample(range(g.n), k)) for k in (2, 2, 2, 2, 3, 3)]
+    for density in (0.1, 0.25, 0.4, 0.55, 0.7, 0.85):
+        sets.append(sum(1 << v for v in range(g.n) if rng.random() < density))
+    return sets
+
+
+def between(g, alive, u, t):
+    """``(inside, d)``: d = d(u, t) and inside every w in ``alive`` with
+    d(u, w) + d(w, t) = d, distances taken through ``alive``; ``(0, None)``
+    when t is out of u's reach."""
+    within = alive | (1 << u) | (1 << t)
+    from_u = {v: i for i, level in enumerate(bfs_levels(g, within, u)) for v in bit_members(level)}
+    from_t = {v: i for i, level in enumerate(bfs_levels(g, within, t)) for v in bit_members(level)}
+    d = from_u.get(t)
+    if d is None:
+        return 0, None
+    inside = 0
+    for w in bit_members(alive):
+        if from_u.get(w, g.n) + from_t.get(w, g.n) == d:
+            inside |= 1 << w
+    return inside, d
+
+
+def one_sided_paths(adj, alive, u, targets):
+    """The one-sided crossing: a BFS from ``u`` alone through ``alive`` until
+    every target is reached, then one backward sweep from the targets."""
+    levels, hits, seen = [adj[u] & alive], [], adj[u] & alive
+    while True:
+        grown = 0
+        for v in bit_members(levels[-1]):
+            grown |= adj[v]
+        hits.append(grown & targets)
+        targets &= ~grown
+        grown &= alive & ~seen
+        if not (grown and targets):
+            break
+        seen |= grown
+        levels.append(grown)
+    inner = kept = 0
+    for level, hit in zip(reversed(levels), reversed(hits)):
+        reach = 0
+        for v in bit_members(kept | hit):
+            reach |= adj[v]
+        kept = level & reach
+        inner |= kept
+    return inner
+
+
+class TestSmallerSide:
+    def test_dense_hulls_match_the_restart_route(self, monkeypatch):
+        # once a round's new members outnumber the vertices left alive, the
+        # round counts each alive vertex's members instead of folding
+        counts = 0
+        count = convexity._seen_twice
+
+        def counted(adj, bits, outside):
+            nonlocal counts
+            counts += 1
+            return count(adj, bits, outside)
+
+        monkeypatch.setattr(convexity, "_seen_twice", counted)
+        rng = random.Random(61)
+        rounds = proper = 0
+        for g in dense_graphs():
+            full = (1 << g.n) - 1
+            for bits in dense_seeds(g, rng):
+                expected = reference_hull_bits(g, bits)
+                s = VertexSet(g.n, bits)
+                context = (g.n, sorted(g.edges()), sorted(s))
+                before = counts
+                assert t_convex_hull(g, s).bits == expected, context
+                rounds += counts - before
+                assert is_t_hull_set(g, s) == (expected == full), context
+                proper += expected != full
+        assert rounds >= 100 and proper >= 30
+
+    def test_a_fold_after_a_count_round_folds_the_members_it_skipped(self):
+        # S = {0, 1, 2} outnumbers {3, 4}, so the first round counts and
+        # absorbs 3; then {3} does not outnumber {4}, so the next round folds,
+        # and 4 sees 3 and the skipped member 0. Folding 3 alone misses 4,
+        # and no mono round finds it: its members 0 and 3 are adjacent.
+        g = Graph(5, [(0, 3), (1, 3), (2, 3), (0, 4), (3, 4)])
+        assert t_convex_hull(g, vs(5, [0, 1, 2])) == VertexSet.full(5)
+
+    def test_one_target_crossing_is_every_vertex_between(self):
+        # random alive masks, from sparse ones that leave t out of reach to
+        # all of V but u and t
+        rng = random.Random(67)
+        graphs = [random_connected_graph(n, p, seed) for n, p, seed in ((30, 0.1, 0), (60, 0.05, 1))]
+        graphs += dense_graphs()[:4] + [cubic_core_with_trees(40, 40, 7), cycle_graph(31)]
+        distances = collections.Counter()
+        for g in graphs:
+            adj = g._adj
+            for density in (0.3, 0.5, 0.7, 0.9, 1.0):
+                for _ in range(25):
+                    u, t = rng.sample(range(g.n), 2)
+                    if adj[u] >> t & 1:
+                        continue
+                    alive = sum(1 << v for v in range(g.n) if rng.random() < density)
+                    alive &= ~((1 << u) | (1 << t))
+                    expected, d = between(g, alive, u, t)
+                    context = (g.n, sorted(g.edges()), bin(alive), u, t)
+                    assert _forced_paths(adj, alive, u, 1 << t) == expected, context
+                    assert one_sided_paths(adj, alive, u, 1 << t) == expected, context
+                    distances[min(d or 0, 5)] += 1
+        # out of reach (0), the meeting set alone (2), one side's sweep (3)
+        # and both (4 and more)
+        assert min(distances[d] for d in (0, 2, 3, 4, 5)) >= 50, distances
+
+    def test_a_pair_hull_reads_at_most_n_rows(self, monkeypatch):
+        # the benchmark's dense shape, where a pair hull is almost always V:
+        # folding every member read about 1.7 n rows per hull, and a
+        # one-sided crossing as many rows as its whole BFS ball
+        g = min_degree_gnp(600, 10 / 600, 3)
+        rows = CountingRows(g._adj)
+        g._adj = rows
+        calls = []
+        crossing = convexity._forced_paths
+
+        def recorded(adj, alive, u, targets):
+            calls.append((alive, u, targets))
+            return crossing(adj, alive, u, targets)
+
+        monkeypatch.setattr(convexity, "_forced_paths", recorded)
+        t_convex_hull(g, vs(g.n, [0, 1]))
+        rng = random.Random(71)
+        reads = []
+        for _ in range(100):
+            s = vs(g.n, rng.sample(range(g.n), 2))
+            rows.reads = 0
+            t_convex_hull(g, s)
+            reads.append(rows.reads)
+        assert sorted(reads)[len(reads) // 2] <= g.n, sorted(reads)
+        single = [call for call in calls if not call[2] & (call[2] - 1)]
+        assert len(single) > 100
+        for alive, u, targets in single:
+            rows.reads = 0
+            inner = crossing(rows, alive, u, targets)
+            met = rows.reads
+            rows.reads = 0
+            assert one_sided_paths(rows, alive, u, targets) == inner
+            assert met < rows.reads, (alive, u, targets)
 
 
 def reference_peel(g, bits):

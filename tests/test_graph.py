@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -102,6 +105,75 @@ class TestParsing:
         path.write_bytes(b"0 1\n\xff 2\n")
         with pytest.raises(ParseError, match=r"not UTF-8 \(invalid start byte at byte 4\)"):
             load_graph(str(path))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("edge-list", "0 1\n1 2 3\n", ParseError, "line 2: expected 1 or 2 integers, got 3"),
+            ("edge-list", "0 1\n\n 4 x # y\n", ParseError, "line 3: expected integers, got '4 x'"),
+            ("edge-list", "0 1\n2 2\n", ValidationError, "line 2: self-loop at vertex 2"),
+            ("edge-list", "0 1\n1 50000\n", ValidationError, "line 2: vertex id out of range 0..49999"),
+            ("edge-list", "0 -1\n3 3\n", ValidationError, "line 1: vertex id out of range 0..49999"),
+            ("dimacs", "e 1 2\n", ParseError, "line 1: edge before problem line"),
+            ("dimacs", "c x\np edge 3 1\np edge 3 1\n", ParseError, "line 3: duplicate problem line"),
+            ("dimacs", "p edge x 1\n", ParseError, "line 1: malformed problem line 'p edge x 1'"),
+            ("dimacs", "p cnf 3 1\n", ParseError, "line 1: malformed problem line 'p cnf 3 1'"),
+            ("dimacs", "p edge 3 1\ne 1\n", ParseError, "line 2: malformed edge line 'e 1'"),
+            ("dimacs", "p edge 3 1\n e 1 y \n", ParseError, "line 2: malformed edge line 'e 1 y'"),
+            ("dimacs", "p edge 3 1\nx 1 2\n", ParseError, "line 2: unknown line type 'x'"),
+            ("dimacs", "p edge 3 1\ne 1 4\n", ValidationError, "line 2: vertex id out of range 1..3"),
+            ("dimacs", "p edge 3 1\ne 3 3\n", ValidationError, "line 2: self-loop at vertex 3"),
+            ("dimacs", "p edge -2 1\n", ValidationError, "vertex count must be nonnegative"),
+            ("dimacs", "p edge -2 1\ne 1 2\n", ValidationError, "line 2: vertex id out of range 1..-2"),
+            ("dimacs", "c only\n", ParseError, "missing problem line"),
+        ],
+    )
+    def test_errors_keep_their_messages(self, case):
+        # the rows are set as lines are read, but each error is raised
+        # where and as it was when the parsers held edges
+        fmt, text, error, message = case
+        with pytest.raises(error) as err:
+            parse_graph(text, fmt)
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_shuffled_flipped_and_repeated_lines_parse_as_the_edges(self):
+        # each row is kept from the lowest id it has met and shifted into
+        # place at the end, so lines come in every order: an edge's smaller
+        # end first or last, a row's neighbours rising or falling, repeats,
+        # isolated ids declared before, between and after their edges
+        rng = random.Random(3)
+        for n in (1, 2, 5, 40, 130):
+            for density in (0.0, 0.1, 0.5):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+                g = Graph(n, edges)
+                lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+                lines += rng.sample(lines, len(lines) // 3) + [str(n - 1), str(rng.randrange(n))]
+                rng.shuffle(lines)
+                assert parse_edge_list(lines) == g, (n, density)
+                pairs = [line.split() for line in lines if " " in line]
+                dimacs = [f"p edge {n} {len(pairs)}"]
+                dimacs += [f"e {int(u) + 1} {int(v) + 1}" for u, v in pairs]
+                assert parse_dimacs(dimacs) == g, (n, density)
+
+    @pytest.mark.parametrize(
+        "fmt, head, line", [("edge-list", [], "0 1"), ("dimacs", ["p edge 2 1"], "e 1 2")]
+    )
+    def test_repeated_edges_take_no_memory(self, fmt, head, line):
+        # a million copies of one edge peaked at 64 MB while the parsers
+        # held every edge read
+        def lines():
+            yield from head
+            for _ in range(1_000_000):
+                yield line
+
+        tracemalloc.start()
+        try:
+            g = parse_graph(lines(), fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 2 and g.m == 1
+        assert peak < 5_000_000, peak
 
     @given(graphs(max_n=8))
     def test_round_trip_both_formats(self, g):
