@@ -41,10 +41,22 @@ tree component the tree paths between its members, in O(|S| + the forest
 vertices kept) steps. Every path of a tree is induced, so a tree
 component's kept part is its part of the hull and joins the hull with no
 round: the hull's folds, crossings and scans run only on the kept part
-that meets the 2-core, and on a forest none runs. The convexity test's
-mono scan runs on the whole kept set; its witness pick
-(``_mono_violation``) widens a violating component to its whole component
-of G - S by one ``graph._component_bits`` search of the dropped trees.
+that meets the 2-core, and on a forest none runs.
+
+The convexity test reads the tree components off the same climb. With no
+member on the core side, S is convex exactly when the kept tree part is S:
+that verdict takes no fold and no search. Otherwise, after the P3 check,
+each piece of the kept tree part minus S, found from the forest's parent
+links (``_tree_pieces``), violates with its two smallest attached members
+as the pair, and the core side's mono scan runs only when a member lies
+there, with its boundaries folded over the smaller side within the kept
+set. The witness pick (``_mono_violation``) widens a violating component
+to its whole component of G - S over the smaller side: the dropped trees
+hanging from it and those hanging from the rest of the kept set grow in
+lockstep from seeds read off the forest (``_lockstep``), and the side that
+runs dry first settles it. So a test costs O(|S| + the forest vertices
+kept) steps, plus the P3 check and the core side's scan when they run,
+plus 2·min(|A|, |B|) row reads for a witness, A and B the two sides.
 """
 
 from __future__ import annotations
@@ -109,11 +121,12 @@ def _p3_violation(adj: list[int], bits: int) -> int | None:
     return next(_seen_twice(adj, bits, outside), None)
 
 
-def _kept_core(g: Graph, bits: int) -> tuple[int, int]:
-    """``(core, trees)``: what deleting, again and again, a non-member of
-    ``bits`` with at most one neighbour left keeps of G, read off the cached
-    pendant forest, split into the part that meets the 2-core or hangs from
-    it and the part in tree components.
+def _kept_core(g: Graph, bits: int) -> tuple[int, int, dict[int, int]]:
+    """``(core, trees, tops)``: what deleting, again and again, a non-member
+    of ``bits`` with at most one neighbour left keeps of G, read off the
+    cached pendant forest, split into the part that meets the 2-core or
+    hangs from it and the part in tree components, and the topmost kept
+    vertex of each tree component that holds a member, by its root.
 
     The 2-core is never deleted and neither is a member. A forest vertex
     stays exactly when a member hangs below it, on a tree hung from the
@@ -127,7 +140,7 @@ def _kept_core(g: Graph, bits: int) -> tuple[int, int]:
     ``top``. O(|S| + the vertices kept off the core) steps, each one or two
     mask operations.
     """
-    core, parent, depth, tree = _pendant_forest(g)
+    core, parent, depth, tree, _, _ = _pendant_forest(g)
     kept = core | bits
     trees = 0
     tops = {}
@@ -154,23 +167,24 @@ def _kept_core(g: Graph, bits: int) -> tuple[int, int]:
                 v, top = parent[v], parent[top]
                 trees |= (1 << v) | (1 << top)
             tops[t] = top
-    return kept & ~trees, trees
+    return kept & ~trees, trees, tops
 
 
 def _violating_components(
     adj: list[int], core: int, bits: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """``(u, missing, D, boundary)`` for every component D of G[core] - S
-    whose attached members A = N(D) & S are not a clique, by minimum vertex
-    id of D: the one scan of G[core] - S, for the hull and both tests.
+) -> Iterator[tuple[int, int, int]]:
+    """``(u, missing, D)`` for every component D of G[core] - S whose
+    attached members A = N(D) & S are not a clique, by minimum vertex id of
+    D: the one scan of G[core] - S, for the hull and both tests.
 
-    ``core`` is what ``_kept_core`` keeps. ``boundary`` is what
-    ``_components_bits`` pairs D with, every neighbour of D outside
-    ``core & ~S``, so it may hold dropped vertices: A is that boundary cut
-    to S. A dropped vertex hangs from D by a tree that reaches no member, so
-    D lies in one component of G - S, whose member boundary is also A; a
-    component of G - S that holds no kept vertex has at most one attached
-    member.
+    ``core`` is the core side of what ``_kept_core`` keeps. The boundaries
+    are taken within it (``graph._components_bits`` with ``within`` =
+    ``core``), so the members there are the whole outside, and the
+    boundaries are folded over the smaller of them and the rest of the
+    core, not over the dropped vertices as well. A dropped vertex hangs
+    from one kept vertex by a tree that reaches no member, so D lies in one
+    component of G - S, whose member boundary is also A; a component of
+    G - S that holds no kept vertex has at most one attached member.
 
     ``(u, missing)`` is ``graph._non_edge`` of A: the smallest member of A
     with a non-neighbour in A, and all of its non-neighbours there.
@@ -178,35 +192,171 @@ def _violating_components(
     smaller side's rows for every boundary, with no pass over the members
     per component.
     """
-    for comp, boundary in _components_bits(adj, core & ~bits):
-        hit = _non_edge(adj, boundary & bits)
+    for comp, boundary in _components_bits(adj, core & ~bits, core):
+        hit = _non_edge(adj, boundary)
         if hit is not None:
-            yield *hit, comp, boundary
+            yield *hit, comp
 
 
-def _mono_violation(adj: list[int], bits: int, core: int) -> tuple[int, int, int] | None:
+def _tree_pieces(
+    g: Graph, bits: int, trees: int, tops: dict[int, int]
+) -> list[tuple[int, int, int, int]]:
+    """``(low, u, v, piece)`` for every piece of the kept tree part minus S,
+    a component of G[trees] - S, with ``low`` its minimum vertex and (u, v)
+    its two smallest attached members, in no particular order.
+
+    ``trees`` and ``tops`` are what ``_kept_core`` keeps in the tree
+    components. Every leaf of a tree component's kept part is a member, so
+    each piece has at least two attached members, and no two of them are
+    adjacent: the edge would close a cycle through the piece. So every piece
+    lies in a component of G - S that violates, with the dropped trees
+    hanging from it, and its smallest pair is its two smallest members.
+
+    The pieces are read off the forest's parent links: every member below
+    its component's top climbs from its parent through non-members until it
+    meets a piece already climbed, a vertex whose parent is a member, or the
+    top. Each kept vertex is climbed once, with set and dict lookups and no
+    mask operation; a lone piece is ``trees - S`` itself, and only when
+    there are more are their masks built from the climbed vertices.
+    """
+    _, parent, _, tree, _, _ = _pendant_forest(g)
+    order = list(bit_members(bits & trees))
+    members = set(order)
+    piece: dict[int, list] = {}
+    found = []
+    for m in order:
+        top = tops[tree[m]]
+        x = parent[m]
+        if m == top or x in members:
+            continue
+        climbed = []
+        rec = piece.get(x)
+        while rec is None:
+            climbed.append(x)
+            up = parent[x]
+            if x == top or up in members:
+                # [low, attached members, vertices]
+                rec = [x, [] if x == top else [up], []]
+                found.append(rec)
+                break
+            x = up
+            rec = piece.get(x)
+        if climbed:
+            piece.update(dict.fromkeys(climbed, rec))
+            rec[2] += climbed
+            rec[0] = min(rec[0], min(climbed))
+        rec[1].append(m)
+    out = []
+    for low, attached, vertices in found:
+        u, v = sorted(attached)[:2]
+        mask = trees & ~bits if len(found) == 1 else sum(1 << x for x in vertices)
+        out.append((low, u, v, mask))
+    return out
+
+
+def _lockstep(adj: list[int], alive: int, a: int, b: int) -> tuple[bool, int]:
+    """``(True, A)`` or ``(False, B)``, with A and B all that ``a`` and
+    ``b`` reach through ``alive``: the side that runs dry first.
+
+    Both sides grow level by level, one row at a time, always on the side
+    that has read fewer rows. A side runs dry having read each of its rows
+    once, and the other has then read at most one row more: at most
+    2·min(|A|, |B|) + 1 row reads in all.
+    """
+    seen = [a, b]
+    level = [a, b]
+    grown = [0, 0]
+    reads = [0, 0]
+    while True:
+        i = int(reads[1] < reads[0])
+        f = level[i]
+        if not f:
+            f = grown[i] & alive & ~seen[i]
+            if not f:
+                return not i, seen[i]
+            seen[i] |= f
+            grown[i] = 0
+        low = f & -f
+        level[i] = f ^ low
+        grown[i] |= adj[low.bit_length() - 1]
+        reads[i] += 1
+
+
+def _mono_violation(
+    g: Graph, bits: int, core: int, trees: int, tops: dict[int, int]
+) -> tuple[int, int, int] | None:
     """``(u, v, component)``: the first non-adjacent pair of the set attached
-    to a common component of G - S, picked from ``_violating_components``.
+    to a common component of G - S.
 
     The component is the first by minimum vertex id and the pair the
     lexicographically smallest one it is attached to, so witnesses are
-    reproducible. The scan runs on G[core] - S, with ``core`` what
-    ``_kept_core`` keeps, and each violating D it yields is widened to its
-    component of G - S by one search of the dropped trees from the dropped
-    vertices on its boundary (a dropped tree hangs from one kept vertex and
-    holds no member). When nothing is dropped the first D is the answer;
-    otherwise the smallest vertex of a widened D may lie in a dropped tree,
-    so every D is widened before the smallest is picked. The pair is the
-    one D gives either way.
+    reproducible. ``(core, trees, tops)`` is what ``_kept_core`` keeps, and
+    every violating component of G - S holds kept vertices: on the core
+    side a component D of G[core] - S from ``_violating_components``, run
+    only when a member lies there, and in the tree components a piece from
+    ``_tree_pieces``, each of which violates. When nothing is dropped the
+    smallest of them is the answer. Otherwise the smallest vertex of a
+    widened D may lie in a dropped tree, so each D is widened to its
+    component of G - S, by increasing minimum, until neither a D nor any
+    dropped vertex can go below the best widened minimum found.
+
+    A widening works the smaller side. The dropped vertices that hang from
+    a kept vertex split by hang point: side A hangs from D, side B from the
+    members and the other kept components. Their seeds, the dropped
+    neighbours of the kept set, come from the forest once per test: the
+    roots hung from the 2-core and the dropped neighbours of the kept forest
+    vertices. The rows of D, or of the kept vertices outside it, whichever
+    are fewer, split them. ``_lockstep`` grows both sides and keeps the one
+    that runs dry first: A, or B, whose complement among the dropped
+    vertices that hang from a kept vertex is A. A tree component with no
+    member hangs from no kept vertex and stays out: when G has one, one
+    search from the kept set finds the rest. A widening reads at most
+    2·min(|A|, |B|) + 1 rows after its seeds.
     """
-    dropped = ((1 << len(adj)) - 1) & ~core
-    best = None
-    for u, missing, comp, boundary in _violating_components(adj, core, bits):
-        comp |= _component_bits(adj, dropped, boundary & dropped)
-        if best is None or comp & -comp < best[2] & -best[2]:
-            best = u, (missing & -missing).bit_length() - 1, comp
-        if not dropped:
+    adj = g._adj
+    full = (1 << len(adj)) - 1
+    kept = core | trees
+    dropped = full & ~kept
+    hits = []
+    if bits & core:
+        for u, missing, comp in _violating_components(adj, core, bits):
+            low = (comp & -comp).bit_length() - 1
+            hits.append((low, u, (missing & -missing).bit_length() - 1, comp))
+            if not dropped:
+                break
+    if trees & ~bits:
+        hits += _tree_pieces(g, bits, trees, tops)
+    if not hits:
+        return None
+    hits.sort()  # by minimum vertex: the components are disjoint
+    if not dropped:
+        return hits[0][1:]
+    two_core, _, _, _, roots, components = _pendant_forest(g)
+    seeds = dropped & (roots | _reach(adj, kept & ~two_core))
+    floor = (dropped & -dropped).bit_length() - 1
+    size = kept.bit_count()
+    hang = best = None
+    best_low = len(adj)
+    for low, u, v, comp in hits:
+        if best_low < min(low, floor):
             break
+        if 2 * comp.bit_count() <= size:
+            a = dropped & _reach(adj, comp)
+            b = seeds & ~a
+        else:
+            b = dropped & _reach(adj, kept & ~comp)
+            a = seeds & ~b
+        a_first, grown = _lockstep(adj, dropped, a, b)
+        if not a_first:
+            if hang is None:
+                hang = dropped
+                if components > len(tops):
+                    hang &= _component_bits(adj, full, kept)
+            grown = hang & ~grown
+        comp |= grown
+        low = (comp & -comp).bit_length() - 1
+        if low < best_low:
+            best, best_low = (u, v, comp), low
     return best
 
 
@@ -299,28 +449,45 @@ def is_p3_convex(g: Graph, s: VertexSet) -> bool:
 def is_m_convex(g: Graph, s: VertexSet) -> bool:
     """No component of G - s touches two non-adjacent members of s.
 
-    Scanned on the kept core alone: a verdict needs no witness component.
+    A verdict needs no witness component, so the tree components are read
+    off the climb alone: a piece of their kept part minus S always violates
+    (see ``_tree_pieces``), so they pass exactly when that part is S there.
+    The core side is scanned only when a member lies on it.
     """
     _check_universe(g, s)
     bits = s.bits
-    core, trees = _kept_core(g, bits)
-    return next(_violating_components(g._adj, core | trees, bits), None) is None
+    core, trees, _ = _kept_core(g, bits)
+    if trees & ~bits:
+        return False
+    return not bits & core or next(_violating_components(g._adj, core, bits), None) is None
 
 
 def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     """Triangle-path convexity test; on failure returns a witness.
 
-    The outside-vertex condition is reported first: absorbing one vertex
-    is cheaper than a path, and the hull is the same either way. The mono
-    scan runs on the core ``_kept_core`` keeps; the witness component is
-    still the whole component of G - s, the first by minimum vertex id.
+    ``_kept_core`` runs first. When no member lies on the core side and the
+    kept tree part is S itself, S is convex: every member tree path stays
+    in S, so no outside vertex sees two members and every component of
+    G - S touches one member at most. That verdict takes no fold and no
+    search. Otherwise the outside-vertex condition is reported first:
+    absorbing one vertex is cheaper than a path, and the hull is the same
+    either way. The mono witness (``_mono_violation``) comes from the core
+    side's scan and from the pieces of the kept tree part minus S, read off
+    the forest; its component is still the whole component of G - s, the
+    first by minimum vertex id. Cost: O(|S| + the forest vertices kept)
+    steps, then the P3 check over the smaller side and, with a member on
+    the core side, its scan, plus 2·min(|A|, |B|) rows for each witness
+    widening (see ``_mono_violation``).
     """
     _check_universe(g, s)
-    v = _p3_violation(g._adj, s.bits)
+    bits = s.bits
+    core, trees, tops = _kept_core(g, bits)
+    if not bits & core and trees == bits:
+        return True, None
+    v = _p3_violation(g._adj, bits)
     if v is not None:
         return False, ConvexityWitness(kind="p3-violation", vertex=v)
-    core, trees = _kept_core(g, s.bits)
-    hit = _mono_violation(g._adj, s.bits, core | trees)
+    hit = _mono_violation(g, bits, core, trees, tops)
     if hit is not None:
         u, v, comp = hit
         return False, ConvexityWitness(
@@ -365,7 +532,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
     join in does not change the hull.
     """
     adj = g._adj
-    core, trees = _kept_core(g, bits)
+    core, trees, _ = _kept_core(g, bits)
     bits &= core
     once = twice = unfolded = border = 0
     new = bits
@@ -399,7 +566,7 @@ def _hull_bits(g: Graph, bits: int) -> int:
                     return bits | trees
                 scan = not new
             if scan:
-                for u, missing, comp, _ in _violating_components(adj, core, bits):
+                for u, missing, comp in _violating_components(adj, core, bits):
                     new |= _forced_paths(adj, comp, u, missing)
                 if not new:
                     return bits | trees

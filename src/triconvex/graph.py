@@ -26,8 +26,9 @@ class Graph:
     """An immutable simple undirected graph on vertices ``0..n-1``.
 
     ``_forest`` caches the graph's pendant forest, ``(core, parent, depth,
-    tree)`` from :func:`_pendant_forest`, filled on first use: the hull and
-    the convexity test keep only the part of it that a vertex set needs.
+    tree, roots, components)`` from :func:`_pendant_forest`, filled on first
+    use: the hull and the convexity test keep only the part of it that a
+    vertex set needs.
     """
 
     __slots__ = ("n", "_adj", "_m", "_forest")
@@ -156,9 +157,10 @@ def _component_bits(adj: list[int], alive: int, seeds: int) -> int:
     return comp
 
 
-def _pendant_forest(g: Graph) -> tuple[int, list[int], list[int], list[int]]:
-    """``(core, parent, depth, tree)``: the 2-core of G and, for every other
-    vertex v, its forest links, built once per graph and cached on it.
+def _pendant_forest(g: Graph) -> tuple[int, list[int], list[int], list[int], int, int]:
+    """``(core, parent, depth, tree, roots, components)``: the 2-core of G
+    and, for every other vertex v, its forest links, built once per graph
+    and cached on it.
 
     One peel deletes, while it can, a vertex with at most one neighbour
     left; ``core`` is what is left. ``parent[v]`` is v's one neighbour left
@@ -168,11 +170,13 @@ def _pendant_forest(g: Graph) -> tuple[int, list[int], list[int], list[int]]:
     core vertex each, and whole tree components rooted at their -1 vertex.
     ``depth[v]`` is v's distance to its tree component's root, or to the
     core vertex its tree hangs from, and ``tree[v]`` is that root, or -1 on
-    a hung tree; a core vertex has depth 0 and tree -1. A parent is deleted
-    after its children, so one pass over the peel order in reverse fills
-    both from the parents, with no mask operation. Each vertex is deleted
-    at most once, with one degree update, so O(n) mask operations after the
-    n row popcounts.
+    a hung tree; a core vertex has depth 0 and tree -1. ``roots`` holds the
+    vertices hung straight from the core, the only forest vertices with a
+    core neighbour, and ``components`` counts the tree components. A parent
+    is deleted after its children, so one pass over the peel order in
+    reverse fills all of them from the parents, with one mask operation per
+    hung root. Each vertex is deleted at most once, with one degree update,
+    so O(n) mask operations after the n row popcounts.
     """
     forest = g._forest
     if forest is None:
@@ -196,14 +200,18 @@ def _pendant_forest(g: Graph) -> tuple[int, list[int], list[int], list[int]]:
                     stack.append(w)
         depth = [0] * g.n
         tree = [-1] * g.n
+        roots = components = 0
         for v in reversed(order):
             p = parent[v]
             if p < 0:
                 tree[v] = v
+                components += 1
             else:
-                tree[v] = tree[p]
-                depth[v] = depth[p] + 1
-        forest = g._forest = (core, parent, depth, tree)
+                t = tree[v] = tree[p]
+                d = depth[v] = depth[p] + 1
+                if d == 1 and t < 0:
+                    roots |= 1 << v
+        forest = g._forest = (core, parent, depth, tree, roots, components)
     return forest
 
 
@@ -241,20 +249,23 @@ def _fold(adj: list[int], bits: int, once: int, twice: int) -> tuple[int, int]:
     return once, twice
 
 
-def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
+def _components_bits(
+    adj: list[int], alive: int, within: int | None = None
+) -> list[tuple[int, int]]:
     """Components D of the subgraph induced on ``alive``, by min vertex id,
-    each paired with N(D) - ``alive``, its neighbours outside ``alive``.
+    each paired with N(D) & ``within`` - ``alive``, its neighbours outside
+    ``alive`` among ``within`` (default: all of G).
 
-    With S the vertices outside ``alive``, a D whose pair is S is a full
-    component of G - S. Each boundary is folded over the smaller side: when
-    S is the smaller one, only members adjacent to S can contribute, so the
+    With S = ``within`` - ``alive``, a D whose pair is S is a full component
+    of G[within] - S. Each boundary is folded over the smaller side: when S
+    is the smaller one, only members adjacent to S can contribute, so the
     rows of S are folded into ``touch`` first and each component is folded
     over its members in ``touch`` (O(|S| + |N(S)|) mask operations);
     otherwise each component is folded over all its members (O(|alive|)).
     """
     if not alive:
         return []
-    outside = ((1 << len(adj)) - 1) & ~alive
+    outside = (((1 << len(adj)) - 1) if within is None else within) & ~alive
     touch = alive
     if outside.bit_count() <= alive.bit_count():
         touch = 0
@@ -268,7 +279,7 @@ def _components_bits(adj: list[int], alive: int) -> list[tuple[int, int]]:
         reach = 0
         for u in bit_members(comp & touch):
             reach |= adj[u]
-        out.append((comp, reach & ~alive))
+        out.append((comp, reach & outside))
     return out
 
 

@@ -28,7 +28,14 @@ from triconvex.generators import (
     random_connected_graph,
     star_graph,
 )
-from triconvex.graph import Graph, _component_bits, _components_bits, _non_edge, shortest_path
+from triconvex.graph import (
+    Graph,
+    _component_bits,
+    _components_bits,
+    _non_edge,
+    _pendant_forest,
+    shortest_path,
+)
 from triconvex.oracle import brute_hull, brute_is_convex
 
 from .strategies import graphs_with_subsets
@@ -41,7 +48,7 @@ def vs(n, items):
 
 def kept_bits(g, bits):
     """All that ``_kept_core`` keeps: its core side and its tree paths."""
-    core, trees = _kept_core(g, bits)
+    core, trees, _ = _kept_core(g, bits)
     return core | trees
 
 
@@ -409,9 +416,7 @@ class TestAgainstRestartRoute:
                 for s_bits in sets:
                     expected = reference_mono_violation(g, s_bits)
                     context = (g.n, sorted(g.edges()), bin(s_bits))
-                    assert _mono_violation(g._adj, s_bits, full) == expected, context
-                    kept = kept_bits(g, s_bits)
-                    assert _mono_violation(g._adj, s_bits, kept) == expected, context
+                    assert _mono_violation(g, s_bits, *_kept_core(g, s_bits)) == expected, context
                     assert is_m_convex(g, VertexSet(g.n, s_bits)) == (expected is None), context
                     witnesses += expected is not None
                     convex += expected is None
@@ -529,10 +534,10 @@ def component_scans_per_hull(monkeypatch, g, seed, pairs=50):
     calls = 0
     search = convexity._components_bits
 
-    def counted(adj, alive):
+    def counted(adj, alive, within=None):
         nonlocal calls
         calls += 1
-        return search(adj, alive)
+        return search(adj, alive, within)
 
     monkeypatch.setattr(convexity, "_components_bits", counted)
     rng = random.Random(seed)
@@ -595,7 +600,7 @@ class TestMonoStep:
                 hull = reference_hull_bits(g, bits, sets)
                 for s_bits in sets:
                     alive = kept_bits(g, s_bits) & ~s_bits
-                    routes = [route[:3] for route in _violating_components(adj, full, s_bits)]
+                    routes = list(_violating_components(adj, full, s_bits))
                     for u in bit_members(s_bits):
                         missing = s_bits & ~adj[u] & ~(1 << u)
                         if missing and adj[u] & alive:
@@ -868,9 +873,9 @@ class TestPendantPeel:
         searched = []
         search, crossing = convexity._components_bits, convexity._forced_paths
 
-        def recorded(adj, alive):
+        def recorded(adj, alive, within=None):
             searched.append(alive)
-            return search(adj, alive)
+            return search(adj, alive, within)
 
         def recorded_crossing(adj, alive, u, targets):
             searched.append(alive)
@@ -893,9 +898,10 @@ class TestPendantPeel:
 
     def test_violating_components_on_a_core_attach_members_only(self):
         # path 0 - 1 - 2 with member 0 and core {0, 1}: the boundary of {1}
-        # holds the peeled vertex 2, which is no member and so no partner of 0
+        # is taken within the core, so the peeled vertex 2 is no partner of 0
         g = path_graph(3)
         assert list(_violating_components(g._adj, 0b011, 0b001)) == []
+        assert _components_bits(g._adj, 0b010, 0b011) == [(0b010, 0b001)]
         rng = random.Random(43)
         crossings = 0
         for g in peel_graphs():
@@ -906,16 +912,17 @@ class TestPendantPeel:
                 got = list(_violating_components(adj, core, bits))
                 context = (g.n, sorted(g.edges()), bin(bits))
                 components = reference_components(g, core & ~bits)
-                for u, missing, comp, boundary in got:
+                within = _components_bits(adj, core & ~bits, core)
+                assert within == [(comp, boundary & core) for comp, boundary in components]
+                for u, missing, comp in got:
                     assert (bits >> u) & 1 and not missing & ~bits, context
                     assert not comp & ~core, context
-                    assert (comp, boundary) in components, context
+                    assert comp in [comp for comp, _ in components], context
                 on_g = {
-                    (u, missing, comp & core, boundary & bits)
-                    for u, missing, comp, boundary in _violating_components(adj, full, bits)
+                    (u, missing, comp & core)
+                    for u, missing, comp in _violating_components(adj, full, bits)
                 }
-                on_core = {(*route[:3], route[3] & bits) for route in got}
-                assert on_core == on_g, context
+                assert set(got) == on_g, context
                 crossings += len(got)
         assert crossings > 20
 
@@ -1007,7 +1014,7 @@ class TestKeptCore:
                 assert kept == full & ~reference_peel(g, bits), context
                 # walks that run on to the forest roots keep more than the
                 # member paths do
-                core, parent, _, _ = g._forest
+                core, parent = g._forest[:2]
                 walked = core | bits
                 for v in bit_members(bits & ~core):
                     while parent[v] >= 0:
@@ -1082,7 +1089,7 @@ class TestTreeComponentPaths:
                         bits |= sum(1 << v for v in rng.sample(part, size))
                 if full & ~in_trees and rng.random() < 0.5:
                     bits |= sum(1 << v for v in rng.sample(list(bit_members(full & ~in_trees)), 2))
-                core, trees = _kept_core(g, bits)
+                core, trees, _ = _kept_core(g, bits)
                 paths = member_tree_paths(g, parts, bits)
                 context = (g.n, sorted(g.edges()), bin(bits))
                 assert trees == paths, context
@@ -1134,6 +1141,55 @@ def t_convex_tuple(g, bits):
     return convex, witness.kind, witness.vertex, witness.pair, comp
 
 
+def tree_side_graphs():
+    """Random recursive trees and shuffled paths up to 300 vertices, forests
+    of several tree components, and disconnected graphs that mix tree
+    components with a cyclic one (a 3-regular core with hung trees)."""
+    graphs = [random_recursive_tree(n, seed) for n, seed in ((20, 71), (90, 72), (300, 73))]
+    graphs += [shuffled_path(n, seed) for n, seed in ((12, 74), (60, 75), (300, 76))]
+    forest = [random_recursive_tree(40, 77), path_graph(15), star_graph(6)]
+    graphs.append(disjoint_union(forest + [random_recursive_tree(25, 78)], 79)[0])
+    small = [random_recursive_tree(9, 80), path_graph(5), Graph(1)]
+    graphs.append(disjoint_union(small * 3, 81)[0])
+    for seed in range(8):
+        core = cubic_core_with_trees(10, 25, seed)
+        parts = [random_recursive_tree(30, 82 + seed), core, path_graph(12)]
+        graphs.append(disjoint_union(parts, 90 + seed)[0])
+    return graphs
+
+
+def small_sets_and_hulls(g, rng, reps):
+    """``reps`` sets of each size from 1 to 6, their complements and their
+    hulls."""
+    full = (1 << g.n) - 1
+    sets = []
+    for size in range(1, 7):
+        for _ in range(reps):
+            bits = sum(1 << v for v in rng.sample(range(g.n), min(size, g.n)))
+            sets += [bits, full & ~bits]
+    return sets + [t_convex_hull(g, VertexSet(g.n, bits)).bits for bits in sets]
+
+
+def recorded_widenings(monkeypatch):
+    """Replace ``convexity._lockstep`` by a wrapper that counts the rows each
+    widening reads and records ``(reads, |A|, |B|, a side ran dry first)``,
+    after checking the side it returns against a plain search."""
+    runs = []
+    lockstep = convexity._lockstep
+
+    def recorded(adj, alive, a, b):
+        rows = CountingRows(adj)
+        a_first, grown = lockstep(rows, alive, a, b)
+        sides = [_component_bits(adj, alive, a), _component_bits(adj, alive, b)]
+        assert grown == sides[0 if a_first else 1]
+        assert not sides[0] & sides[1]
+        runs.append((rows.reads, sides[0].bit_count(), sides[1].bit_count(), a_first))
+        return a_first, grown
+
+    monkeypatch.setattr(convexity, "_lockstep", recorded)
+    return runs
+
+
 class TestWitnessesOnTheKeptCore:
     def test_hung_minimum_names_the_whole_component(self):
         # C8 through members 1 and 2 with a leaf 0 hung at 7: the two
@@ -1146,25 +1202,80 @@ class TestWitnessesOnTheKeptCore:
         assert t_convex_tuple(g, s) == full_graph_t_convex(g, s)
         assert not is_m_convex(g, VertexSet(9, s))
 
-    def test_match_the_full_graph_route(self):
+    def test_match_the_full_graph_route(self, monkeypatch):
+        # the pendant corpus with seeds, complements, p3 closures and hulls;
+        # then trees and paths up to 300 vertices, forests, and tree
+        # components beside a member-free one or a cyclic component, with
+        # 1-6 members, complements and hulls: pieces of the kept tree part,
+        # widened over the smaller side, whose complement must skip a
+        # member-free tree component
+        runs = recorded_widenings(monkeypatch)
         rng = random.Random(53)
-        graphs = hull_corpus() + pendant_graphs() + [g for g, _ in forest_graphs()]
-        witnesses = widened = 0
-        for g in graphs:
+        cases = []
+        for g in hull_corpus() + pendant_graphs() + [g for g, _ in forest_graphs()]:
             full = (1 << g.n) - 1
             for bits in hull_seeds(g, rng):
                 closed = p3_closure(g, bits)
                 hull = t_convex_hull(g, VertexSet(g.n, bits)).bits
-                for s_bits in (bits, full & ~bits, closed, full & ~closed, hull):
-                    expected = full_graph_t_convex(g, s_bits)
-                    context = (g.n, sorted(g.edges()), bin(s_bits))
-                    assert t_convex_tuple(g, s_bits) == expected, context
-                    s = VertexSet(g.n, s_bits)
-                    assert is_m_convex(g, s) == (full_graph_mono(g, s_bits) is None), context
-                    if expected[1] == "mono-violation":
-                        witnesses += 1
-                        widened += bool(expected[4] & ~kept_bits(g, s_bits))
+                cases += [(g, s) for s in (bits, full & ~bits, closed, full & ~closed, hull)]
+        for g in tree_side_graphs():
+            cases += [(g, s) for s in small_sets_and_hulls(g, rng, 10)]
+        witnesses = widened = tree_side = mixed = 0
+        for g, s_bits in cases:
+            expected = full_graph_t_convex(g, s_bits)
+            context = (g.n, sorted(g.edges()), bin(s_bits))
+            assert t_convex_tuple(g, s_bits) == expected, context
+            s = VertexSet(g.n, s_bits)
+            assert is_m_convex(g, s) == (full_graph_mono(g, s_bits) is None), context
+            if expected[1] == "mono-violation":
+                witnesses += 1
+                widened += bool(expected[4] & ~kept_bits(g, s_bits))
+                _, _, _, tree, _, components = _pendant_forest(g)
+                if tree[expected[3][0]] >= 0:
+                    tree_side += 1
+                    member_trees = {tree[v] for v in bit_members(s_bits) if tree[v] >= 0}
+                    mixed += components > len(member_trees)
+        a_first = sum(run[3] for run in runs)
         assert witnesses > 500 and widened > 300
+        assert tree_side > 450 and mixed > 70
+        assert a_first > 600 and len(runs) - a_first > 450
+
+    def test_tree_pair_tests_make_no_component_search(self, monkeypatch):
+        # a work guard, not a clock: a pair or its hull in a tree is judged
+        # from the climb and its pieces, never by a component search
+        searches = []
+        search = convexity._components_bits
+        monkeypatch.setattr(
+            convexity, "_components_bits", lambda *args: searches.append(args) or search(*args)
+        )
+        rng = random.Random(101)
+        for g in (path_graph(2000), random_recursive_tree(2000, 102)):
+            for _ in range(200):
+                s = vs(g.n, rng.sample(range(g.n), 2))
+                is_t_convex(g, s)
+                is_t_convex(g, t_convex_hull(g, s))
+            assert not searches
+
+    def test_a_widening_reads_twice_the_smaller_side(self, monkeypatch):
+        # a work guard, not a clock: on the shape of the sparse-atoms
+        # benchmark, pair and hull-complement witnesses widen over the
+        # smaller side of the dropped trees
+        runs = recorded_widenings(monkeypatch)
+        rng = random.Random(103)
+        for seed in range(3):
+            g = cubic_core_with_trees(150, 350, seed)
+            full = (1 << g.n) - 1
+            for _ in range(40):
+                bits = sum(1 << v for v in rng.sample(range(g.n), 2))
+                hull = t_convex_hull(g, VertexSet(g.n, bits)).bits
+                for s_bits in (bits, full & ~hull):
+                    assert t_convex_tuple(g, s_bits) == full_graph_t_convex(g, s_bits)
+        for reads, a, b, _ in runs:
+            assert reads <= 2 * min(a, b) + 1, (reads, a, b)
+        # the dropped trees hanging from the members are the smaller side,
+        # and most of the dropped forest is never read
+        assert len(runs) > 50
+        assert sum(reads for reads, *_ in runs) * 4 < sum(a for _, a, _, _ in runs)
 
 
 def relabelled(g, label):
