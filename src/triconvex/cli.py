@@ -1,9 +1,13 @@
 """Command-line interface.
 
-Every subcommand reads a graph (``--graph FILE`` or ``--generate
-KIND:PARAMS``), runs one algorithm, and emits either human-readable text
-or a JSON report. Exit codes: 0 success, 1 validation error, 2 oracle
-mismatch, 64 usage error.
+Each subcommand is defined once, in ``COMMANDS``: its help, its arguments
+and the function that runs it. The six graph subcommands and
+``oracle-compare`` read a graph from ``--graph FILE`` or ``--generate
+KIND:PARAMS``, and ``oracle-compare`` also takes ``--corpus SPEC``;
+``bench`` builds its own graphs, and ``generate`` takes a spec only. Each
+emits human-readable text or, with ``--json``, a JSON report. Exit codes:
+0 success, 1 validation error or closed output, 2 oracle mismatch, 64
+usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import statistics
 import sys
 import time
@@ -23,7 +28,7 @@ from .convexity_number import convexity_number
 from .decomposition import decompose, is_prime
 from .errors import ContractViolationError, Error, ValidationError
 from .generators import all_connected_graphs, from_spec, random_connected_graph
-from .graph import FORMATS, Graph, load_graph, to_edge_list
+from .graph import FORMATS, Graph, edge_list_lines, load_graph
 from .hull_number import hull_number
 from .oracle import MAX_PATH_VERTICES, run_cross_validation
 from .prime import enumerate_prime_convex_sets
@@ -44,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
+def _graph_source(p: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """Add ``--graph``/``--generate``, ``--format`` and ``--seed`` to ``p``;
+    returns the source group, which ``oracle-compare`` extends."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", metavar="FILE", help="graph file to read")
     src.add_argument(
@@ -54,77 +61,48 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--format", choices=FORMATS, help="override format sniffing")
     p.add_argument("--seed", type=int, default=0, help="seed for generated graphs")
+    return src
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
+def _vertex_arguments(p: argparse.ArgumentParser) -> None:
+    _graph_source(p)
+    p.add_argument("--vertices", required=True, help="comma-separated vertex ids")
+
+
+def _corpus_arguments(p: argparse.ArgumentParser) -> None:
+    _graph_source(p).add_argument(
+        "--corpus",
+        metavar="SPEC",
+        help="exhaustive:N (all connected graphs, n <= N <= 6) or random:N,COUNT[,SEED]",
+    )
+
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algorithm", required=True, choices=tuple(_BENCH_RUNS))
+    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
+    p.add_argument("--p", type=float, default=0.05, help="edge probability")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=int, default=3, help="timing repetitions per size")
+
+
+def _spec_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--generate", required=True, metavar="KIND:PARAMS")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="triconvex", description=__doc__)
     parser.add_argument("--version", action="version", version=f"triconvex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="maximal prime subgraphs and overlap sets")
-    _add_graph_arguments(p)
-    _add_common(p)
-
-    p = sub.add_parser("convex-test", help="test a vertex set for convexity")
-    _add_graph_arguments(p)
-    _add_common(p)
-    p.add_argument("--vertices", required=True, help="comma-separated vertex ids")
-
-    p = sub.add_parser("hull", help="convex hull of a vertex set")
-    _add_graph_arguments(p)
-    _add_common(p)
-    p.add_argument("--vertices", required=True, help="comma-separated vertex ids")
-
-    p = sub.add_parser("enumerate-prime", help="all convex sets of a prime graph")
-    _add_graph_arguments(p)
-    _add_common(p)
-
-    p = sub.add_parser("convexity-number", help="maximum proper convex set")
-    _add_graph_arguments(p)
-    _add_common(p)
-
-    p = sub.add_parser("hull-number", help="minimum hull set")
-    _add_graph_arguments(p)
-    _add_common(p)
-
-    p = sub.add_parser("oracle-compare", help="cross-validate against brute force")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", metavar="FILE")
-    src.add_argument("--generate", metavar="KIND:PARAMS")
-    src.add_argument(
-        "--corpus",
-        metavar="SPEC",
-        help="exhaustive:N (all connected graphs, n <= N <= 6) or random:N,COUNT[,SEED]",
-    )
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-    p = sub.add_parser("bench", help="timing table over generated graphs")
-    p.add_argument(
-        "--algorithm",
-        required=True,
-        choices=("decompose", "hull", "convexity-number", "hull-number"),
-    )
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
-    p.add_argument("--p", type=float, default=0.05, help="edge probability")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=3, help="timing repetitions per size")
-    _add_common(p)
-
-    p = sub.add_parser("generate", help="write a generated graph as an edge list")
-    p.add_argument("--generate", dest="spec", required=True, metavar="KIND:PARAMS")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
+    """The graph of ``--graph FILE`` or ``--generate KIND:PARAMS``."""
     if getattr(args, "graph", None):
         return load_graph(args.graph, args.format)
     return from_spec(args.generate, default_seed=args.seed)
@@ -194,80 +172,74 @@ def _corpus_graphs(spec: str, default_seed: int) -> Iterator[Graph]:
     raise Error(f"unknown corpus spec {spec!r}")
 
 
-def _run_command(args: argparse.Namespace) -> tuple[dict, int, Graph | None, int | None]:
-    """Returns (result payload, exit code, graph, atom count if computed)."""
-    cmd = args.command
-
-    if cmd == "generate":
-        g = from_spec(args.spec, default_seed=args.seed)
-        payload = {"n": g.n, "edges": [list(e) for e in g.edges()]}
-        return payload, EXIT_OK, g, None
-
-    if cmd == "bench":
-        return _run_bench(args), EXIT_OK, None, None
-
-    if cmd == "oracle-compare":
-        if args.corpus:
-            graphs = _corpus_graphs(args.corpus, args.seed)
-        else:
-            graphs = [_read_graph(args)]
-        # zip draws a graph before a tick, so the ticks taken count the graphs.
-        ticks = itertools.count()
-        mismatches = run_cross_validation(g for g, _ in zip(graphs, ticks))
-        payload = {
-            "graphs": next(ticks),
-            "mismatches": mismatches,
-        }
-        return payload, EXIT_MISMATCH if mismatches else EXIT_OK, None, None
-
-    g = _read_graph(args)
-
-    if cmd == "decompose":
-        dec = decompose(g)
-        payload = {
-            "atoms": [sorted(a) for a in dec.atoms],
-            "r_sets": [sorted(r) for r in dec.r_sets],
-        }
-        return payload, EXIT_OK, g, dec.t
-
-    if cmd == "convex-test":
-        s = _parse_vertices(args.vertices, g.n)
-        convex, witness = is_t_convex(g, s)
-        return {"convex": convex, "witness": _witness_json(witness)}, EXIT_OK, g, None
-
-    if cmd == "hull":
-        s = _parse_vertices(args.vertices, g.n)
-        return {"hull": sorted(t_convex_hull(g, s))}, EXIT_OK, g, None
-
-    if cmd == "enumerate-prime":
-        if not is_prime(g):
-            raise ContractViolationError("graph is not prime")
-        family = enumerate_prime_convex_sets(g)
-        return {"sets": [sorted(s) for s in family]}, EXIT_OK, g, None
-
-    if cmd == "convexity-number":
-        res = convexity_number(g)
-        payload = {"value": res.value, "witness": sorted(res.witness)}
-        return payload, EXIT_OK, g, None
-
-    if cmd == "hull-number":
-        res = hull_number(g)
-        payload = {"value": res.value, "hull_set": sorted(res.hull_set), "verified": True}
-        return payload, EXIT_OK, g, None
-
-    raise Error(f"unknown command {cmd!r}")
+def _decompose(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:
+    dec = decompose(g)
+    atoms = [sorted(a) for a in dec.atoms]
+    r_sets = [sorted(r) for r in dec.r_sets]
+    lines = [f"atom {i}: {a}" for i, a in enumerate(atoms, 1)]
+    lines += [f"overlap R_{i}: {r}" for i, r in enumerate(r_sets, 2)]
+    return {"atoms": atoms, "r_sets": r_sets}, lines
 
 
-def _run_bench(args: argparse.Namespace) -> dict:
+def _convex_test(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:
+    convex, witness = is_t_convex(g, _parse_vertices(args.vertices, g.n))
+    result = {"convex": convex, "witness": _witness_json(witness)}
+    return result, ["convex" if convex else f"not convex: {result['witness']}"]
+
+
+def _hull(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:
+    hull = sorted(t_convex_hull(g, _parse_vertices(args.vertices, g.n)))
+    return {"hull": hull}, [f"hull: {hull}"]
+
+
+def _enumerate_prime(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:
+    if not is_prime(g):
+        raise ContractViolationError("graph is not prime")
+    sets = [sorted(s) for s in enumerate_prime_convex_sets(g)]
+    return {"sets": sets}, [f"{len(sets)} convex sets", *(f"  {s}" for s in sets)]
+
+
+def _convexity_number(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:
+    res = convexity_number(g)
+    witness = sorted(res.witness)
+    return {"value": res.value, "witness": witness}, [
+        f"convexity number: {res.value} witness: {witness}"
+    ]
+
+
+def _hull_number(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:
+    res = hull_number(g)
+    hull_set = sorted(res.hull_set)
+    return {"value": res.value, "hull_set": hull_set, "verified": True}, [
+        f"hull number: {res.value} hull set: {hull_set}"
+    ]
+
+
+def _oracle_compare(args: argparse.Namespace, _: None) -> tuple[dict, list[str]]:
+    graphs = _corpus_graphs(args.corpus, args.seed) if args.corpus else [_read_graph(args)]
+    # zip draws a graph before a tick, so the ticks taken count the graphs.
+    ticks = itertools.count()
+    mismatches = run_cross_validation(g for g, _ in zip(graphs, ticks))
+    count = next(ticks)
+    lines = [f"compared {count} graph(s): {len(mismatches)} mismatch(es)"]
+    lines += [f"  {line}" for line in mismatches]
+    return {"graphs": count, "mismatches": mismatches}, lines
+
+
+_BENCH_RUNS = {
+    "decompose": decompose,
+    # the hull of the two end vertices, or of the one vertex of K_1
+    "hull": lambda g: t_convex_hull(g, VertexSet.from_iterable(g.n, {0, g.n - 1})),
+    "convexity-number": convexity_number,
+    "hull-number": hull_number,
+}
+_BENCH_COLUMNS = ("algorithm", "n", "m", "median_ms", "reps")
+
+
+def _bench(args: argparse.Namespace, _: None) -> tuple[dict, list[str]]:
     if args.reps < 1:
         raise ValidationError(f"--reps must be at least 1, got {args.reps}")
-    runners = {
-        "decompose": lambda g: decompose(g),
-        "hull": lambda g: t_convex_hull(g, _bench_seed_set(g)),
-        "convexity-number": lambda g: convexity_number(g),
-        "hull-number": lambda g: hull_number(g),
-    }
-    run = runners[args.algorithm]
+    run = _BENCH_RUNS[args.algorithm]
     rows = []
     for n in _parse_ints(args.sizes, "--sizes"):
         g = random_connected_graph(n, args.p, args.seed)
@@ -276,83 +248,71 @@ def _run_bench(args: argparse.Namespace) -> dict:
             t0 = time.perf_counter()
             run(g)
             times.append((time.perf_counter() - t0) * 1000.0)
-        rows.append(
-            {
-                "algorithm": args.algorithm,
-                "n": n,
-                "m": g.m,
-                "median_ms": round(statistics.median(times), 3),
-                "reps": len(times),
-            }
-        )
-    return {"rows": rows}
+        median = round(statistics.median(times), 3)
+        rows.append(dict(zip(_BENCH_COLUMNS, (args.algorithm, n, g.m, median, len(times)))))
+    lines = [",".join(_BENCH_COLUMNS)]
+    lines += [",".join(str(row[c]) for c in _BENCH_COLUMNS) for row in rows]
+    return {"rows": rows}, lines
 
 
-def _bench_seed_set(g: Graph) -> VertexSet:
-    if g.n < 2:
-        return VertexSet.full(g.n)
-    return VertexSet.from_iterable(g.n, (0, g.n - 1))
+def _generate(args: argparse.Namespace, g: Graph) -> tuple[dict, Iterator[str]]:
+    # The report holds the edges as pairs; the text streams them.
+    edges = [list(e) for e in g.edges()] if args.json else None
+    return {"n": g.n, "edges": edges}, edge_list_lines(g)
 
 
-def _print_human(args: argparse.Namespace, payload: dict) -> None:
-    cmd = args.command
-    if cmd == "generate":
-        g = Graph(payload["n"], [tuple(e) for e in payload["edges"]])
-        sys.stdout.write(to_edge_list(g))
-    elif cmd == "bench":
-        print("algorithm,n,m,median_ms,reps")
-        for row in payload["rows"]:
-            print(f"{row['algorithm']},{row['n']},{row['m']},{row['median_ms']},{row['reps']}")
-    elif cmd == "oracle-compare":
-        print(f"compared {payload['graphs']} graph(s): {len(payload['mismatches'])} mismatch(es)")
-        for line in payload["mismatches"]:
-            print(f"  {line}")
-    elif cmd == "decompose":
-        for i, atom in enumerate(payload["atoms"], 1):
-            print(f"atom {i}: {atom}")
-        for i, r in enumerate(payload["r_sets"], 2):
-            print(f"overlap R_{i}: {r}")
-    elif cmd == "convex-test":
-        print("convex" if payload["convex"] else f"not convex: {payload['witness']}")
-    elif cmd == "hull":
-        print(f"hull: {payload['hull']}")
-    elif cmd == "enumerate-prime":
-        print(f"{len(payload['sets'])} convex sets")
-        for s in payload["sets"]:
-            print(f"  {s}")
-    elif cmd == "convexity-number":
-        print(f"convexity number: {payload['value']} witness: {payload['witness']}")
-    elif cmd == "hull-number":
-        print(f"hull number: {payload['value']} hull set: {payload['hull_set']}")
+# Each subcommand: its help, a function adding its arguments but --json,
+# and run(args, graph), which returns the JSON result and the human lines.
+COMMANDS = {
+    "decompose": ("maximal prime subgraphs and overlap sets", _graph_source, _decompose),
+    "convex-test": ("test a vertex set for convexity", _vertex_arguments, _convex_test),
+    "hull": ("convex hull of a vertex set", _vertex_arguments, _hull),
+    "enumerate-prime": ("all convex sets of a prime graph", _graph_source, _enumerate_prime),
+    "convexity-number": ("maximum proper convex set", _graph_source, _convexity_number),
+    "hull-number": ("minimum hull set", _graph_source, _hull_number),
+    "oracle-compare": ("cross-validate against brute force", _corpus_arguments, _oracle_compare),
+    "bench": ("timing table over generated graphs", _bench_arguments, _bench),
+    "generate": ("write a generated graph as an edge list", _spec_arguments, _generate),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = COMMANDS[args.command][2]
     started = time.perf_counter()
     try:
-        payload, code, g, atom_count = _run_command(args)
+        # oracle-compare reads its own graphs and bench builds its own.
+        g = None if args.command in ("oracle-compare", "bench") else _read_graph(args)
+        payload, lines = run(args, g)
+        if args.json:
+            report = {
+                "command": args.command,
+                "input": getattr(args, "graph", None) or getattr(args, "generate", None)
+                or getattr(args, "corpus", None),
+                "result": payload,
+                "wall_ms": round((time.perf_counter() - started) * 1000.0, 3),
+                "graph": {
+                    "n": None if g is None else g.n,
+                    "m": None if g is None else g.m,
+                    "atoms": len(payload["atoms"]) if "atoms" in payload else None,
+                },
+            }
+            lines = [json.dumps(report, indent=2, sort_keys=True)]
+        # A write the closed pipe cuts short raises nothing; the newline
+        # after it, or the flush, raises BrokenPipeError.
+        write = sys.stdout.write
+        for line in lines:
+            write(line)
+            write("\n")
+        sys.stdout.flush()
     except (Error, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed stdout: point it at the null device, so the
+            # flush at exit has somewhere to write what is still buffered.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    if args.json:
-        report = {
-            "command": args.command,
-            "input": getattr(args, "graph", None) or getattr(args, "generate", None)
-            or getattr(args, "spec", None) or getattr(args, "corpus", None),
-            "result": payload,
-            "wall_ms": wall_ms,
-            "graph": {
-                "n": g.n if g is not None else None,
-                "m": g.m if g is not None else None,
-                "atoms": atom_count,
-            },
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _print_human(args, payload)
-    return code
+    return EXIT_MISMATCH if payload.get("mismatches") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -444,11 +444,16 @@ def parse_graph(text: str | Iterable[str], fmt: str = "edge-list") -> Graph:
     raise ValidationError(f"unknown graph format {fmt!r}")
 
 
+def edge_list_lines(g: Graph) -> Iterator[str]:
+    """The lines of the edge-list format, one at a time: each edge, then
+    each isolated vertex."""
+    yield from (f"{u} {v}" for u, v in g.edges())
+    yield from (str(v) for v, row in enumerate(g._adj) if not row)
+
+
 def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format; round-trips through parse_edge_list."""
-    lines = [f"{u} {v}" for u, v in g.edges()]
-    lines.extend(str(v) for v, row in enumerate(g._adj) if not row)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{line}\n" for line in edge_list_lines(g))
 
 
 def to_dimacs(g: Graph) -> str:

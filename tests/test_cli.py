@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import re
 import signal
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from triconvex import cli
-from triconvex.generators import MAX_COMPLETE_VERTICES, bowtie_graph
+from triconvex.generators import MAX_COMPLETE_VERTICES, bowtie_graph, complete_graph
 from triconvex.graph import MAX_VERTICES, to_dimacs, to_edge_list
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name):
@@ -134,6 +141,11 @@ HUMAN_OUTPUT = {
         ["hull-number", "--generate", "cycle:5"],
         "hull number: 2 hull set: [0, 2]\n",
     ),
+    "oracle-compare": (
+        ["oracle-compare", "--generate", "cycle:5"],
+        "compared 1 graph(s): 0 mismatch(es)\n",
+    ),
+    "generate isolated vertex": (["generate", "--generate", "path:1"], "0\n"),
 }
 
 
@@ -323,3 +335,131 @@ class TestDeterminism:
         a, b = json.loads(first), json.loads(second)
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+class TestReport:
+    def test_oracle_compare_mismatch_is_an_indented_line(self, capsys, monkeypatch):
+        from triconvex import oracle
+
+        monkeypatch.setattr(oracle, "brute_hull_number", lambda g: 99)
+        code, out = run(capsys, "oracle-compare", "--generate", "cycle:5")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "compared 1 graph(s): 1 mismatch(es)"
+        assert len(lines) == 2 and lines[1].startswith("  graph[0] (n=5, m=5): ")
+
+    def test_generate_report(self, capsys):
+        code, report = run_json(capsys, "generate", "--generate", "cycle:4")
+        assert code == 0
+        assert report["input"] == "cycle:4"
+        assert report["graph"] == {"n": 4, "m": 4, "atoms": None}
+        assert report["result"] == {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
+
+    def test_input_names_the_source(self, capsys, tmp_path):
+        path = tmp_path / "bowtie.txt"
+        path.write_text(to_edge_list(bowtie_graph()), encoding="utf-8")
+        _, report = run_json(capsys, "hull", "--graph", str(path), "--vertices", "1,3")
+        assert report["input"] == str(path)
+        _, report = run_json(capsys, "oracle-compare", "--corpus", "exhaustive:2")
+        assert report["input"] == "exhaustive:2"
+        assert report["graph"] == {"n": None, "m": None, "atoms": None}
+        _, report = run_json(
+            capsys, "bench", "--algorithm", "hull", "--sizes", "5", "--reps", "1"
+        )
+        assert report["input"] is None
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        helps = {
+            "decompose": "maximal prime subgraphs and overlap sets",
+            "convex-test": "test a vertex set for convexity",
+            "hull": "convex hull of a vertex set",
+            "enumerate-prime": "all convex sets of a prime graph",
+            "convexity-number": "maximum proper convex set",
+            "hull-number": "minimum hull set",
+            "oracle-compare": "cross-validate against brute force",
+            "bench": "timing table over generated graphs",
+            "generate": "write a generated graph as an edge list",
+        }
+        for name, text in helps.items():
+            assert re.search(rf"^ +{name} +{re.escape(text)}$", out, re.M), name
+
+
+def subcommands() -> list[str]:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+# One run per subcommand for the schema guard; a subcommand missing here
+# fails the guard.
+SCHEMA_ARGV = {
+    "decompose": ["--generate", "bowtie"],
+    "convex-test": ["--generate", "cycle:6", "--vertices", "0,3"],
+    "hull": ["--generate", "path:4", "--vertices", "0,3"],
+    "enumerate-prime": ["--generate", "cycle:5"],
+    "convexity-number": ["--generate", "bowtie"],
+    "hull-number": ["--generate", "cycle:5"],
+    "oracle-compare": ["--generate", "cycle:5"],
+    "bench": ["--algorithm", "hull", "--sizes", "8", "--reps", "1"],
+    "generate": ["--generate", "triangle_star:2"],
+}
+
+
+@pytest.mark.parametrize("name", subcommands())
+def test_every_subcommand_has_a_schema(capsys, name):
+    schema = SCHEMA_DIR / f"{name}.json"
+    assert schema.is_file()
+    code, report = run_json(capsys, name, *SCHEMA_ARGV[name])
+    assert code == 0 and report["command"] == name
+    jsonschema.validate(report["result"], load_schema(schema.name))
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv, read_first_line",
+        [
+            (["generate", "--generate", "path:40000", "--json"], True),
+            (["generate", "--generate", "path:40000"], True),
+            # a short report fits in the pipe, so the pipe closes before it
+            (["decompose", "--generate", "path:3", "--json"], False),
+        ],
+    )
+    def test_closed_stdout_is_one_line_and_exit_one(self, argv, read_first_line):
+        read_end, write_end = os.pipe()
+        reader = os.fdopen(read_end, "rb")
+        if not read_first_line:
+            reader.close()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "triconvex.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        os.close(write_end)
+        if read_first_line:
+            assert reader.readline()
+            reader.close()
+        err = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception" not in err
+        assert err.count("\n") <= 1
+
+    def test_generate_streams_the_edge_list(self, capsys, monkeypatch):
+        argv = ["generate", "--generate", "complete:300"]
+        _, out = run(capsys, *argv)
+        assert out == to_edge_list(complete_graph(300))
+        with open(os.devnull, "w", encoding="utf-8") as null:
+            monkeypatch.setattr(sys, "stdout", null)
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        # the 44,850 edges as one string take 3.8 MB, as pairs more
+        assert peak < 1_000_000
