@@ -49,9 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _graph_source(p: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
-    """Add ``--graph``/``--generate``, ``--format`` and ``--seed`` to ``p``;
-    returns the source group, which ``oracle-compare`` extends."""
+def _graph_source(p: argparse.ArgumentParser, corpus: bool = False) -> None:
+    """Add ``--graph``/``--generate`` (with ``corpus``, also ``--corpus``),
+    ``--format`` and ``--seed`` to ``p``."""
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", metavar="FILE", help="graph file to read")
     src.add_argument(
@@ -59,22 +59,19 @@ def _graph_source(p: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGrou
         metavar="KIND:PARAMS",
         help="generate a named graph, e.g. cycle:5 or random_connected:100,0.05",
     )
+    if corpus:
+        src.add_argument(
+            "--corpus",
+            metavar="SPEC",
+            help="exhaustive:N (all connected graphs, n <= N <= 6) or random:N,COUNT[,SEED]",
+        )
     p.add_argument("--format", choices=FORMATS, help="override format sniffing")
     p.add_argument("--seed", type=int, default=0, help="seed for generated graphs")
-    return src
 
 
 def _vertex_arguments(p: argparse.ArgumentParser) -> None:
     _graph_source(p)
     p.add_argument("--vertices", required=True, help="comma-separated vertex ids")
-
-
-def _corpus_arguments(p: argparse.ArgumentParser) -> None:
-    _graph_source(p).add_argument(
-        "--corpus",
-        metavar="SPEC",
-        help="exhaustive:N (all connected graphs, n <= N <= 6) or random:N,COUNT[,SEED]",
-    )
 
 
 def _bench_arguments(p: argparse.ArgumentParser) -> None:
@@ -270,7 +267,11 @@ COMMANDS = {
     "enumerate-prime": ("all convex sets of a prime graph", _graph_source, _enumerate_prime),
     "convexity-number": ("maximum proper convex set", _graph_source, _convexity_number),
     "hull-number": ("minimum hull set", _graph_source, _hull_number),
-    "oracle-compare": ("cross-validate against brute force", _corpus_arguments, _oracle_compare),
+    "oracle-compare": (
+        "cross-validate against brute force",
+        lambda p: _graph_source(p, corpus=True),
+        _oracle_compare,
+    ),
     "bench": ("timing table over generated graphs", _bench_arguments, _bench),
     "generate": ("write a generated graph as an edge list", _spec_arguments, _generate),
 }
