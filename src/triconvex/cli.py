@@ -225,8 +225,10 @@ def _oracle_compare(args: argparse.Namespace, _: None) -> tuple[dict, list[str]]
 
 _BENCH_RUNS = {
     "decompose": decompose,
-    # the hull of the two end vertices, or of the one vertex of K_1
+    # the hull and the convexity test of the two end vertices, or of the
+    # one vertex of K_1
     "hull": lambda g: t_convex_hull(g, VertexSet.from_iterable(g.n, {0, g.n - 1})),
+    "convex-test": lambda g: is_t_convex(g, VertexSet.from_iterable(g.n, {0, g.n - 1})),
     "convexity-number": convexity_number,
     "hull-number": hull_number,
 }

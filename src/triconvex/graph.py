@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
-from .bitset import VertexSet, bit_members
+from .bitset import VertexSet, bit_members, byte_members
 from .errors import ParseError, ValidationError
 
 # Largest accepted vertex count, checked before any row is allocated. Each
@@ -20,6 +20,12 @@ from .errors import ParseError, ValidationError
 # holds about n^2/16 bytes of rows: 160 MB at this n, some 60 GB at
 # n = 1,000,000.
 MAX_VERTICES = 50_000
+
+# A BFS level with more members than this left after its first two lists
+# them by bytes (``_component_bits``). Measured with CPython 3.11 on x86,
+# the byte route wins past 16-24 members at n <= 256, 32-40 at n = 600 and
+# 50-60 at n = 2,500-10,000.
+_WIDE_LEVEL = 32
 
 
 class Graph:
@@ -142,15 +148,35 @@ class Path:
 
 def _component_bits(adj: list[int], alive: int, seeds: int) -> int:
     """``seeds`` plus every vertex they reach by paths through ``alive``; for
-    seeds inside ``alive``, the union of their components of G[alive]."""
+    seeds inside ``alive``, the union of their components of G[alive].
+
+    Each BFS level ORs the rows of its members. The first two members come
+    off the frontier by the low bit (``f & -f``, ``f ^= low``), a few
+    operations on n-bit ints each, so a one- or two-member level, as on a
+    path or a cycle, costs that and no width test. A wider level counts
+    the rest once: past ``_WIDE_LEVEL`` members ``byte_members`` lists them
+    in one pass over the mask's bytes and a table lookup per nonzero byte,
+    about three times cheaper per member on a 600-vertex level; otherwise
+    the low-bit step goes on. A level's OR does not depend on the order, so
+    both routes give the same masks.
+    """
     comp = frontier = seeds
     while frontier:
-        nxt = 0
-        f = frontier
-        while f:
+        low = frontier & -frontier
+        f = frontier ^ low
+        nxt = adj[low.bit_length() - 1]
+        if f:
             low = f & -f
             f ^= low
             nxt |= adj[low.bit_length() - 1]
+            if f.bit_count() > _WIDE_LEVEL:
+                for v in byte_members(f):
+                    nxt |= adj[v]
+            else:
+                while f:
+                    low = f & -f
+                    f ^= low
+                    nxt |= adj[low.bit_length() - 1]
         nxt &= alive & ~comp
         comp |= nxt
         frontier = nxt
@@ -262,6 +288,9 @@ def _components_bits(
     rows of S are folded into ``touch`` first and each component is folded
     over its members in ``touch`` (O(|S| + |N(S)|) mask operations);
     otherwise each component is folded over all its members (O(|alive|)).
+    Each component is one ``_component_bits`` search, whose levels cost a
+    few n-bit operations per member when narrow and one byte pass plus a
+    table lookup and a row OR per member when wide.
     """
     if not alive:
         return []

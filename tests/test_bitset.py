@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triconvex.bitset import VertexSet, bit_members
+from triconvex.bitset import VertexSet, bit_members, byte_members
 
 members = st.sets(st.integers(min_value=0, max_value=30))
 
@@ -58,3 +60,16 @@ def test_iteration_is_ascending_and_hash_consistent(a):
 
 def test_bit_members_matches_iteration():
     assert list(bit_members(0b101001)) == [0, 3, 5]
+
+
+def test_byte_members_matches_bit_members():
+    # every density, byte-boundary universes, and the masks of one end bit
+    # or all bits
+    rng = random.Random(5)
+    for n in (1, 7, 8, 9, 63, 64, 65, 600):
+        masks = [0, 1, 1 << (n - 1), (1 << n) - 1]
+        for density in (0.01, 0.05, 0.2, 0.5, 0.8, 0.99):
+            for _ in range(5):
+                masks.append(sum(1 << v for v in range(n) if rng.random() < density))
+        for bits in masks:
+            assert byte_members(bits) == list(bit_members(bits)), (n, bits)

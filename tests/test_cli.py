@@ -90,7 +90,7 @@ class TestSubcommands:
         assert out == "0 1\n0 3\n1 2\n2 3\n"
 
     def test_bench_csv_shape(self, capsys):
-        for algorithm in ("convexity-number", "hull"):
+        for algorithm in ("convexity-number", "hull", "convex-test"):
             code, out = run(
                 capsys, "bench", "--algorithm", algorithm,
                 "--sizes", "12,16,20", "--p", "0.3", "--reps", "2",

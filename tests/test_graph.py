@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import collections
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given
 
-from triconvex.bitset import VertexSet, bit_members
+from triconvex import graph
+from triconvex.bitset import VertexSet, bit_members, byte_members
+from triconvex.convexity import is_t_convex
 from triconvex.errors import ParseError, ValidationError
+from triconvex.generators import cycle_graph, path_graph, star_graph
 from triconvex.graph import (
     Graph,
+    _component_bits,
     _components_bits,
     is_connected,
     load_graph,
@@ -23,6 +28,7 @@ from triconvex.graph import (
 from triconvex.oracle import is_triangle_path
 
 from .strategies import graphs, graphs_with_subsets
+from .test_convexity import cubic_core_with_trees, min_degree_gnp
 
 
 class TestGraph:
@@ -215,6 +221,79 @@ class TestComponents:
             for b, _ in comps:
                 if a != b:
                     assert not any(g._adj[v] & b for v in bit_members(a))
+
+
+def reference_component(g, alive, seeds):
+    """``_component_bits`` by a queue BFS over neighbour lists."""
+    seen = set(bit_members(seeds))
+    queue = collections.deque(seen)
+    while queue:
+        for w in g.neighbors(queue.popleft()):
+            if (alive >> w) & 1 and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return sum(1 << v for v in seen)
+
+
+def count_byte_levels(monkeypatch):
+    """The sizes of the levels ``_component_bits`` lists by bytes from now on."""
+    sizes = []
+
+    def counted(bits):
+        sizes.append(bits.bit_count())
+        return byte_members(bits)
+
+    monkeypatch.setattr(graph, "byte_members", counted)
+    return sizes
+
+
+class TestComponentSearch:
+    def test_matches_a_queue_bfs(self, monkeypatch):
+        # the dense graph's and the star's wide levels go by bytes, the
+        # levels of paths and cycles by the low bit
+        wide = count_byte_levels(monkeypatch)
+        rng = random.Random(17)
+        shapes = (
+            min_degree_gnp(600, 10 / 600, 3),
+            path_graph(500),
+            cycle_graph(500),
+            star_graph(250),
+            cubic_core_with_trees(40, 80, 6),
+        )
+        for g in shapes:
+            for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                alive = sum(1 << v for v in range(g.n) if rng.random() < density)
+                for seeds in (
+                    1 << rng.randrange(g.n),
+                    sum(1 << rng.randrange(g.n) for _ in range(3)),
+                    alive & -alive,
+                ):
+                    if seeds:
+                        expected = reference_component(g, alive, seeds)
+                        assert _component_bits(g._adj, alive, seeds) == expected, (g, density)
+        assert wide and max(wide) > 300
+
+    @pytest.mark.parametrize("make", [path_graph, cycle_graph])
+    def test_long_graphs_expand_no_level_by_bytes(self, monkeypatch, make):
+        g = make(10_000)
+        wide = count_byte_levels(monkeypatch)
+        full = (1 << g.n) - 1
+        assert _component_bits(g._adj, full, 1) == full
+        assert wide == []
+
+    def test_a_dense_mono_witness_expands_a_level_by_bytes(self, monkeypatch):
+        g = min_degree_gnp(600, 10 / 600, 0)
+        rng = random.Random(4)
+        wide = count_byte_levels(monkeypatch)
+        for _ in range(50):
+            wide.clear()
+            pair = VertexSet.from_iterable(g.n, rng.sample(range(g.n), 2))
+            convex, witness = is_t_convex(g, pair)
+            if not convex and witness.kind == "mono-violation":
+                break
+        else:
+            pytest.fail("50 random pairs gave no mono witness")
+        assert wide, "no level of the mono scan was listed by bytes"
 
 
 class TestShortestPath:
