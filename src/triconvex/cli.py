@@ -256,7 +256,7 @@ def _bench(args: argparse.Namespace, _: None) -> tuple[dict, list[str]]:
 
 def _generate(args: argparse.Namespace, g: Graph) -> tuple[dict, Iterator[str]]:
     # The report holds the edges as pairs; the text streams them.
-    edges = [list(e) for e in g.edges()] if args.json else None
+    edges = list(g.edges()) if args.json else None
     return {"n": g.n, "edges": edges}, edge_list_lines(g)
 
 
@@ -300,13 +300,18 @@ def main(argv: list[str] | None = None) -> int:
                     "atoms": len(payload["atoms"]) if "atoms" in payload else None,
                 },
             }
-            lines = [json.dumps(report, indent=2, sort_keys=True)]
-        # A write the closed pipe cuts short raises nothing; the newline
-        # after it, or the flush, raises BrokenPipeError.
+            # The report is one line, written as the encoder's chunks, never
+            # as one string.
+            encoded = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+            chunks = itertools.chain(encoded, ("\n",))
+        else:
+            chunks = itertools.chain.from_iterable(zip(lines, itertools.repeat("\n")))
+        # Each newline is its own write: a write the closed pipe cuts short
+        # raises nothing, but the newline after it, or the flush, raises
+        # BrokenPipeError.
         write = sys.stdout.write
-        for line in lines:
-            write(line)
-            write("\n")
+        for chunk in chunks:
+            write(chunk)
         sys.stdout.flush()
     except (Error, OSError) as exc:
         if isinstance(exc, BrokenPipeError):

@@ -17,18 +17,19 @@ member first: a search through the rest of G - S from the first member u
 with a neighbour there and a non-neighbour in S absorbs every shortest
 path from u to each non-neighbour it reaches. With one such non-neighbour
 t the search meets in the middle, growing the smaller of the two sides'
-newest levels (``_forced_paths``). Only when that absorbs nothing does a
-mono scan run, and the rest of the closure keeps to scans: one search of
-G - S, and in every component D whose attached members N(D) are not a
-clique, the same crossing, through D alone, from the first member u with a
-non-neighbour in N(D). So a closure wastes at most one member search, and
-needs at most one scan to show that it is closed. The convexity test
-checks the outside condition over the smaller side too, the members or
-the outside vertices, so a pair costs two row ORs. Every mono scan is
-``_violating_components``, the one scan of G - S: it reads the members
-attached to each component D of G - S off the boundary N(D) that
-``graph._components_bits`` returns with D, so one scan is one search:
-O(n) mask operations.
+newest levels (``_forced_paths``); every level of a crossing is one
+``graph._reach``, which reads a wide level by bytes. Only when that
+absorbs nothing does a mono scan run, and the rest of the closure keeps
+to scans: one search of G - S, and in every component D whose attached
+members N(D) are not a clique, the same crossing, through D alone, from
+the first member u with a non-neighbour in N(D). So a closure wastes at
+most one member search, and needs at most one scan to show that it is
+closed. The convexity test checks the outside condition over the smaller
+side too, the members or the outside vertices, so a pair costs two row
+ORs. Every mono scan is ``_violating_components``, the one scan of G - S:
+it reads the members attached to each component D of G - S off the
+boundary N(D) that ``graph._components_bits`` returns with D, so one
+scan is one search: O(n) mask operations.
 
 Both the hull and the convexity test first drop the member-free pendant
 trees: a path entering one has no way back out, so no path joins two
@@ -73,6 +74,7 @@ from .graph import (
     _fold,
     _non_edge,
     _pendant_forest,
+    _reach,
 )
 # shortest_path stays a module attribute: benchmark/tracer.py wraps it here.
 from .graph import shortest_path  # noqa: F401
@@ -360,16 +362,6 @@ def _mono_violation(
     return best
 
 
-def _reach(adj: list[int], bits: int) -> int:
-    """Every neighbour of a member of ``bits``: one row OR per member."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        out |= adj[low.bit_length() - 1]
-    return out
-
-
 def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
     """Inner vertices of every shortest u-t path through ``alive``, for each
     target t that a BFS from ``u`` through ``alive`` reaches.
@@ -399,7 +391,8 @@ def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
     level or to a vertex kept one level deeper: exactly the inner vertices
     of the shortest paths. Either way O(the vertices searched + the targets)
     row ORs, and the meeting reads the rows of the smaller side at each
-    step.
+    step. Every level and every sweep step is one ``graph._reach``, so a
+    crossing reads its wide levels by bytes.
     """
     if not targets & (targets - 1):
         ends = [[adj[u] & alive], [adj[targets.bit_length() - 1] & alive]]

@@ -139,6 +139,7 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
             frontier = reach & pending
             while frontier:
                 pending ^= frontier
+                # not _reach: most waves are one vertex; the calls slowed decompose 15-18 %
                 while frontier:
                     v = frontier.bit_length() - 1
                     reach |= adj[v]

@@ -21,8 +21,8 @@ from .errors import ParseError, ValidationError
 # n = 1,000,000.
 MAX_VERTICES = 50_000
 
-# A BFS level with more members than this left after its first two lists
-# them by bytes (``_component_bits``). Measured with CPython 3.11 on x86,
+# A mask with more members than this left after its first two has them
+# listed by bytes (``_reach``). Measured with CPython 3.11 on x86,
 # the byte route wins past 16-24 members at n <= 256, 32-40 at n = 600 and
 # 50-60 at n = 2,500-10,000.
 _WIDE_LEVEL = 32
@@ -146,40 +146,49 @@ class Path:
 # Internal bitmask traversal helpers, shared by the sibling modules.
 
 
+def _reach(adj: list[int], bits: int) -> int:
+    """Every neighbour of a member of ``bits``: the OR of the members' rows,
+    N(X) for the set X of them, and 0 for an empty mask. Each BFS level of
+    the component searches, ``shortest_path`` and the hull's crossings, and
+    each boundary fold, is one call.
+
+    The first two members come off the mask by the low bit (``f & -f``,
+    ``f ^= low``), a few operations on n-bit ints each, so a one- or
+    two-member mask, as a level on a path or a cycle, costs that and no
+    width test. A wider mask counts the rest once: past ``_WIDE_LEVEL``
+    members ``byte_members`` lists them in one pass over the mask's bytes
+    and a table lookup per nonzero byte, about three times cheaper per
+    member on a 600-vertex level; otherwise the low-bit step goes on. The
+    OR does not depend on the order, so both routes give the same mask.
+    """
+    if not bits:
+        return 0
+    low = bits & -bits
+    bits ^= low
+    out = adj[low.bit_length() - 1]
+    if bits:
+        low = bits & -bits
+        bits ^= low
+        out |= adj[low.bit_length() - 1]
+        if bits.bit_count() > _WIDE_LEVEL:
+            for v in byte_members(bits):
+                out |= adj[v]
+        else:
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                out |= adj[low.bit_length() - 1]
+    return out
+
+
 def _component_bits(adj: list[int], alive: int, seeds: int) -> int:
     """``seeds`` plus every vertex they reach by paths through ``alive``; for
     seeds inside ``alive``, the union of their components of G[alive].
-
-    Each BFS level ORs the rows of its members. The first two members come
-    off the frontier by the low bit (``f & -f``, ``f ^= low``), a few
-    operations on n-bit ints each, so a one- or two-member level, as on a
-    path or a cycle, costs that and no width test. A wider level counts
-    the rest once: past ``_WIDE_LEVEL`` members ``byte_members`` lists them
-    in one pass over the mask's bytes and a table lookup per nonzero byte,
-    about three times cheaper per member on a 600-vertex level; otherwise
-    the low-bit step goes on. A level's OR does not depend on the order, so
-    both routes give the same masks.
-    """
+    Each BFS level is one ``_reach`` of the last."""
     comp = frontier = seeds
     while frontier:
-        low = frontier & -frontier
-        f = frontier ^ low
-        nxt = adj[low.bit_length() - 1]
-        if f:
-            low = f & -f
-            f ^= low
-            nxt |= adj[low.bit_length() - 1]
-            if f.bit_count() > _WIDE_LEVEL:
-                for v in byte_members(f):
-                    nxt |= adj[v]
-            else:
-                while f:
-                    low = f & -f
-                    f ^= low
-                    nxt |= adj[low.bit_length() - 1]
-        nxt &= alive & ~comp
-        comp |= nxt
-        frontier = nxt
+        frontier = _reach(adj, frontier) & alive & ~comp
+        comp |= frontier
     return comp
 
 
@@ -288,27 +297,21 @@ def _components_bits(
     rows of S are folded into ``touch`` first and each component is folded
     over its members in ``touch`` (O(|S| + |N(S)|) mask operations);
     otherwise each component is folded over all its members (O(|alive|)).
-    Each component is one ``_component_bits`` search, whose levels cost a
-    few n-bit operations per member when narrow and one byte pass plus a
-    table lookup and a row OR per member when wide.
+    Each component is one ``_component_bits`` search, and each fold one
+    ``_reach``.
     """
     if not alive:
         return []
     outside = (((1 << len(adj)) - 1) if within is None else within) & ~alive
     touch = alive
     if outside.bit_count() <= alive.bit_count():
-        touch = 0
-        for v in bit_members(outside):
-            touch |= adj[v]
+        touch = _reach(adj, outside)
     out = []
     rest = alive
     while rest:
         comp = _component_bits(adj, rest, rest & -rest)
         rest &= ~comp
-        reach = 0
-        for u in bit_members(comp & touch):
-            reach |= adj[u]
-        out.append((comp, reach & outside))
+        out.append((comp, _reach(adj, comp & touch) & outside))
     return out
 
 
@@ -342,14 +345,7 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
     levels = [1 << v]
     seen = 1 << v
     while True:
-        frontier = levels[-1]
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            nxt |= adj[low.bit_length() - 1]
-        nxt &= mask & ~seen
+        nxt = _reach(adj, levels[-1]) & mask & ~seen
         if not nxt:
             return None
         seen |= nxt
@@ -418,8 +414,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
 def parse_dimacs(text: str | Iterable[str]) -> Graph:
     """Parse DIMACS format, from a text or its lines: ``p edge n m`` header,
-    checked against ``MAX_VERTICES`` at once, and 1-based ``e u v`` lines,
-    each setting its adjacency bits as it is read."""
+    checked whole at its line, n against 0 and ``MAX_VERTICES``, and
+    1-based ``e u v`` lines, each setting its adjacency bits as it is read."""
     n = None
     for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
         line = raw.strip()
@@ -432,9 +428,11 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed problem line {line!r}", line=lineno)
             try:
-                n = int(parts[2])
+                n, _ = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=lineno) from None
+            if n < 0:
+                raise ValidationError(f"line {lineno}: vertex count must be nonnegative")
             if n > MAX_VERTICES:
                 raise ValidationError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             adj = [0] * n
@@ -457,8 +455,6 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             raise ParseError(f"unknown line type {parts[0]!r}", line=lineno)
     if n is None:
         raise ParseError("missing problem line")
-    if n < 0:
-        raise ValidationError("vertex count must be nonnegative")
     return Graph._from_rows(adj)
 
 

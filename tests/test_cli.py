@@ -448,18 +448,35 @@ class TestOutput:
         assert "Traceback" not in err and "Exception" not in err
         assert err.count("\n") <= 1
 
-    def test_generate_streams_the_edge_list(self, capsys, monkeypatch):
-        argv = ["generate", "--generate", "complete:300"]
-        _, out = run(capsys, *argv)
-        assert out == to_edge_list(complete_graph(300))
+    @staticmethod
+    def traced_peak(monkeypatch, argv):
+        """Exit code and tracemalloc peak of ``argv`` writing to the null
+        device."""
         with open(os.devnull, "w", encoding="utf-8") as null:
             monkeypatch.setattr(sys, "stdout", null)
             tracemalloc.start()
             try:
                 code = cli.main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
+                return code, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+
+    def test_generate_streams_the_edge_list(self, capsys, monkeypatch):
+        argv = ["generate", "--generate", "complete:300"]
+        _, out = run(capsys, *argv)
+        assert out == to_edge_list(complete_graph(300))
+        code, peak = self.traced_peak(monkeypatch, argv)
         assert code == 0
         # the 44,850 edges as one string take 3.8 MB, as pairs more
         assert peak < 1_000_000
+
+    def test_generate_json_streams_the_report(self, capsys, monkeypatch):
+        argv = ["generate", "--generate", "complete:300", "--json"]
+        _, out = run(capsys, *argv)
+        # written chunk by chunk, it is the text json.dumps makes of it
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        code, peak = self.traced_peak(monkeypatch, argv)
+        assert code == 0
+        # the edges as tuples take 3.6 MB; the report as one indented
+        # string would take 16 MB
+        assert peak < 6_000_000, peak

@@ -16,6 +16,7 @@ from triconvex.graph import (
     Graph,
     _component_bits,
     _components_bits,
+    _reach,
     is_connected,
     load_graph,
     parse_dimacs,
@@ -129,8 +130,9 @@ class TestParsing:
             ("dimacs", "p edge 3 1\nx 1 2\n", ParseError, "line 2: unknown line type 'x'"),
             ("dimacs", "p edge 3 1\ne 1 4\n", ValidationError, "line 2: vertex id out of range 1..3"),
             ("dimacs", "p edge 3 1\ne 3 3\n", ValidationError, "line 2: self-loop at vertex 3"),
-            ("dimacs", "p edge -2 1\n", ValidationError, "vertex count must be nonnegative"),
-            ("dimacs", "p edge -2 1\ne 1 2\n", ValidationError, "line 2: vertex id out of range 1..-2"),
+            ("dimacs", "p edge 3 x\n", ParseError, "line 1: malformed problem line 'p edge 3 x'"),
+            ("dimacs", "p edge -2 1\n", ValidationError, "line 1: vertex count must be nonnegative"),
+            ("dimacs", "p edge -2 1\ne 1 2\n", ValidationError, "line 1: vertex count must be nonnegative"),
             ("dimacs", "c only\n", ParseError, "missing problem line"),
         ],
     )
@@ -236,7 +238,7 @@ def reference_component(g, alive, seeds):
 
 
 def count_byte_levels(monkeypatch):
-    """The sizes of the levels ``_component_bits`` lists by bytes from now on."""
+    """The sizes of the masks ``_reach`` lists by bytes from now on."""
     sizes = []
 
     def counted(bits):
@@ -247,20 +249,41 @@ def count_byte_levels(monkeypatch):
     return sizes
 
 
+def search_shapes():
+    return (
+        min_degree_gnp(600, 10 / 600, 3),
+        path_graph(500),
+        cycle_graph(500),
+        star_graph(250),
+        cubic_core_with_trees(40, 80, 6),
+    )
+
+
+class TestReach:
+    def test_matches_a_plain_row_or(self, monkeypatch):
+        # 0, 1 and 2 members take the low bit alone; 2 + _WIDE_LEVEL
+        # members leave _WIDE_LEVEL after the two peels, still the low bit,
+        # and one more goes by bytes
+        wide = count_byte_levels(monkeypatch)
+        rng = random.Random(5)
+        for g in search_shapes():
+            for size in (0, 1, 2, 3, graph._WIDE_LEVEL + 2, graph._WIDE_LEVEL + 3, g.n):
+                bits = sum(1 << v for v in rng.sample(range(g.n), size))
+                expected = 0
+                for v in bit_members(bits):
+                    expected |= g._adj[v]
+                wide.clear()
+                assert _reach(g._adj, bits) == expected, (g, size)
+                assert wide == ([size - 2] if size > graph._WIDE_LEVEL + 2 else []), (g, size)
+
+
 class TestComponentSearch:
     def test_matches_a_queue_bfs(self, monkeypatch):
         # the dense graph's and the star's wide levels go by bytes, the
         # levels of paths and cycles by the low bit
         wide = count_byte_levels(monkeypatch)
         rng = random.Random(17)
-        shapes = (
-            min_degree_gnp(600, 10 / 600, 3),
-            path_graph(500),
-            cycle_graph(500),
-            star_graph(250),
-            cubic_core_with_trees(40, 80, 6),
-        )
-        for g in shapes:
+        for g in search_shapes():
             for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 alive = sum(1 << v for v in range(g.n) if rng.random() < density)
                 for seeds in (
