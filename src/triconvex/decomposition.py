@@ -1,21 +1,26 @@
 """Clique minimal separator decomposition into maximal prime subgraphs.
 
-The route is MCS-M+ followed by the ``Atoms`` sweep of Berry, Pogorelcnik
-and Simonet ("An introduction to clique minimal separator decomposition",
-Algorithms 3(2), 2010). MCS-M+ yields a minimal triangulation H of G, an
-elimination order and the minimal-separator generators: for a generator x,
-madj(x), the H-neighbours of x eliminated after it, is a minimal separator
-of H, and every minimal separator of H arises this way. H being minimal,
-the clique minimal separators of G are those of them that are cliques of
+The pendant forest comes first: the peel that leaves the 2-core
+(``graph._pendant_forest``, cached on the graph) hangs every other vertex
+from a parent, and each such forest edge is a bridge, so an atom on its
+own. G being connected, its 2-core C is connected or empty, and the atoms
+of G[C] are the remaining atoms of G. On C alone the route is MCS-M+
+followed by the ``Atoms`` sweep of Berry, Pogorelcnik and Simonet ("An
+introduction to clique minimal separator decomposition", Algorithms 3(2),
+2010). MCS-M+ yields a minimal triangulation H of G[C], an elimination
+order and the minimal-separator generators: for a generator x, madj(x),
+the H-neighbours of x eliminated after it, is a minimal separator of H,
+and every minimal separator of H arises this way. H being minimal, the
+clique minimal separators of G[C] are those of them that are cliques of
 G. So H itself is never stored: the search keeps madj(y) for each vertex y
 only while it is still a clique of G, a live mask drops y the first time
 it is not (madj only grows, so a dropped y can never carve), and the
 search ends once no unnumbered vertex is live.
 Sweeping the elimination order, each live generator x carves madj(x) plus
 the component of x in the remainder minus madj(x) as one atom; the
-remainder left at the end is the last atom. A step costs one component
-search inside the part it carves, so there is no search over the whole
-graph per candidate.
+remainder of C left at the end, when nonempty, is the last atom. A step
+costs one component search inside the part it carves, so there is no
+search over the whole graph per candidate.
 
 The atoms are then put in a D-ordering (see ``_d_order``), so every
 atom's overlap with its predecessors sits inside one earlier atom.
@@ -34,6 +39,7 @@ from .graph import (
     _component_bits,
     _components_bits,
     _non_edge,
+    _pendant_forest,
     is_connected,
 )
 
@@ -65,21 +71,24 @@ def _has_two_full_components(adj: list[int], rest: int, sep: int) -> bool:
     return sum(not sep & ~boundary for _, boundary in _components_bits(adj, rest)) >= 2
 
 
-def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
-    """MCS-M+: madj rows, elimination order and the live generators.
+def _mcs_m(g: Graph, within: int) -> tuple[list[int], list[int], int]:
+    """MCS-M+ on G[within]: madj rows, elimination order and the live
+    generators.
 
-    Vertices are numbered n..1 by descending label (ties to the smallest
-    id); a vertex's label rises when the newly numbered vertex x reaches it
-    through unnumbered vertices of strictly smaller label, and every such
-    reach is an edge xy of the minimal triangulation H (a fill edge when it
-    is not an edge of G). ``by_w[w]`` masks the unnumbered vertices of
-    label w, so selection is the lowest bit of the highest non-empty mask.
-    The search from x is graded over these masks: at level w it bumps the
-    label-w vertices next to the region (x plus the unnumbered vertices it
-    reaches through labels below w), then admits the label-w vertices and
-    grows the region by ORing adjacency rows. Growth stops once every
-    vertex of a higher label already touches the region, which always
-    holds after the highest label present.
+    Only the vertices of ``within`` are numbered, by descending label (ties
+    to the smallest id); every label layer lies inside ``within``, so a
+    vertex outside it that a row reaches is never bumped, admitted or
+    recorded. A vertex's label rises when the newly numbered vertex x
+    reaches it through unnumbered vertices of strictly smaller label, and
+    every such reach is an edge xy of the minimal triangulation H (a fill
+    edge when it is not an edge of G). ``by_w[w]`` masks the unnumbered
+    vertices of label w, so selection is the lowest bit of the highest
+    non-empty mask. The search from x is graded over these masks: at level
+    w it bumps the label-w vertices next to the region (x plus the
+    unnumbered vertices it reaches through labels below w), then admits
+    the label-w vertices and grows the region by ORing adjacency rows.
+    Growth stops once every vertex of a higher label already touches the
+    region, which always holds after the highest label present.
 
     H is not stored. ``madj[y]`` collects the vertices that reached y
     before y was numbered, which are y's H-neighbours eliminated after it.
@@ -99,7 +108,7 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
     n = g.n
     adj = g._adj
     madj = [0] * n
-    live = (1 << n) - 1
+    live = within
     by_w = [0] * (n + 1)
     by_w[0] = unnumbered = live
     top = 0
@@ -162,7 +171,13 @@ def _mcs_m(g: Graph) -> tuple[list[int], list[int], int]:
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Decompose a connected graph into its maximal prime subgraphs."""
+    """Decompose a connected graph into its maximal prime subgraphs.
+
+    Each edge of the pendant forest (``graph._pendant_forest``) is a bridge
+    and so an atom on its own; MCS-M+ and the carving sweep run on the
+    2-core alone, which is connected or empty, and whose atoms are the
+    remaining ones. On a tree no vertex is numbered.
+    """
     if g.n < 1:
         raise ValidationError("decomposition needs at least one vertex")
     if not is_connected(g):
@@ -171,17 +186,19 @@ def decompose(g: Graph) -> Decomposition:
     if n == 1:
         return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0), g)
     adj = g._adj
-    madj, elim, carvers = _mcs_m(g)
+    core, parent, _, _, _, _ = _pendant_forest(g)
+    pieces = [(1 << v) | (1 << p) for v, p in enumerate(parent) if p >= 0]
+    madj, elim, carvers = _mcs_m(g, core)
 
-    alive = (1 << n) - 1
-    pieces: list[int] = []
+    alive = core
     for x in elim:
         if (carvers >> x) & 1:
             sep = madj[x]
             comp = _component_bits(adj, alive & ~sep, 1 << x)
             pieces.append(comp | sep)
             alive &= ~comp
-    pieces.append(alive)
+    if alive:
+        pieces.append(alive)
 
     ordered = _d_order(pieces)
     atoms = tuple(VertexSet(n, b) for b in ordered)

@@ -34,7 +34,8 @@ class Graph:
     ``_forest`` caches the graph's pendant forest, ``(core, parent, depth,
     tree, roots, components)`` from :func:`_pendant_forest`, filled on first
     use: the hull and the convexity test keep only the part of it that a
-    vertex set needs.
+    vertex set needs, and ``decompose`` reads each forest edge as an atom
+    and runs MCS-M+ on the 2-core alone.
     """
 
     __slots__ = ("n", "_adj", "_m", "_forest")
@@ -434,7 +435,9 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             if n < 0:
                 raise ValidationError(f"line {lineno}: vertex count must be nonnegative")
             if n > MAX_VERTICES:
-                raise ValidationError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+                raise ValidationError(
+                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+                )
             adj = [0] * n
         elif parts[0] == "e":
             if n is None:

@@ -15,13 +15,15 @@ on 10,000-vertex trees against parent-pointer walks; for a pair, the
 convexity test searches nothing off the path between them, and the hull
 searches nothing at all and reads parent links only on that path. A tree's
 atoms are its edges, and a D-ordering places each edge after one that
-shares its single overlap vertex; that is checked on 10,000-vertex trees.
+shares its single overlap vertex; that is checked on 10,000-vertex trees,
+under their generated labels and under a random relabelling.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -40,6 +42,14 @@ def random_recursive_tree(n: int, seed: int) -> Graph:
     """Vertex v joins a uniformly random earlier vertex."""
     rng = random.Random(seed)
     return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    """g under a random relabelling, so no search meets its vertices in the
+    order they were generated."""
+    label = list(range(g.n))
+    random.Random(seed).shuffle(label)
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
 
 
 def leaves(g: Graph) -> int:
@@ -99,6 +109,8 @@ TREES_AT_SCALE = {
     "path:10000": path_graph(10000),
     "random recursive tree:10000": random_recursive_tree(10000, 0),
     "star:9999": star_graph(9999),
+    "shuffled path:10000": shuffled(path_graph(10000), 1),
+    "shuffled random recursive tree:10000": shuffled(random_recursive_tree(10000, 0), 2),
 }
 
 
@@ -121,6 +133,17 @@ def test_tree_decomposes_into_its_edges_at_scale(name):
         for v in bit_members(atoms[i]):
             first_atom.setdefault(v, i)
     assert dec.r_union.bits == r_union
+
+
+def test_shuffled_path_decomposes_within_a_second():
+    # an alarm, not a benchmark: a path's edges are read off the pendant
+    # forest, while numbering all of a relabelled P_4000 with MCS-M takes
+    # seconds
+    g = shuffled(path_graph(4000), 3)
+    start = time.perf_counter()
+    dec = decompose(g)
+    assert time.perf_counter() - start < 1.0
+    assert dec.t == 3999
 
 
 def tree_path_union(g: Graph, members: list[int]) -> set[int]:

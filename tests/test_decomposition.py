@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from triconvex import decomposition
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.decomposition import (
     Decomposition,
@@ -33,6 +34,7 @@ from triconvex.graph import (
     _component_bits,
     _components_bits,
     _non_edge,
+    _pendant_forest,
     is_connected,
 )
 from triconvex.hull_number import (
@@ -44,6 +46,8 @@ from triconvex.hull_number import (
 from triconvex.oracle import brute_atoms
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
 
+from .test_closed_forms import shuffled
+from .test_convexity import cubic_core_with_trees
 from .test_convexity_number import DIFFERENTIAL_GRAPHS
 
 
@@ -525,6 +529,22 @@ def min_degree_gnp(n, p, k, seed):
     return Graph(n, [(u, v) for u in range(n) for v in rows[u] if u < v])
 
 
+def with_pendant_paths(g, paths, seed):
+    """g with ``paths`` paths of 1-6 vertices hung from random vertices,
+    relabelled."""
+    rng = random.Random(seed)
+    edges = list(g.edges())
+    n = g.n
+    for _ in range(paths):
+        at = rng.randrange(n)
+        length = rng.randint(1, 6)
+        for v in range(n, n + length):
+            edges.append((at, v))
+            at = v
+        n += length
+    return shuffled(Graph(n, edges), seed)
+
+
 def differential_corpus():
     graphs = []
     for n, p, seed in itertools.product((12, 25, 50, 100, 200), (0.02, 0.05, 0.15), range(3)):
@@ -536,6 +556,26 @@ def differential_corpus():
     graphs += [path_graph(n) for n in (1, 2, 3, 10, 150)]
     graphs += [random_recursive_tree(n, seed) for n in (10, 60, 200) for seed in range(3)]
     graphs += [star_graph(k) for k in (1, 2, 5, 120)]
+    # where the pendant forest meets the 2-core, under shuffled labels
+    graphs += [
+        shuffled(cubic_core_with_trees(core, hung, seed), seed)
+        for core, hung in ((4, 6), (10, 30), (20, 50), (36, 84))
+        for seed in range(3)
+    ]
+    graphs += [shuffled(path_graph(n), seed) for n in (4, 30, 120) for seed in range(2)]
+    graphs += [
+        shuffled(random_recursive_tree(n, seed), seed) for n in (10, 60, 120) for seed in range(2)
+    ]
+    graphs += [
+        with_pendant_paths(cycle_graph(k), paths, seed)
+        for k, paths in ((3, 1), (4, 2), (9, 5), (30, 12))
+        for seed in range(2)
+    ]
+    graphs += [
+        with_pendant_paths(tree_of_cliques(blocks, seed), paths, seed)
+        for blocks, paths in ((3, 2), (8, 5), (20, 10))
+        for seed in range(3)
+    ]
     return graphs
 
 
@@ -543,6 +583,30 @@ class TestAgainstReferenceRoute:
     def test_decompose_matches_bucket_route(self):
         for g in differential_corpus():
             assert decompose(g) == reference_decompose(g), sorted(g.edges())
+
+    def test_mcs_m_numbers_the_two_core_alone(self, monkeypatch):
+        # a work guard, not a clock: forest edges are read off the peel,
+        # so MCS-M is handed the 2-core, and nothing at all on a tree
+        masks = []
+        mcs_m = decomposition._mcs_m
+
+        def recorded(g, within):
+            masks.append(within)
+            return mcs_m(g, within)
+
+        monkeypatch.setattr(decomposition, "_mcs_m", recorded)
+        trees = 0
+        for g in differential_corpus():
+            masks.clear()
+            decompose(g)
+            if g.n == 1:
+                assert masks == []
+                continue
+            assert masks == [_pendant_forest(g)[0]], sorted(g.edges())
+            if g.m == g.n - 1:
+                assert masks == [0], sorted(g.edges())
+                trees += 1
+        assert trees > 20
 
     def test_full_component_test_matches_per_member_loop(self):
         # every R-set, and cliques grown at random from a random vertex
@@ -573,7 +637,7 @@ class TestAgainstReferenceRoute:
         # search stops, and the generators whose madj row in the bucket
         # route's H is a clique of G are exactly the live ones, with that row
         for g in differential_corpus():
-            madj, elim, live = _mcs_m(g)
+            madj, elim, live = _mcs_m(g, (1 << g.n) - 1)
             h, ref_elim, generators = bucket_mcs_m(g)
             assert elim == ref_elim[g.n - len(elim) :], sorted(g.edges())
             ref_live = 0

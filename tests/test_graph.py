@@ -133,6 +133,12 @@ class TestParsing:
             ("dimacs", "p edge 3 x\n", ParseError, "line 1: malformed problem line 'p edge 3 x'"),
             ("dimacs", "p edge -2 1\n", ValidationError, "line 1: vertex count must be nonnegative"),
             ("dimacs", "p edge -2 1\ne 1 2\n", ValidationError, "line 1: vertex count must be nonnegative"),
+            (
+                "dimacs",
+                "p edge 60000 0\n",
+                ValidationError,
+                "line 1: vertex count 60000 exceeds the limit of 50000",
+            ),
             ("dimacs", "c only\n", ParseError, "missing problem line"),
         ],
     )
