@@ -166,7 +166,7 @@ def _corpus_graphs(spec: str, default_seed: int) -> Iterator[Graph]:
         return (
             random_connected_graph(n, probs[i % len(probs)], seed0 + i) for i in range(count)
         )
-    raise Error(f"unknown corpus spec {spec!r}")
+    raise ValidationError(f"unknown corpus spec {spec!r}")
 
 
 def _decompose(args: argparse.Namespace, g: Graph) -> tuple[dict, list[str]]:

@@ -1,63 +1,31 @@
 """Polynomial convexity test and convex hull for the triangle path convexity.
 
 A set S is convex exactly when no outside vertex has two neighbours in S
-and no two non-adjacent members of S have neighbours in a common component
-of G - S. Every vertex either repair adds lies in the hull, so the hull is
-a closure taken in rounds: one round absorbs every outside vertex seen
-twice, over the smaller side. While the members added since the last fold
-are no more than the vertices left outside, the round reads them off the
-member fold ``graph._fold``, extended by those members; once they
-outnumber what is left, it counts the members of each outside vertex
-instead (``_seen_twice``), and the next fold takes the members it skipped.
-Each member is folded at most once and a count round reads fewer rows than
-the members it skips, so all these rounds cost O(|hull|) mask operations
-per hull, and a closure that leaves nothing outside stops with no round.
-Only when no vertex is seen twice does a mono round run. It crosses from a
-member first: a search through the rest of G - S from the first member u
-with a neighbour there and a non-neighbour in S absorbs every shortest
-path from u to each non-neighbour it reaches. With one such non-neighbour
-t the search meets in the middle, growing the smaller of the two sides'
-newest levels (``_forced_paths``); every level of a crossing is one
-``graph._reach``, which reads a wide level by bytes. Only when that
-absorbs nothing does a mono scan run, and the rest of the closure keeps
-to scans: one search of G - S, and in every component D whose attached
-members N(D) are not a clique, the same crossing, through D alone, from
-the first member u with a non-neighbour in N(D). So a closure wastes at
-most one member search, and needs at most one scan to show that it is
-closed. The convexity test checks the outside condition over the smaller
-side too, the members or the outside vertices, so a pair costs two row
-ORs. Every mono scan is ``_violating_components``, the one scan of G - S:
-it reads the members attached to each component D of G - S off the
-boundary N(D) that ``graph._components_bits`` returns with D, so one
-scan is one search: O(n) mask operations.
+(the P3 condition) and no two non-adjacent members of S have neighbours in
+a common component of G - S (the mono condition). Every vertex either
+repair adds lies in the hull, so the hull is the closure under both.
 
-Both the hull and the convexity test first drop the member-free pendant
-trees: a path entering one has no way back out, so no path joins two
-members, of S or of any superset that avoids the trees, through one. The
-graph's pendant forest, with each forest vertex's depth and tree
-component, is built once and cached on it (``graph._pendant_forest``), and
-``_kept_core`` reads off it what a set keeps: the 2-core, the walks from
-the members on trees hung from it up to the first kept vertex, and in each
-tree component the tree paths between its members, in O(|S| + the forest
-vertices kept) steps. Every path of a tree is induced, so a tree
-component's kept part is its part of the hull and joins the hull with no
-round: the hull's folds, crossings and scans run only on the kept part
-that meets the 2-core, and on a forest none runs.
+Cost: the P3 rounds of a hull cost O(|hull|) mask operations in all, each
+mono round one crossing of O(n) row ORs, and at most one scan of G - S
+shows the closure closed. A convexity test costs O(|S| + the forest
+vertices kept) steps, plus the P3 check over the smaller side, one scan
+when a member lies on the 2-core, and 2·min(|A|, |B|) row reads to widen a
+witness, A and B its two sides.
 
-The convexity test reads the tree components off the same climb. With no
-member on the core side, S is convex exactly when the kept tree part is S:
-that verdict takes no fold and no search. Otherwise, after the P3 check,
-each piece of the kept tree part minus S, found from the forest's parent
-links (``_tree_pieces``), violates with its two smallest attached members
-as the pair, and the core side's mono scan runs only when a member lies
-there, with its boundaries folded over the smaller side within the kept
-set. The witness pick (``_mono_violation``) widens a violating component
-to its whole component of G - S over the smaller side: the dropped trees
-hanging from it and those hanging from the rest of the kept set grow in
-lockstep from seeds read off the forest (``_lockstep``), and the side that
-runs dry first settles it. So a test costs O(|S| + the forest vertices
-kept) steps, plus the P3 check and the core side's scan when they run,
-plus 2·min(|A|, |B|) row reads for a witness, A and B the two sides.
+Where each mechanism lives:
+
+- ``_kept_core``: what S keeps of the cached pendant forest
+  (``graph._pendant_forest``). Member-free pendant trees are dropped, and
+  a tree component's kept part is its part of the hull.
+- ``_p3_violation`` and ``_seen_twice``: the P3 condition, read over the
+  smaller side.
+- ``_forced_paths``: the one crossing, every shortest path from a member
+  to its non-neighbours, meeting in the middle for a single target.
+- ``_violating_components`` and ``_tree_pieces``: the mono scan on the
+  core side and in the tree components.
+- ``_mono_violation`` and ``_lockstep``: the witness pick, widened to its
+  whole component of G - S over the smaller side.
+- ``_hull_bits``: the closure's rounds. ``is_t_convex``: the test.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ remainder of C left at the end, when nonempty, is the last atom. A step
 costs one component search inside the part it carves, so there is no
 search over the whole graph per candidate.
 
-The atoms are then put in a D-ordering (see ``_d_order``), so every
-atom's overlap with its predecessors sits inside one earlier atom.
+One walk (``_d_order``) then puts the atoms in a D-ordering, so every
+atom's overlap with its predecessors sits inside one earlier atom, and
+takes those overlaps as it goes.
 """
 
 from __future__ import annotations
@@ -176,14 +177,14 @@ def decompose(g: Graph) -> Decomposition:
     Each edge of the pendant forest (``graph._pendant_forest``) is a bridge
     and so an atom on its own; MCS-M+ and the carving sweep run on the
     2-core alone, which is connected or empty, and whose atoms are the
-    remaining ones. On a tree no vertex is numbered.
+    remaining ones. On a tree no vertex is numbered. ``_d_order`` orders
+    the atoms and builds the result.
     """
     if g.n < 1:
         raise ValidationError("decomposition needs at least one vertex")
     if not is_connected(g):
         raise ValidationError("decomposition requires a connected graph")
-    n = g.n
-    if n == 1:
+    if g.n == 1:
         return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0), g)
     adj = g._adj
     core, parent, _, _, _, _ = _pendant_forest(g)
@@ -199,24 +200,12 @@ def decompose(g: Graph) -> Decomposition:
             alive &= ~comp
     if alive:
         pieces.append(alive)
-
-    ordered = _d_order(pieces)
-    atoms = tuple(VertexSet(n, b) for b in ordered)
-    r_bits = []
-    union = ordered[0]
-    r_union = 0
-    for b in ordered[1:]:
-        r = b & union
-        if not r:
-            raise AlgorithmError("empty overlap set in a connected decomposition")
-        r_bits.append(r)
-        r_union |= r
-        union |= b
-    return Decomposition(atoms, tuple(VertexSet(n, r) for r in r_bits), VertexSet(n, r_union), g)
+    return _d_order(g, pieces)
 
 
-def _d_order(atom_bits: list[int]) -> list[int]:
-    """Deterministic D-ordering via a join tree of the atom family.
+def _d_order(g: Graph, atom_bits: list[int]) -> Decomposition:
+    """The decomposition of g into the given atoms, in a deterministic
+    D-ordering found through a join tree of the atom family.
 
     The atoms are the maximal cliques of the chordal graph obtained by
     completing each atom, so a maximum-weight spanning tree of their
@@ -224,6 +213,9 @@ def _d_order(atom_bits: list[int]) -> list[int]:
     all previously placed atoms is contained in its parent. Prim's
     addition order (rooted at the lexicographically smallest atom, ties
     to the lexicographically smaller atom) is therefore a valid ordering.
+    Each atom's R-set, its overlap with the atoms placed before it, is
+    taken as it is placed and checked to be nonempty and inside its
+    parent.
 
     An atom's weight is its largest overlap with a placed atom. Placing an
     atom updates only the atoms that share a vertex with it, found through
@@ -234,8 +226,7 @@ def _d_order(atom_bits: list[int]) -> list[int]:
     centre's list empties after the second placement instead of being
     rescanned k times.
     """
-    if len(atom_bits) <= 1:
-        return list(atom_bits)
+    n = g.n
     keyed = sorted((tuple(bit_members(b)), b) for b in atom_bits)
     members = [key for key, _ in keyed]
     atoms = [b for _, b in keyed]
@@ -250,10 +241,13 @@ def _d_order(atom_bits: list[int]) -> list[int]:
     # placed, or sharing all but one vertex with a placed atom
     done = [False] * k
     heap: list[tuple[int, int]] = []
-    order = [0]
+    ordered = [VertexSet(n, atoms[0])]
+    r_sets: list[VertexSet] = []
+    union = atoms[0]
+    r_union = 0
     pick = 0
     placed[0] = done[0] = True
-    while len(order) < k:
+    while len(ordered) < k:
         shared: dict[int, int] = {}
         for v in members[pick]:
             live = [i for i in incident[v] if not done[i]]
@@ -273,13 +267,16 @@ def _d_order(atom_bits: list[int]) -> list[int]:
         else:
             raise AlgorithmError("atom intersection graph is disconnected")
         placed[pick] = done[pick] = True
-        order.append(pick)
-    placed_union = atoms[0]
-    for pos in order[1:]:
-        if atoms[pos] & placed_union & ~atoms[parent[pos]]:
+        r = atoms[pick] & union
+        if not r:
+            raise AlgorithmError("empty overlap set in a connected decomposition")
+        if r & ~atoms[parent[pick]]:
             raise AlgorithmError("atom ordering violates the containment property")
-        placed_union |= atoms[pos]
-    return [atoms[i] for i in order]
+        ordered.append(VertexSet(n, atoms[pick]))
+        r_sets.append(VertexSet(n, r))
+        r_union |= r
+        union |= atoms[pick]
+    return Decomposition(tuple(ordered), tuple(r_sets), VertexSet(n, r_union), g)
 
 
 def is_prime(g: Graph) -> bool:

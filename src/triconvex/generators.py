@@ -86,50 +86,36 @@ def _require(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
-# Each spec kind that from_spec accepts: its form, named in the errors, and
-# the most parameters it takes.
-SPEC_FORMS = {
-    "path": ("path:N", 1),
-    "cycle": ("cycle:N", 1),
-    "complete": ("complete:N", 1),
-    "star": ("star:K", 1),
-    "bowtie": ("bowtie", 0),
-    "triangle_star": ("triangle_star:K", 1),
-    "random_connected": ("random_connected:N,P[,SEED]", 3),
+# Each spec kind that from_spec accepts: its form, named in the errors, its
+# builder and the type of each parameter the builder takes.
+SPECS = {
+    "path": ("path:N", path_graph, (int,)),
+    "cycle": ("cycle:N", cycle_graph, (int,)),
+    "complete": ("complete:N", complete_graph, (int,)),
+    "star": ("star:K", star_graph, (int,)),
+    "bowtie": ("bowtie", bowtie_graph, ()),
+    "triangle_star": ("triangle_star:K", triangle_star_graph, (int,)),
+    "random_connected": ("random_connected:N,P[,SEED]", random_connected_graph, (int, float, int)),
 }
 
 
 def from_spec(spec: str, default_seed: int = 0) -> Graph:
-    """Build a graph from a CLI spec string like ``cycle:5``.
-
-    Supported: the forms in ``SPEC_FORMS``.
-    """
+    """Build a graph from a CLI spec string like ``cycle:5``: one of the
+    forms in ``SPECS``, with a left-out SEED taken from ``default_seed``."""
     kind, _, argtext = spec.partition(":")
-    if kind not in SPEC_FORMS:
+    if kind not in SPECS:
         raise ValidationError(f"unknown generator kind {kind!r}")
-    form, most = SPEC_FORMS[kind]
-    args = [a for a in argtext.split(",") if a] if argtext else []
-    if len(args) > most:
-        raise ValidationError(f"bad generator spec {spec!r}: expected {form}")
+    form, build, types = SPECS[kind]
+    args = [a for a in argtext.split(",") if a]
+    if form.endswith("[,SEED]") and len(args) == len(types) - 1:
+        args.append(default_seed)
+    bad = ValidationError(f"bad generator spec {spec!r}: expected {form}")
+    if len(args) != len(types):
+        raise bad
     try:
-        if kind == "path":
-            return path_graph(int(args[0]))
-        if kind == "cycle":
-            return cycle_graph(int(args[0]))
-        if kind == "complete":
-            return complete_graph(int(args[0]))
-        if kind == "star":
-            return star_graph(int(args[0]))
-        if kind == "bowtie":
-            return bowtie_graph()
-        if kind == "triangle_star":
-            return triangle_star_graph(int(args[0]))
-        if kind == "random_connected":
-            n, p = int(args[0]), float(args[1])
-            seed = int(args[2]) if len(args) > 2 else default_seed
-            return random_connected_graph(n, p, seed)
-    except (IndexError, ValueError):
-        raise ValidationError(f"bad generator spec {spec!r}: expected {form}") from None
+        return build(*(t(a) for t, a in zip(types, args)))
+    except ValueError:
+        raise bad from None
 
 
 def all_connected_graphs(n: int) -> Iterator[Graph]:

@@ -461,15 +461,15 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
     return Graph._from_rows(adj)
 
 
-FORMATS = ("edge-list", "dimacs")
+PARSERS = {"edge-list": parse_edge_list, "dimacs": parse_dimacs}
+FORMATS = tuple(PARSERS)
 
 
 def parse_graph(text: str | Iterable[str], fmt: str = "edge-list") -> Graph:
-    if fmt == "edge-list":
-        return parse_edge_list(text)
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    raise ValidationError(f"unknown graph format {fmt!r}")
+    """Parse a text, or its lines, with the parser ``PARSERS`` names for fmt."""
+    if fmt not in PARSERS:
+        raise ValidationError(f"unknown graph format {fmt!r}")
+    return PARSERS[fmt](text)
 
 
 def edge_list_lines(g: Graph) -> Iterator[str]:

@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 from triconvex import cli
+from triconvex.errors import ValidationError
 from triconvex.generators import MAX_COMPLETE_VERTICES, bowtie_graph, complete_graph
 from triconvex.graph import MAX_VERTICES, to_dimacs, to_edge_list
 
@@ -197,6 +198,12 @@ class TestExitCodes:
             cli.main(["hull"])  # missing required --vertices and graph source
         assert exc.value.code == 64
 
+    def test_unknown_corpus_kind_is_a_validation_error(self, capsys):
+        with pytest.raises(ValidationError):
+            cli._corpus_graphs("moebius:3", 0)
+        assert cli.main(["oracle-compare", "--corpus", "moebius:3"]) == 1
+        assert capsys.readouterr().err == "error: unknown corpus spec 'moebius:3'\n"
+
     def test_enumerate_prime_has_no_checked_flag(self, capsys):
         # enumerate-prime checks primality every time
         with pytest.raises(SystemExit) as exc:
@@ -242,6 +249,9 @@ class TestExitCodes:
             ["oracle-compare", "--corpus", "random:5,0"],
             ["oracle-compare", "--corpus", "random:5,-2"],
             ["oracle-compare", "--corpus", "exhaustive:0"],
+            # a corpus spec with a parameter too many, and an unknown kind
+            ["oracle-compare", "--corpus", "exhaustive:1,2"],
+            ["oracle-compare", "--corpus", "moebius:3"],
             # generator specs short of their parameters, or past them
             ["generate", "--generate", "random_connected:5"],
             ["generate", "--generate", "path:3,9"],

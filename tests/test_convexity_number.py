@@ -226,6 +226,39 @@ class TestConvexityNumber:
         for n in range(2, 9):
             assert convexity_number(path_graph(n)).value == n - 1
 
+    def test_a_graph_with_a_leaf_leaves_out_only_a_leaf(self):
+        # V - v is convex exactly when v has at most one neighbour, and a
+        # leaf's only atom is its edge, so the scan first reaches n - 1 at
+        # the first leaf edge in D-order, seeded by the endpoint (the
+        # smaller, if both are leaves) whose other end is a leaf
+        def leaf_answer(g):
+            full = (1 << g.n) - 1
+            for i, atom in enumerate(decompose(g).atoms):
+                if len(atom) == 2:
+                    a, b = sorted(atom)
+                    for seed, leaf in ((a, b), (b, a)):
+                        if g.degree(leaf) == 1:
+                            witness = VertexSet(g.n, full & ~(1 << leaf))
+                            return g.n - 1, witness, i, vs(g.n, [seed])
+            return None
+
+        rng = random.Random(7)
+        graphs = [path_graph(n) for n in (2, 3, 9)] + [star_graph(k) for k in (1, 5)]
+        graphs += [
+            random_connected_graph(rng.randint(2, 60), rng.choice((0.03, 0.06, 0.1, 0.2)), seed)
+            for seed in range(200)
+        ]
+        leafy = 0
+        for g in graphs:
+            res = convexity_number(g)
+            expected = leaf_answer(g)
+            if expected is None:
+                assert res.value < g.n - 1, sorted(g.edges())
+            else:
+                assert (res.value, res.witness, res.atom_index, res.seed) == expected
+                leafy += 1
+        assert 150 < leafy < len(graphs)
+
     def test_witness_is_always_proper_and_convex(self, sampled_corpus):
         for g in sampled_corpus:
             if not is_connected(g) or g.n < 2:

@@ -84,6 +84,10 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose(Graph(3, [(0, 1)]))
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValidationError, match="^decomposition needs at least one vertex$"):
+            decompose(Graph(0))
+
     def test_deterministic(self, sampled_corpus):
         for g in sampled_corpus[:120]:
             if is_connected(g):

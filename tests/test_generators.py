@@ -105,6 +105,7 @@ def test_malformed_spec_names_its_expected_form():
 
 def test_from_spec_round_trips_named_kinds():
     assert from_spec("cycle:5") == cycle_graph(5)
+    assert from_spec("star:3") == star_graph(3)
     assert from_spec("bowtie") == bowtie_graph()
     assert from_spec("random_connected:8,0.4,3") == random_connected_graph(8, 0.4, 3)
     assert from_spec("random_connected:8,0.4", default_seed=3) == random_connected_graph(8, 0.4, 3)

@@ -46,6 +46,8 @@ class TestGraph:
             Graph(3, [(1, 1)])
         with pytest.raises(ValidationError):
             Graph(3, [(0, 3)])
+        with pytest.raises(ValidationError, match="^vertex count must be nonnegative$"):
+            Graph(-1)
 
     @pytest.mark.parametrize("v", [-1, 5, 7])
     def test_row_of_an_unknown_vertex_is_rejected(self, bowtie, v):
@@ -140,6 +142,7 @@ class TestParsing:
                 "line 1: vertex count 60000 exceeds the limit of 50000",
             ),
             ("dimacs", "c only\n", ParseError, "missing problem line"),
+            ("xml", "", ValidationError, "unknown graph format 'xml'"),
         ],
     )
     def test_errors_keep_their_messages(self, case):
@@ -375,6 +378,7 @@ class TestShortestPath:
 
 
 def test_is_connected():
+    assert is_connected(Graph(0))
     assert is_connected(Graph(1))
     assert not is_connected(Graph(2))
     assert is_connected(Graph(2, [(0, 1)]))

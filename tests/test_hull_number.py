@@ -185,6 +185,10 @@ class TestHullNumber:
         with pytest.raises(ValidationError):
             hull_number(Graph(2))
 
+    def test_rejects_the_empty_graph(self):
+        with pytest.raises(ValidationError, match="^hull number needs at least one vertex$"):
+            hull_number(Graph(0))
+
     # The reverse sweep is not yet optimal everywhere (ROADMAP item 1): on the
     # first graph it returns 3 where 2 vertices hull, and on the second the
     # set it builds fails verification with AlgorithmError. The marks are

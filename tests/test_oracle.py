@@ -53,6 +53,12 @@ class TestTrianglePathEnumeration:
                 for p in enumerate_triangle_paths(c5, u, v):
                     assert is_triangle_path(c5, p.vertices)
 
+    def test_predicate_rejects_non_paths_and_long_chords(self, k3):
+        c4 = cycle_graph(4)
+        assert not is_triangle_path(k3, (0, 1, 0))  # a repeated vertex
+        assert not is_triangle_path(c4, (0, 2))  # a step along a non-edge
+        assert not is_triangle_path(c4, (0, 1, 2, 3))  # chord 0-3 spans three positions
+
     def test_budget_refusal(self):
         g = path_graph(12)
         with pytest.raises(BudgetExceededError):

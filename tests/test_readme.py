@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import triconvex
+from triconvex.generators import SPECS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +40,9 @@ def test_every_name_the_example_imports_is_exported():
     imported = re.search(r"from triconvex import \((.*?)\)", library_block(), re.S).group(1)
     names = [name.strip() for name in imported.split(",") if name.strip()]
     assert names and set(names) <= set(triconvex.__all__)
+
+
+def test_generator_kinds_are_the_spec_forms():
+    text = README.read_text(encoding="utf-8")
+    kinds = re.search(r"Generator kinds: (.*?)\n\n", text, re.S).group(1)
+    assert re.findall(r"`([^`]*)`", kinds) == [form for form, _, _ in SPECS.values()]
