@@ -18,7 +18,7 @@ relabelled copy of G[F] is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bitset import VertexSet, bit_members
 from .errors import ContractViolationError
@@ -86,13 +86,39 @@ def prime_t_hull(g: Graph, s: VertexSet, *, within: VertexSet | None = None) -> 
     return VertexSet(g.n, atom)
 
 
+# _SORT_BYTES[x]: 255 minus x with its bits reversed
+_SORT_BYTES = bytes(255 - int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+
+def _by_size_then_members(family: Iterable[int], n: int) -> tuple[int, ...]:
+    """Masks over ``0..n-1`` sorted by size, then by their ascending members.
+
+    Of two sets of one size, the first holds the lowest member of their
+    symmetric difference. Their little-endian bytes, each byte's bits
+    reversed and complemented (``_SORT_BYTES``), compare the same way, so
+    the key builds no member tuple. The size stays first, as the bytes
+    order sets of different sizes otherwise.
+    """
+    size = (n + 7) >> 3
+
+    def key(b: int) -> tuple[int, bytes]:
+        return b.bit_count(), b.to_bytes(size, "little").translate(_SORT_BYTES)
+
+    return tuple(sorted(family, key=key))
+
+
 def enumerate_prime_convex_sets(g: Graph, *, within: VertexSet | None = None) -> PrimeConvexFamily:
     """All convex sets of a prime graph, or of G[within] in G's ids.
 
     Seeds the family with the trivial sets, then closes each edge once: the
     candidate for edge uv is {u, v} plus their common neighbours, kept when
-    convex. All edges inside an accepted candidate are dropped from the
-    worklist, which is what keeps every set from being produced twice.
+    convex. The edges of every candidate are dropped from the worklist,
+    accepted or not: in a prime graph the only proper convex set that holds
+    an edge ab is its candidate, and for an edge ab inside the candidate of
+    uv, ab's candidate holds uv, so it is uv's whenever it is proper convex.
+    An edge with no common neighbour is convex on sight and inside no other
+    candidate, so it is added with no test and no worklist marks. The
+    family is sorted by ``_by_size_then_members``, on byte keys.
     """
     atom = _atom_bits(g, within, None)
     adj = g._adj
@@ -100,14 +126,19 @@ def enumerate_prime_convex_sets(g: Graph, *, within: VertexSet | None = None) ->
     # done[a]: the higher ends b of the edges ab already inside a candidate
     done: dict[int, int] = {}
     for u in bit_members(atom):
-        family.add(1 << u)
-        for v in bit_members(adj[u] & atom & ~((1 << (u + 1)) - 1)):
+        low = 1 << u
+        family.add(low)
+        row = adj[u] & atom
+        for v in bit_members(row & ~((low << 1) - 1)):
+            common = row & adj[v]
+            if not common:
+                family.add(low | (1 << v))
+                continue
             if (done.get(u, 0) >> v) & 1:
                 continue
-            cand = (1 << u) | (1 << v) | (adj[u] & adj[v] & atom)
+            cand = low | (1 << v) | common
             if _prime_convex_bits(adj, atom, cand):
                 family.add(cand)
             for a in bit_members(cand):
                 done[a] = done.get(a, 0) | (adj[a] & cand & ~((1 << (a + 1)) - 1))
-    ordered = sorted(family, key=lambda b: (b.bit_count(), tuple(bit_members(b))))
-    return PrimeConvexFamily(g.n, tuple(ordered))
+    return PrimeConvexFamily(g.n, _by_size_then_members(family, g.n))

@@ -47,7 +47,7 @@ from triconvex.oracle import brute_atoms
 from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
 
 from .test_closed_forms import shuffled
-from .test_convexity import cubic_core_with_trees
+from .test_convexity import cubic_core_with_trees, wheel
 from .test_convexity_number import DIFFERENTIAL_GRAPHS
 
 
@@ -523,7 +523,8 @@ def min_degree_gnp(n, p, k, seed):
     """G(n, p) made connected, then every degree raised to k by edges to
     random non-neighbours, so no pendant vertex splits off an atom."""
     rng = random.Random(seed)
-    rows = [set(random_connected_graph(n, p, seed).neighbors(v)) for v in range(n)]
+    g = random_connected_graph(n, p, seed)
+    rows = [set(g.neighbors(v)) for v in range(n)]
     for u in range(n):
         while len(rows[u]) < k:
             v = rng.randrange(n)
@@ -558,6 +559,8 @@ def differential_corpus():
     graphs += [min_degree_gnp(200, 10 / 200, 3, seed) for seed in range(3)]
     graphs += [tree_of_cliques(blocks, seed) for blocks in (3, 8, 20, 40) for seed in range(10)]
     graphs += [path_graph(n) for n in (1, 2, 3, 10, 150)]
+    # one block with no forest: every MCS-M step floods the label-0 rest
+    graphs += [cycle_graph(n) for n in (5, 40, 300)] + [wheel(40)]
     graphs += [random_recursive_tree(n, seed) for n in (10, 60, 200) for seed in range(3)]
     graphs += [star_graph(k) for k in (1, 2, 5, 120)]
     # where the pendant forest meets the 2-core, under shuffled labels

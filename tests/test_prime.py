@@ -5,15 +5,22 @@ import random
 
 import pytest
 
+from triconvex import prime
 from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import is_t_convex, t_convex_hull
 from triconvex.decomposition import _pivot_details, decompose, is_prime
 from triconvex.generators import complete_graph, cycle_graph, random_connected_graph
 from triconvex.graph import Graph, is_connected
-from triconvex.prime import enumerate_prime_convex_sets, prime_is_t_convex, prime_t_hull
+from triconvex.prime import (
+    _by_size_then_members,
+    enumerate_prime_convex_sets,
+    prime_is_t_convex,
+    prime_t_hull,
+)
 
+from .test_convexity import wheel
 from .test_convexity_number import DIFFERENTIAL_GRAPHS, atom_convex_seeds
-from .test_decomposition import pivot_corpus
+from .test_decomposition import min_degree_gnp, pivot_corpus
 
 
 def vs(n, items):
@@ -230,6 +237,62 @@ class TestEnumeration:
         # trivial sets only: empty, V, and n singletons
         for n in (2, 3, 5):
             assert len(enumerate_prime_convex_sets(complete_graph(n))) == n + 2
+
+
+def large_primes():
+    """Primes of 64 vertices or more, whose sort keys span several bytes:
+    three min-degree-3 G(200, 10/200), C_70 and its wheel (triangle-free,
+    then all triangles), and one 600-vertex graph of the benchmark's
+    prime-dense shape."""
+    graphs = [min_degree_gnp(200, 10 / 200, 3, seed) for seed in range(3)]
+    return graphs + [cycle_graph(70), wheel(70), min_degree_gnp(600, 10 / 600, 3, 0)]
+
+
+class TestEnumerationAtScale:
+    def test_matches_edge_set_enumerator_in_order(self):
+        for g in large_primes():
+            assert decompose(g).t == 1, g.n
+            assert list(enumerate_prime_convex_sets(g)) == edge_set_enumeration(g), g.n
+
+    def test_byte_key_sorts_by_size_then_members(self):
+        # k-sets, half of them sharing k // 2 members, plus V; every other
+        # family cut to mixed sizes
+        rng = random.Random(4)
+        for trial in range(200):
+            n = rng.randint(1, 700)
+            k = rng.randint(0, min(6, 2 * n // 3))
+            shared = rng.sample(range(n), k // 2)
+            others = [v for v in range(n) if v not in shared]
+            family = {(1 << n) - 1}
+            for _ in range(40):
+                if rng.random() < 0.5:
+                    members = shared + rng.sample(others, k - len(shared))
+                else:
+                    members = rng.sample(others, k)
+                if trial % 2:
+                    members = members[: rng.randint(0, k)]
+                family.add(sum(1 << v for v in members))
+            expected = sorted(family, key=lambda b: (b.bit_count(), tuple(bit_members(b))))
+            assert list(_by_size_then_members(family, n)) == expected, (n, k)
+
+    def test_triangle_free_edges_take_no_convexity_test(self, monkeypatch):
+        # a work guard, not a clock: an edge with no common neighbour is
+        # added on sight, and every other edge is tested at most once
+        calls = []
+        convex = prime._prime_convex_bits
+
+        def counted(adj, atom, bits):
+            calls.append(bits)
+            return convex(adj, atom, bits)
+
+        monkeypatch.setattr(prime, "_prime_convex_bits", counted)
+        enumerate_prime_convex_sets(cycle_graph(70))
+        assert calls == []
+        for g in large_primes()[:3]:
+            calls.clear()
+            enumerate_prime_convex_sets(g)
+            with_triangle = sum(1 for u, v in g.edges() if g._adj[u] & g._adj[v])
+            assert 0 < len(calls) <= with_triangle, g.n
 
 
 # ---------------------------------------------------------------------------
