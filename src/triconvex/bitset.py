@@ -119,7 +119,9 @@ def byte_members(bits: int) -> list[int]:
     member: a 598-member mask of 600 bits lists about three times faster.
     The pass costs a few microseconds even for one member, so below about
     20 members on a few hundred bits, and below about 50 on thousands,
-    ``bit_members`` is faster.
+    ``bit_members`` is faster. Its callers, ``graph._reach``, ``graph._fold``
+    and ``convexity._seen_twice``, take it past ``graph._WIDE_LEVEL``
+    members.
     """
     data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
     return [8 * i + p for i, b in enumerate(data) if b for p in _BYTE_OFFSETS[b]]

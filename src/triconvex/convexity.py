@@ -7,10 +7,13 @@ repair adds lies in the hull, so the hull is the closure under both.
 
 Cost: the P3 rounds of a hull cost O(|hull|) mask operations in all, each
 mono round one crossing of O(n) row ORs, and at most one scan of G - S
-shows the closure closed. A convexity test costs O(|S| + the forest
-vertices kept) steps, plus the P3 check over the smaller side, one scan
-when a member lies on the 2-core, and 2·min(|A|, |B|) row reads to widen a
-witness, A and B its two sides.
+shows the closure closed. The P3 rounds and check list a mask of more than
+``graph._WIDE_LEVEL`` members by bytes, as the BFS levels are listed, so a
+wide round pays a table lookup per member, not a low-bit step over the
+whole mask. A convexity test costs O(|S| + the forest vertices kept)
+steps, plus the P3 check over the smaller side, one scan when a member
+lies on the 2-core, and 2·min(|A|, |B|) row reads to widen a witness, A
+and B its two sides.
 
 Where each mechanism lives:
 
@@ -33,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitset import VertexSet, bit_members
+from .bitset import VertexSet, bit_members, byte_members
 from .graph import (
+    _WIDE_LEVEL,
     Graph,
     _check_universe,
     _component_bits,
@@ -67,7 +71,17 @@ def _seen_twice(adj: list[int], bits: int, outside: int) -> Iterator[int]:
     """The vertices of ``outside`` with two or more neighbours in ``bits``, by
     increasing id: the outside count, one row read per vertex of ``outside``
     however many members there are. ``_p3_violation`` takes the first, the
-    hull's count rounds all of them."""
+    hull's count rounds all of them.
+
+    ``outside`` is listed under ``graph._reach``'s width rule: past
+    ``_WIDE_LEVEL`` vertices by ``byte_members``, which wins past 32-40
+    members at n = 600, otherwise by the low bit. Both routes go by
+    increasing id, so the first one yielded is the smallest."""
+    if outside & (outside - 1) and outside.bit_count() > _WIDE_LEVEL:
+        for v in byte_members(outside):
+            if (adj[v] & bits).bit_count() > 1:
+                yield v
+        return
     while outside:
         low = outside & -outside
         outside ^= low

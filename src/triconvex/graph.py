@@ -21,10 +21,12 @@ from .errors import ParseError, ValidationError
 # n = 1,000,000.
 MAX_VERTICES = 50_000
 
-# A mask with more members than this left after its first two has them
-# listed by bytes (``_reach``). Measured with CPython 3.11 on x86,
-# the byte route wins past 16-24 members at n <= 256, 32-40 at n = 600 and
-# 50-60 at n = 2,500-10,000.
+# The one width rule of the member walks: a mask with more members than
+# this is listed by bytes (``byte_members``), a narrower one by the low bit.
+# ``_reach`` counts what is left after its first two members, ``_fold`` and
+# ``convexity._seen_twice`` the whole mask once it has two. Measured with
+# CPython 3.11 on x86, the byte route wins past 16-24 members at n <= 256,
+# 32-40 at n = 600 and 50-60 at n = 2,500-10,000.
 _WIDE_LEVEL = 32
 
 
@@ -161,6 +163,8 @@ def _reach(adj: list[int], bits: int) -> int:
     and a table lookup per nonzero byte, about three times cheaper per
     member on a 600-vertex level; otherwise the low-bit step goes on. The
     OR does not depend on the order, so both routes give the same mask.
+    ``_fold`` and ``convexity._seen_twice`` list their masks under the same
+    rule, with the crossover measured at ``_WIDE_LEVEL``.
     """
     if not bits:
         return 0
@@ -275,7 +279,20 @@ def _fold(adj: list[int], bits: int, once: int, twice: int) -> tuple[int, int]:
     costs two mask operations per member, however many vertices lie outside,
     and a set that grows (the hull's rounds) folds each new member once by
     passing the masks back in.
+
+    Members come off the mask under ``_reach``'s width rule: past
+    ``_WIDE_LEVEL`` members ``byte_members`` lists them in one pass, and a
+    narrower mask goes by the low bit; the byte route wins past 32-40
+    members at n = 600. Most calls fold one or two members, so
+    ``bits & (bits - 1)`` lets them skip the popcount. The fold does not
+    depend on the order, so both routes give the same masks.
     """
+    if bits & (bits - 1) and bits.bit_count() > _WIDE_LEVEL:
+        for v in byte_members(bits):
+            row = adj[v]
+            twice |= once & row
+            once |= row
+        return once, twice
     while bits:
         low = bits & -bits
         bits ^= low
@@ -383,24 +400,30 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     rows: list[int] = []
     low: list[int] = []
     for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
-        parts = raw.split("#", 1)[0].split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
         if not parts:
             continue
+        # u and v: the smallest and largest id; an edge line takes no sort
         try:
-            ids = sorted(map(int, parts))
+            if len(parts) == 2:
+                u, v = int(parts[0]), int(parts[1])
+                if u > v:
+                    u, v = v, u
+            else:
+                ids = sorted(map(int, parts))
+                u, v = ids[0], ids[-1]
         except ValueError:
-            line = raw.split("#", 1)[0].strip()
-            raise ParseError(f"expected integers, got {line!r}", line=lineno) from None
-        top = ids[-1]
-        if ids[0] < 0 or top >= MAX_VERTICES:
+            raise ParseError(f"expected integers, got {raw.strip()!r}", line=lineno) from None
+        if u < 0 or v >= MAX_VERTICES:
             raise ValidationError(f"line {lineno}: vertex id out of range 0..{MAX_VERTICES - 1}")
-        if len(ids) > 2:
-            raise ParseError(f"expected 1 or 2 integers, got {len(ids)}", line=lineno)
-        while top >= len(rows):
+        if len(parts) > 2:
+            raise ParseError(f"expected 1 or 2 integers, got {len(parts)}", line=lineno)
+        while v >= len(rows):
             low.append(len(rows))
             rows.append(0)
-        if len(ids) == 2:
-            u, v = ids
+        if len(parts) == 2:
             if u == v:
                 raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
             rows[u] |= 1 << (v - low[u])
@@ -419,13 +442,29 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
     1-based ``e u v`` lines, each setting its adjacency bits as it is read."""
     n = None
     for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "p":
+        kind = parts[0]
+        if kind == "e":
+            if n is None:
+                raise ParseError("edge before problem line", line=lineno)
+            if len(parts) != 3:
+                raise ParseError(f"malformed edge line {raw.strip()!r}", line=lineno)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"malformed edge line {raw.strip()!r}", line=lineno) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValidationError(f"line {lineno}: vertex id out of range 1..{n}")
+            if u == v:
+                raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        elif kind == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", line=lineno)
+            line = raw.strip()
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed problem line {line!r}", line=lineno)
             try:
@@ -439,23 +478,8 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
                     f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
                 )
             adj = [0] * n
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("edge before problem line", line=lineno)
-            if len(parts) != 3:
-                raise ParseError(f"malformed edge line {line!r}", line=lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"malformed edge line {line!r}", line=lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValidationError(f"line {lineno}: vertex id out of range 1..{n}")
-            if u == v:
-                raise ValidationError(f"line {lineno}: self-loop at vertex {u}")
-            adj[u - 1] |= 1 << (v - 1)
-            adj[v - 1] |= 1 << (u - 1)
-        else:
-            raise ParseError(f"unknown line type {parts[0]!r}", line=lineno)
+        elif not kind.startswith("c"):
+            raise ParseError(f"unknown line type {kind!r}", line=lineno)
     if n is None:
         raise ParseError("missing problem line")
     return Graph._from_rows(adj)

@@ -6,6 +6,12 @@ A cycle C_n with n >= 4 has convex edges but no larger proper convex set,
 and any two non-adjacent vertices hull to everything: both numbers are 2.
 In K_n with n >= 3 every pair hulls to V through a triangle and a single
 vertex is convex: convexity number 1, hull number 2.
+The triangle star of k >= 2 triangles has no leaf: hull number k, since a
+path into a triangle must leave it through the centre, so every triangle
+needs a member besides it, and one outer vertex of each hulls V; and
+convexity number 2k - 1 = n - 2, since V minus one triangle's outer pair is
+convex, while a set missing one vertex leaves it seen twice or the centre
+between two non-adjacent members.
 
 Each form is first confirmed against the brute-force oracles on small
 members of its family, then asserted at sizes the oracles cannot reach.
@@ -32,7 +38,13 @@ from triconvex.bitset import VertexSet, bit_members
 from triconvex.convexity import is_t_convex, is_t_hull_set, t_convex_hull
 from triconvex.convexity_number import convexity_number
 from triconvex.decomposition import decompose
-from triconvex.generators import complete_graph, cycle_graph, path_graph, star_graph
+from triconvex.generators import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    triangle_star_graph,
+)
 from triconvex.graph import Graph, _pendant_forest
 from triconvex.hull_number import hull_number
 from triconvex.oracle import brute_convexity_number, brute_hull_number
@@ -68,6 +80,11 @@ def complete_forms(g: Graph) -> tuple[int, int]:
     return 2, 1
 
 
+def triangle_star_forms(g: Graph) -> tuple[int, int]:
+    k = (g.n - 1) // 2
+    return k, 2 * k - 1
+
+
 SMALL = {
     "random recursive tree": (
         [random_recursive_tree(n, seed) for n in range(2, 9) for seed in range(3)],
@@ -77,6 +94,7 @@ SMALL = {
     "star": ([star_graph(k) for k in range(1, 8)], tree_forms),
     "cycle": ([cycle_graph(n) for n in range(4, 9)], cycle_forms),
     "complete": ([complete_graph(n) for n in range(3, 9)], complete_forms),
+    "triangle star": ([triangle_star_graph(k) for k in range(2, 5)], triangle_star_forms),
 }
 
 LARGE = {
@@ -85,6 +103,7 @@ LARGE = {
     "star:200": (star_graph(200), tree_forms),
     "cycle:1000": (cycle_graph(1000), cycle_forms),
     "complete:150": (complete_graph(150), complete_forms),
+    "triangle_star:150": (triangle_star_graph(150), triangle_star_forms),
 }
 
 

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 
 from triconvex import convexity
-from triconvex.bitset import VertexSet, bit_members
+from triconvex.bitset import VertexSet, bit_members, byte_members
 from triconvex.convexity import (
     _forced_paths,
     _kept_core,
@@ -29,6 +29,7 @@ from triconvex.generators import (
     star_graph,
 )
 from triconvex.graph import (
+    _WIDE_LEVEL,
     Graph,
     _component_bits,
     _components_bits,
@@ -570,6 +571,43 @@ class CountingRows(list):
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+
+def wide_mask_cases(rng):
+    """``(adj, mask)`` pairs over G(n, 10/n) and G(n, 1/2) for n in 1, 40,
+    300 and 700: masks of 0, 1, 2 and 31-34 members, around
+    ``_WIDE_LEVEL``, and dense ones."""
+    for n in (1, 40, 300, 700):
+        for p in (min(1.0, 10 / n), 0.5):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            adj = Graph(n, pairs)._adj
+            for size in (0, 1, 2, 31, 32, 33, 34):
+                if size <= n:
+                    yield adj, sum(1 << v for v in rng.sample(range(n), size))
+            for density in (0.5, 0.9, 1.0):
+                yield adj, sum(1 << v for v in range(n) if rng.random() < density)
+
+
+class TestSeenTwice:
+    def test_matches_a_low_bit_count(self, monkeypatch):
+        # more than _WIDE_LEVEL outside vertices are listed by bytes, fewer by
+        # the low bit, and both yield by increasing id
+        wide = []
+
+        def counted(bits):
+            wide.append(bits.bit_count())
+            return byte_members(bits)
+
+        monkeypatch.setattr(convexity, "byte_members", counted)
+        rng = random.Random(13)
+        for adj, outside in wide_mask_cases(rng):
+            n = len(adj)
+            bits = rng.getrandbits(n) & ~outside
+            expected = [v for v in bit_members(outside) if (adj[v] & bits).bit_count() > 1]
+            size = outside.bit_count()
+            wide.clear()
+            assert list(convexity._seen_twice(adj, bits, outside)) == expected, (n, size)
+            assert wide == ([size] if size > _WIDE_LEVEL else []), (n, size)
 
 
 class TestMonoStep:
@@ -1290,7 +1328,8 @@ class TestLabelInvariance:
     def test_hull_and_verdict_follow_a_relabelling(self):
         rng = random.Random(59)
         graphs = pendant_graphs() + peel_graphs() + [g for g, _ in forest_graphs()]
-        for g in graphs + block_hung_graphs():
+        # a prime-dense sized graph, whose hull rounds fold and count by bytes
+        for g in graphs + block_hung_graphs() + [min_degree_gnp(600, 10 / 600, 3)]:
             seeds = hull_seeds(g, rng)
             hulls = [t_convex_hull(g, VertexSet(g.n, bits)).bits for bits in seeds]
             verdicts = [is_t_convex(g, VertexSet(g.n, bits))[0] for bits in seeds]

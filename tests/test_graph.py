@@ -16,6 +16,7 @@ from triconvex.graph import (
     Graph,
     _component_bits,
     _components_bits,
+    _fold,
     _reach,
     is_connected,
     load_graph,
@@ -29,7 +30,7 @@ from triconvex.graph import (
 from triconvex.oracle import is_triangle_path
 
 from .strategies import graphs, graphs_with_subsets
-from .test_convexity import cubic_core_with_trees, min_degree_gnp
+from .test_convexity import cubic_core_with_trees, min_degree_gnp, wide_mask_cases
 
 
 class TestGraph:
@@ -247,7 +248,8 @@ def reference_component(g, alive, seeds):
 
 
 def count_byte_levels(monkeypatch):
-    """The sizes of the masks ``_reach`` lists by bytes from now on."""
+    """The sizes of the masks ``_reach`` and ``_fold`` list by bytes from
+    now on."""
     sizes = []
 
     def counted(bits):
@@ -284,6 +286,33 @@ class TestReach:
                 wide.clear()
                 assert _reach(g._adj, bits) == expected, (g, size)
                 assert wide == ([size - 2] if size > graph._WIDE_LEVEL + 2 else []), (g, size)
+
+
+def low_bit_fold(adj, bits, once, twice):
+    """``_fold`` by the low bit alone."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        row = adj[low.bit_length() - 1]
+        twice |= once & row
+        once |= row
+    return once, twice
+
+
+class TestFold:
+    def test_matches_a_low_bit_fold(self, monkeypatch):
+        # a mask of more than _WIDE_LEVEL members is folded by bytes, a
+        # narrower one by the low bit, and both fold into the masks passed in
+        wide = count_byte_levels(monkeypatch)
+        rng = random.Random(7)
+        for adj, bits in wide_mask_cases(rng):
+            n = len(adj)
+            once = rng.getrandbits(n) | 1
+            twice = once & (rng.getrandbits(n) | 1)
+            size = bits.bit_count()
+            wide.clear()
+            assert _fold(adj, bits, once, twice) == low_bit_fold(adj, bits, once, twice), (n, size)
+            assert wide == ([size] if size > graph._WIDE_LEVEL else []), (n, size)
 
 
 class TestComponentSearch:
