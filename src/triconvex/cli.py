@@ -4,7 +4,8 @@ Each subcommand is defined once, in ``COMMANDS``: its help, its arguments
 and the function that runs it. The six graph subcommands and
 ``oracle-compare`` read a graph from ``--graph FILE`` or ``--generate
 KIND:PARAMS``, and ``oracle-compare`` also takes ``--corpus SPEC``;
-``bench`` builds its own graphs, and ``generate`` takes a spec only. Each
+``bench`` builds its own graphs, from ``--sizes`` or from one or more
+``--generate`` specs, and ``generate`` takes a spec only. Each
 emits human-readable text or, with ``--json``, a JSON report. Exit codes:
 0 success, 1 validation error or closed output, 2 oracle mismatch, 64
 usage error.
@@ -76,8 +77,15 @@ def _vertex_arguments(p: argparse.ArgumentParser) -> None:
 
 def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algorithm", required=True, choices=tuple(_BENCH_RUNS))
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
-    p.add_argument("--p", type=float, default=0.05, help="edge probability")
+    p.add_argument("--sizes", help="comma-separated vertex counts of random graphs")
+    p.add_argument("--p", type=float, help="edge probability of --sizes (default 0.05)")
+    p.add_argument(
+        "--generate",
+        dest="specs",
+        action="append",
+        metavar="KIND:PARAMS",
+        help="a generated graph to time instead of --sizes; repeatable",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=3, help="timing repetitions per size")
 
@@ -232,23 +240,34 @@ _BENCH_RUNS = {
     "convexity-number": convexity_number,
     "hull-number": hull_number,
 }
-_BENCH_COLUMNS = ("algorithm", "n", "m", "median_ms", "reps")
+_BENCH_COLUMNS = ("algorithm", "spec", "n", "m", "median_ms", "reps")
 
 
 def _bench(args: argparse.Namespace, _: None) -> tuple[dict, list[str]]:
     if args.reps < 1:
         raise ValidationError(f"--reps must be at least 1, got {args.reps}")
+    if args.specs:
+        if args.sizes is not None or args.p is not None:
+            raise ValidationError("bench takes --generate or --sizes and --p, not both")
+        specs = args.specs
+    elif args.sizes is not None:
+        p = 0.05 if args.p is None else args.p
+        sizes = _parse_ints(args.sizes, "--sizes")
+        specs = [f"random_connected:{n},{p},{args.seed}" for n in sizes]
+    else:
+        raise ValidationError("bench needs --sizes or --generate")
     run = _BENCH_RUNS[args.algorithm]
     rows = []
-    for n in _parse_ints(args.sizes, "--sizes"):
-        g = random_connected_graph(n, args.p, args.seed)
+    for spec in specs:
+        g = from_spec(spec, default_seed=args.seed)
         times = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
             run(g)
             times.append((time.perf_counter() - t0) * 1000.0)
         median = round(statistics.median(times), 3)
-        rows.append(dict(zip(_BENCH_COLUMNS, (args.algorithm, n, g.m, median, len(times)))))
+        values = (args.algorithm, spec, g.n, g.m, median, len(times))
+        rows.append(dict(zip(_BENCH_COLUMNS, values)))
     lines = [",".join(_BENCH_COLUMNS)]
     lines += [",".join(str(row[c]) for c in _BENCH_COLUMNS) for row in rows]
     return {"rows": rows}, lines

@@ -24,7 +24,10 @@ search over the whole graph per candidate.
 
 One walk (``_d_order``) then puts the atoms in a D-ordering, so every
 atom's overlap with its predecessors sits inside one earlier atom, and
-takes those overlaps as it goes.
+takes those overlaps as it goes. Only the 2-core's atoms are sorted and
+indexed by vertex; each forest edge is read off the graph's rows as its
+first end is covered, and ranked among the core atoms by an integer key
+made of its two ends, which orders them as their member tuples would.
 """
 
 from __future__ import annotations
@@ -175,8 +178,9 @@ def decompose(g: Graph) -> Decomposition:
     Each edge of the pendant forest (``graph._pendant_forest``) is a bridge
     and so an atom on its own; MCS-M+ and the carving sweep run on the
     2-core alone, which is connected or empty, and whose atoms are the
-    remaining ones. On a tree no vertex is numbered. ``_d_order`` orders
-    the atoms and builds the result.
+    remaining ones. On a tree no vertex is numbered. ``_d_order`` takes
+    the 2-core's atoms, reads the forest edges off the peel as it places
+    them, orders all of them and builds the result.
     """
     if g.n < 1:
         raise ValidationError("decomposition needs at least one vertex")
@@ -185,10 +189,10 @@ def decompose(g: Graph) -> Decomposition:
     if g.n == 1:
         return Decomposition((VertexSet(1, 1),), (), VertexSet(1, 0), g)
     adj = g._adj
-    core, parent, _, _, _, _ = _pendant_forest(g)
-    pieces = [(1 << v) | (1 << p) for v, p in enumerate(parent) if p >= 0]
+    core = _pendant_forest(g)[0]
     madj, elim, carvers = _mcs_m(g, core)
 
+    pieces = []
     alive = core
     for x in elim:
         if (carvers >> x) & 1:
@@ -201,9 +205,10 @@ def decompose(g: Graph) -> Decomposition:
     return _d_order(g, pieces)
 
 
-def _d_order(g: Graph, atom_bits: list[int]) -> Decomposition:
-    """The decomposition of g into the given atoms, in a deterministic
-    D-ordering found through a join tree of the atom family.
+def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
+    """The decomposition of g into the edges of its pendant forest and the
+    given atoms of its 2-core, in a deterministic D-ordering found through
+    a join tree of the atom family.
 
     The atoms are the maximal cliques of the chordal graph obtained by
     completing each atom, so a maximum-weight spanning tree of their
@@ -215,65 +220,116 @@ def _d_order(g: Graph, atom_bits: list[int]) -> Decomposition:
     taken as it is placed and checked to be nonempty and inside its
     parent.
 
-    An atom's weight is its largest overlap with a placed atom. Placing an
-    atom updates only the atoms that share a vertex with it, found through
-    the vertex-to-atom incidence lists, and the next atom comes off a lazy
-    heap keyed (-weight, index). No atom contains another, so an atom whose
-    weight reaches its size minus one cannot improve: it is dropped from
-    the incidence lists at their next scan, and on a star K_{1,k} the
-    centre's list empties after the second placement instead of being
-    rescanned k times.
+    An atom's weight is its largest overlap with a placed atom, and the
+    next atom comes off a lazy heap keyed (-weight, rank). The rank is
+    2(a·n + b) for an atom whose two smallest members are a < b, plus 1
+    on a core atom, and then the core atom's index in member-tuple order.
+    Two atoms with different (a, b) compare as their member tuples do, and
+    no core atom shares its (a, b) with a forest edge, one end of which
+    lies off the 2-core; so the order is lexicographic, with no member
+    tuple built for a forest edge.
+
+    A forest edge {v, w} shares at most one vertex with any other atom, so
+    it enters the heap once, with weight 1 and as its parent the atom
+    that first covers v, and is never updated: when v is first covered,
+    each edge from v to an uncovered vertex w is pushed, where every edge
+    of a forest vertex is a forest edge and the forest edges at a core
+    vertex go to its neighbours off the core. Placing an atom updates only
+    the core atoms that share a vertex with it, found through the
+    vertex-to-atom incidence lists of the core. No atom contains another,
+    so a core atom whose weight reaches its size minus one cannot improve:
+    it is dropped from the incidence lists at their next scan.
     """
     n = g.n
-    keyed = sorted((tuple(bit_members(b)), b) for b in atom_bits)
+    adj = g._adj
+    core, _, _, _, _, components = _pendant_forest(g)
+    keyed = sorted((tuple(bit_members(b)), b) for b in core_atoms)
     members = [key for key, _ in keyed]
     atoms = [b for _, b in keyed]
-    k = len(atoms)
+    rank = [(mem[0] * n + mem[1]) * 2 + 1 for mem in members]
     incident: dict[int, list[int]] = {}
     for i, mem in enumerate(members):
         for v in mem:
             incident.setdefault(v, []).append(i)
-    weight = [0] * k
-    parent = [0] * k
-    placed = [False] * k
+    # every vertex off the core but a tree's root hangs from its forest edge
+    k = len(atoms) + n - core.bit_count() - components
+    weight = [0] * len(atoms)
+    # the position in the order of the atom that set the weight
+    parent = [0] * len(atoms)
     # placed, or sharing all but one vertex with a placed atom
-    done = [False] * k
-    heap: list[tuple[int, int]] = []
-    ordered = [VertexSet(n, atoms[0])]
+    done = [False] * len(atoms)
+    heap: list[tuple[int, int, int]] = []
+    ordered: list[VertexSet] = []
     r_sets: list[VertexSet] = []
-    union = atoms[0]
-    r_union = 0
-    pick = 0
-    placed[0] = done[0] = True
-    while len(ordered) < k:
-        shared: dict[int, int] = {}
-        for v in members[pick]:
-            live = [i for i in incident[v] if not done[i]]
-            incident[v] = live
-            for i in live:
-                shared[i] = shared.get(i, 0) + 1
-        for i, w in shared.items():
-            if w > weight[i]:
-                weight[i] = w
-                parent[i] = pick
-                heapq.heappush(heap, (-w, i))
-                done[i] = w == len(members[i]) - 1
+    union = r_union = 0
+    # a heap entry is (-weight, rank, core index or the parent's position);
+    # the root is the first core atom or vertex 0's smallest forest edge
+    candidates = [(0, rank[0], 0)] if atoms else []
+    row = adj[0] & ~core if core & 1 else adj[0]
+    if row:
+        candidates.append((0, ((row & -row).bit_length() - 1) * 2, 0))
+    pick = min(candidates)
+    while True:
+        _, key, i = pick
+        if key & 1:
+            mask = atoms[i]
+            done[i] = True
+            up = parent[i]
+            # the members whose incidence lists are read, and those first
+            # covered now, whose forest edges enter
+            scan = members[i]
+            fresh = bit_members(mask & ~union)
+        else:
+            a, b = divmod(key >> 1, n)
+            mask = (1 << a) | (1 << b)
+            up = i
+            fresh = (b,) if (union >> a) & 1 else (a,) if union else (a, b)
+            # only an edge with an end on the core meets a core atom, and one
+            # at a covered end already has a weight of 1 or more
+            scan = fresh if mask & core else ()
+        if ordered:
+            r = mask & union
+            if not r:
+                raise AlgorithmError("empty overlap set in a connected decomposition")
+            if r & ~ordered[up].bits:
+                raise AlgorithmError("atom ordering violates the containment property")
+            r_sets.append(VertexSet(n, r))
+            r_union |= r
+        pos = len(ordered)
+        ordered.append(VertexSet(n, mask))
+        if pos + 1 == k:
+            break
+        union |= mask
+        if scan:
+            shared: dict[int, int] = {}
+            for v in scan:
+                # a forest vertex has no core atom
+                live = incident[v] = [j for j in incident.get(v, ()) if not done[j]]
+                for j in live:
+                    shared[j] = shared.get(j, 0) + 1
+            for j, w in shared.items():
+                if w > weight[j]:
+                    weight[j] = w
+                    parent[j] = pos
+                    heapq.heappush(heap, (-w, rank[j], j))
+                    done[j] = w == len(members[j]) - 1
+        for v in fresh:
+            row = adj[v] & ~union
+            if (core >> v) & 1:
+                row &= ~core
+            while row:
+                u = row.bit_length() - 1
+                row ^= 1 << u
+                heapq.heappush(heap, (-1, (v * n + u if v < u else u * n + v) * 2, pos))
         while heap:
-            neg_w, pick = heapq.heappop(heap)
-            if not placed[pick] and -neg_w == weight[pick]:
+            pick = heapq.heappop(heap)
+            neg_w, key, i = pick
+            # a forest edge is pushed once, and a core atom once per weight
+            # it reaches; placing it ends its updates, so its entries go stale
+            if not key & 1 or -neg_w == weight[i]:
                 break
         else:
             raise AlgorithmError("atom intersection graph is disconnected")
-        placed[pick] = done[pick] = True
-        r = atoms[pick] & union
-        if not r:
-            raise AlgorithmError("empty overlap set in a connected decomposition")
-        if r & ~atoms[parent[pick]]:
-            raise AlgorithmError("atom ordering violates the containment property")
-        ordered.append(VertexSet(n, atoms[pick]))
-        r_sets.append(VertexSet(n, r))
-        r_union |= r
-        union |= atoms[pick]
     return Decomposition(tuple(ordered), tuple(r_sets), VertexSet(n, r_union), g)
 
 

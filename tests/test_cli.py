@@ -98,17 +98,62 @@ class TestSubcommands:
             )
             assert code == 0
             lines = out.strip().splitlines()
-            assert lines[0] == "algorithm,n,m,median_ms,reps"
+            assert lines[0] == "algorithm,spec,n,m,median_ms,reps"
             assert len(lines) == 4
-            for line in lines[1:]:
+            for line, n in zip(lines[1:], (12, 16, 20)):
+                # the spec holds a comma of its own
                 fields = line.split(",")
-                assert fields[0] == algorithm and fields[4] == "2"
+                assert fields[0] == algorithm and fields[-1] == "2"
+                assert fields[1:4] == [f"random_connected:{n}", "0.3", "0"]
+                assert fields[4] == str(n)
+
+    def test_bench_generate_csv_names_each_spec(self, capsys):
+        code, out = run(
+            capsys, "bench", "--algorithm", "decompose",
+            "--generate", "path:40", "--generate", "star:9", "--reps", "2",
+        )
+        assert code == 0
+        assert [line.split(",")[:4] for line in out.strip().splitlines()] == [
+            ["algorithm", "spec", "n", "m"],
+            ["decompose", "path:40", "40", "39"],
+            ["decompose", "star:9", "10", "9"],
+        ]
 
     def test_bench_json_schema(self, capsys):
         code, report = run_json(
             capsys, "bench", "--algorithm", "hull-number", "--sizes", "10", "--reps", "1"
         )
         jsonschema.validate(report["result"], load_schema("bench.json"))
+        assert report["result"]["rows"][0]["spec"] == "random_connected:10,0.05,0"
+
+    def test_bench_generate_json_schema(self, capsys):
+        code, report = run_json(
+            capsys, "bench", "--algorithm", "decompose", "--generate", "random_connected:30,0.1",
+            "--generate", "triangle_star:3", "--seed", "4", "--reps", "1",
+        )
+        assert code == 0
+        jsonschema.validate(report["result"], load_schema("bench.json"))
+        rows = report["result"]["rows"]
+        assert [(row["spec"], row["n"]) for row in rows] == [
+            ("random_connected:30,0.1", 30), ("triangle_star:3", 7)
+        ]
+        assert report["input"] is None
+
+    def test_bench_refuses_generate_beside_sizes(self, capsys):
+        argv = ["bench", "--algorithm", "decompose", "--generate", "path:5", "--sizes", "5"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: bench takes --generate or --sizes and --p, not both\n"
+        )
+
+    def test_committed_bench_files_match_the_schema(self):
+        files = sorted(SCHEMA_DIR.parent.parent.glob("BENCH_*.json"))
+        assert files
+        for path in files:
+            with open(path, encoding="utf-8") as fh:
+                record = json.load(fh)
+            for run_record in record["runs"]:
+                jsonschema.validate(run_record["result"], load_schema("bench.json"))
 
 
 HUMAN_OUTPUT = {
@@ -260,6 +305,12 @@ class TestExitCodes:
             # no timing repetition at all
             ["bench", "--algorithm", "hull", "--sizes", "10", "--reps", "0"],
             ["bench", "--algorithm", "hull", "--sizes", "10", "--reps", "-3"],
+            # --generate times its own graphs: it takes no --sizes or --p,
+            # and bench times nothing without one or the other
+            ["bench", "--algorithm", "hull", "--generate", "path:5", "--sizes", "5"],
+            ["bench", "--algorithm", "hull", "--generate", "path:5", "--p", "0.1"],
+            ["bench", "--algorithm", "hull"],
+            ["bench", "--algorithm", "decompose", "--generate", "path:x"],
             # P4 is not prime: enumerated anyway, it listed 9 of its 11
             # convex sets
             ["enumerate-prime", "--generate", "path:4"],

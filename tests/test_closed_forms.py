@@ -22,11 +22,14 @@ convexity test searches nothing off the path between them, and the hull
 searches nothing at all and reads parent links only on that path. A tree's
 atoms are its edges, and a D-ordering places each edge after one that
 shares its single overlap vertex; that is checked on 10,000-vertex trees,
-under their generated labels and under a random relabelling.
+under their generated labels and under a random relabelling, together with
+the tie-break: every edge has weight 1, so the edges come in Prim's order
+by (min, max) pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -133,14 +136,39 @@ TREES_AT_SCALE = {
 }
 
 
+def edge_prim_order(g: Graph) -> list[int]:
+    """A tree's edges in Prim's order with every weight 1: the edge (0, b)
+    with b smallest first, then always the smallest (min, max) pair among
+    the edges at a covered vertex."""
+    rows = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        rows[u].append(v)
+        rows[v].append(u)
+    covered = {0}
+    heap = [(0, v) for v in rows[0]]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        u, v = heapq.heappop(heap)
+        order.append((1 << u) | (1 << v))
+        fresh = v if u in covered else u
+        covered.add(fresh)
+        for w in rows[fresh]:
+            if w not in covered:
+                heapq.heappush(heap, (min(fresh, w), max(fresh, w)))
+    return order
+
+
 @pytest.mark.parametrize("name", TREES_AT_SCALE)
 def test_tree_decomposes_into_its_edges_at_scale(name):
-    # Checked directly: verify_d_ordering's separator test is O(t * n) here.
+    # Checked directly: verify_d_ordering's separator test is O(t * n) here,
+    # and the reference Prim over all atom pairs is quadratic.
     g = TREES_AT_SCALE[name]
     dec = decompose(g)
     atoms = [a.bits for a in dec.atoms]
     assert len(atoms) == g.n - 1
     assert set(atoms) == {(1 << u) | (1 << v) for u, v in g.edges()}
+    assert atoms == edge_prim_order(g)
     first_atom = dict.fromkeys(bit_members(atoms[0]), 0)
     r_union = 0
     for i in range(1, len(atoms)):

@@ -18,7 +18,7 @@ from triconvex.decomposition import (
     verify_d_ordering,
 )
 from triconvex.convexity_number import convex_extension
-from triconvex.errors import ContractViolationError, ValidationError
+from triconvex.errors import AlgorithmError, ContractViolationError, ValidationError
 from triconvex.generators import (
     all_connected_graphs,
     bowtie_graph,
@@ -75,6 +75,39 @@ class TestDecompose:
         dec = decompose(p4)
         assert [sorted(a) for a in dec.atoms] == [[0, 1], [1, 2], [2, 3]]
         assert [sorted(r) for r in dec.r_sets] == [[1], [2]]
+
+    @pytest.mark.parametrize(
+        "n, edges, atoms, r_sets",
+        [
+            # triangles at the cut vertex 2, with forest edges at 1 and 2:
+            # weight-1 atoms come in member order, core and forest alike
+            (
+                8,
+                [(0, 1), (0, 2), (1, 2), (2, 5), (2, 6), (5, 6), (1, 3), (2, 4), (2, 7)],
+                [[0, 1, 2], [1, 3], [2, 4], [2, 5, 6], [2, 7]],
+                [[1], [2], [2], [2]],
+            ),
+            # vertex 0 a leaf hung on the C4 core: its edge is the root
+            (
+                7,
+                [(1, 2), (2, 3), (3, 4), (1, 4), (0, 3), (3, 6), (4, 5)],
+                [[0, 3], [1, 2, 3, 4], [3, 6], [4, 5]],
+                [[3], [3], [4]],
+            ),
+            # vertex 0 on the core, with forest neighbours either side of
+            # the core atoms that hold it
+            (
+                7,
+                [(0, 1), (0, 2), (0, 3), (2, 3), (0, 4), (0, 5), (4, 5), (0, 6)],
+                [[0, 1], [0, 2, 3], [0, 4, 5], [0, 6]],
+                [[0], [0], [0]],
+            ),
+        ],
+    )
+    def test_forest_edges_and_core_atoms_follow_member_order(self, n, edges, atoms, r_sets):
+        dec = decompose(Graph(n, edges))
+        assert [sorted(a) for a in dec.atoms] == atoms
+        assert [sorted(r) for r in dec.r_sets] == r_sets
 
     def test_single_vertex(self):
         dec = decompose(Graph(1))
@@ -219,6 +252,20 @@ class TestVerifyDOrdering:
         for g in sampled_corpus:
             if is_connected(g):
                 assert verify_d_ordering(g, decompose(g)), sorted(g.edges())
+
+
+class TestDOrderChecks:
+    # families built by hand on graphs whose 2-core is every vertex, so
+    # no forest edge joins them
+    def test_overlap_outside_the_parent_is_refused(self):
+        # {2, 3, 4} meets the root {0, 1, 2} and {0, 4, 5} in {2, 4}
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (0, 4), (0, 5), (4, 5)])
+        with pytest.raises(AlgorithmError, match="^atom ordering violates the containment property$"):
+            decomposition._d_order(g, [0b000111, 0b011100, 0b110001])
+
+    def test_disconnected_family_is_refused(self):
+        with pytest.raises(AlgorithmError, match="^atom intersection graph is disconnected$"):
+            decomposition._d_order(cycle_graph(6), [0b000011, 0b111100])
 
 
 class TestIsPrime:
@@ -583,7 +630,37 @@ def differential_corpus():
         for blocks, paths in ((3, 2), (8, 5), (20, 10))
         for seed in range(3)
     ]
+    # where forest edges and core atoms meet in the rank order: vertex 0 a
+    # leaf on the core, vertex 0 on the core with a forest neighbour below
+    # its core atoms, stars centred off 0, and K2 atoms of the 2-core (a
+    # bridge between two cycles) beside hung trees
+    graphs += [leaf_zero_on_core(k, seed) for k in (3, 5, 12) for seed in range(2)]
+    graphs += [
+        Graph(9, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5), (2, 5), (0, 6), (6, 7), (7, 8)]),
+        Graph(6, [(0, 1), (0, 4), (0, 5), (4, 5), (1, 2), (2, 3), (3, 1)]),
+    ]
+    graphs += [
+        Graph(k + 1, [(centre, v) for v in range(k + 1) if v != centre])
+        for k, centre in ((2, 1), (5, 3), (40, 17), (40, 40))
+    ]
+    # C5 and C6 joined by the bridge {4, 5}
+    bridged = [(i, (i + 1) % 5) for i in range(5)] + [(4, 5)]
+    bridged += [(5 + i, 5 + (i + 1) % 6) for i in range(6)]
+    graphs += [
+        with_pendant_paths(Graph(11, bridged), paths, seed)
+        for paths in (0, 3, 8)
+        for seed in range(3)
+    ]
     return graphs
+
+
+def leaf_zero_on_core(k, seed):
+    """A k-cycle and hung paths, relabelled, with vertex 0 a leaf whose
+    neighbour lies on the cycle."""
+    g = with_pendant_paths(cycle_graph(k), 3, seed)
+    edges = [(u + 1, v + 1) for u, v in g.edges()]
+    on_core = random.Random(seed).choice(list(bit_members(_pendant_forest(g)[0]))) + 1
+    return Graph(g.n + 1, edges + [(0, on_core)])
 
 
 class TestAgainstReferenceRoute:
@@ -614,6 +691,33 @@ class TestAgainstReferenceRoute:
                 assert masks == [0], sorted(g.edges())
                 trees += 1
         assert trees > 20
+
+    def test_forest_edges_build_no_member_tuple(self, monkeypatch):
+        # a work guard, not a clock: the member tuples, which the sort key
+        # and the incidence lists are built from, are made for core atoms
+        # alone, and for nothing at all on a tree
+        masks = []
+        members = decomposition.bit_members
+
+        def recorded(bits):
+            masks.append(bits)
+            return members(bits)
+
+        monkeypatch.setattr(decomposition, "bit_members", recorded)
+        graphs = [shuffled(path_graph(2000), 4), star_graph(1000)]
+        for g in graphs:
+            masks.clear()
+            dec = decompose(g)
+            assert dec.t == g.n - 1
+            assert masks == []
+        g = with_pendant_paths(tree_of_cliques(20, 1), 10, 1)
+        core = _pendant_forest(g)[0]
+        masks.clear()
+        dec = decompose(g)
+        core_atoms = [a.bits for a in dec.atoms if not a.bits & ~core]
+        assert 1 < len(core_atoms) < dec.t
+        assert masks and all(not bits & ~core for bits in masks)
+        assert set(core_atoms) <= set(masks)
 
     def test_full_component_test_matches_per_member_loop(self):
         # every R-set, and cliques grown at random from a random vertex
