@@ -7,13 +7,15 @@ repair adds lies in the hull, so the hull is the closure under both.
 
 Cost: the P3 rounds of a hull cost O(|hull|) mask operations in all, each
 mono round one crossing of O(n) row ORs, and at most one scan of G - S
-shows the closure closed. The P3 rounds and check list a mask of more than
-``graph._WIDE_LEVEL`` members by bytes, as the BFS levels are listed, so a
-wide round pays a table lookup per member, not a low-bit step over the
-whole mask. A convexity test costs O(|S| + the forest vertices kept)
-steps, plus the P3 check over the smaller side, one scan when a member
-lies on the 2-core, and 2·min(|A|, |B|) row reads to widen a witness, A
-and B its two sides.
+shows the closure closed. A crossing from a member that misses no more
+members than it has neighbours outside meets one of them in the middle;
+otherwise one BFS reaches them all. The P3 rounds and check list a mask of
+more than ``graph._WIDE_LEVEL`` members by bytes, as the BFS levels are
+listed, so a wide round pays a table lookup per member, not a low-bit step
+over the whole mask. A convexity test costs O(|S| + the forest vertices
+kept) steps, plus the P3 check over the smaller of S and the kept
+non-members, one scan when a member lies on the 2-core, and
+2·min(|A|, |B|) row reads to widen a witness, A and B its two sides.
 
 Where each mechanism lives:
 
@@ -21,9 +23,10 @@ Where each mechanism lives:
   (``graph._pendant_forest``). Member-free pendant trees are dropped, and
   a tree component's kept part is its part of the hull.
 - ``_p3_violation`` and ``_seen_twice``: the P3 condition, read over the
-  smaller side.
+  smaller side, within what is kept for a test.
 - ``_forced_paths``: the one crossing, every shortest path from a member
   to its non-neighbours, meeting in the middle for a single target.
+  ``_crossing_targets``: which non-neighbours a member search crosses to.
 - ``_violating_components`` and ``_tree_pieces``: the mono scan on the
   core side and in the tree components.
 - ``_mono_violation`` and ``_lockstep``: the witness pick, widened to its
@@ -90,15 +93,20 @@ def _seen_twice(adj: list[int], bits: int, outside: int) -> Iterator[int]:
             yield v
 
 
-def _p3_violation(adj: list[int], bits: int) -> int | None:
-    """Smallest outside vertex with two or more neighbours inside, if any.
+def _p3_violation(adj: list[int], bits: int, universe: int | None = None) -> int | None:
+    """Smallest vertex of ``universe`` (default: all of G) outside ``bits``
+    with two or more neighbours inside, if any.
 
-    The smaller side is scanned: with at most half the vertices inside, the
-    member fold (``graph._fold``) marks every vertex seeing two members;
-    otherwise the outside count (``_seen_twice``) checks each outside vertex
-    in id order and stops at the first.
+    The smaller side is scanned: with at most as many members as outside
+    vertices of ``universe``, the member fold (``graph._fold``) marks every
+    vertex seeing two members; otherwise the outside count (``_seen_twice``)
+    checks each outside vertex in id order and stops at the first.
+    ``is_t_convex`` passes what ``_kept_core`` keeps: a dropped vertex sees
+    at most one member, since two member neighbours would put it on a kept
+    path, so the answer is the one over all of G, and the outside side is
+    only the kept non-members.
     """
-    outside = ((1 << len(adj)) - 1) & ~bits
+    outside = (((1 << len(adj)) - 1) if universe is None else universe) & ~bits
     if bits.bit_count() <= outside.bit_count():
         twice = _fold(adj, bits, 0, 0)[1] & outside
         return (twice & -twice).bit_length() - 1 if twice else None
@@ -349,11 +357,12 @@ def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
     target t that a BFS from ``u`` through ``alive`` reaches.
 
     The hull's one crossing routine: its member search passes the core minus
-    S and every non-neighbour of u in S, its scan one violating component
-    and the attached members u misses. No target is ``u`` or adjacent to it,
-    and none is alive. A shortest u-t path with its inside in G - S is
-    induced, as a chord would shorten it, so it is a triangle path and all
-    its vertices lie in the hull.
+    S and the non-neighbours of u in S that ``_crossing_targets`` picks, one
+    of them or all, its scan one violating component and the attached
+    members u misses. No target is ``u`` or adjacent to it, and none is
+    alive. A shortest u-t path with its inside in G - S is induced, as a
+    chord would shorten it, so it is a triangle path and all its vertices
+    lie in the hull.
 
     One target t meets in the middle: levels grow from u and from t through
     ``alive``, the smaller newest level first, until a new level meets what
@@ -415,6 +424,29 @@ def _forced_paths(adj: list[int], alive: int, u: int, targets: int) -> int:
     return inner
 
 
+def _crossing_targets(adj: list[int], alive: int, near: int, missing: int) -> int:
+    """The members that the hull's member search crosses to from a member u,
+    given ``near``, u's neighbours in ``alive``, and ``missing``, its
+    non-neighbours in S.
+
+    When u misses no more members than it has alive neighbours, one meet
+    in the middle to the first missing member with an alive neighbour, or
+    none when no missing member has one: a member with no alive neighbour
+    is no path's end. Otherwise all of them, by one BFS. Per
+    target, a meet is cheaper where alive neighbours are many and targets
+    few, as on dense graphs, and a BFS where many members are missed
+    through few alive neighbours, as on sparse ones.
+    """
+    if missing.bit_count() > near.bit_count():
+        return missing
+    while missing:
+        low = missing & -missing
+        if adj[low.bit_length() - 1] & alive:
+            return low
+        missing ^= low
+    return 0
+
+
 def is_p3_convex(g: Graph, s: VertexSet) -> bool:
     """No vertex outside s has two neighbours in s."""
     _check_universe(g, s)
@@ -449,17 +481,21 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     either way. The mono witness (``_mono_violation``) comes from the core
     side's scan and from the pieces of the kept tree part minus S, read off
     the forest; its component is still the whole component of G - s, the
-    first by minimum vertex id. Cost: O(|S| + the forest vertices kept)
-    steps, then the P3 check over the smaller side and, with a member on
-    the core side, its scan, plus 2·min(|A|, |B|) rows for each witness
-    widening (see ``_mono_violation``).
+    first by minimum vertex id. The P3 check reads only the kept set,
+    ``core | trees``: a dropped vertex sees at most one member (see
+    ``_p3_violation``), so the witness, the smallest outside vertex seen
+    twice, is the same as over all of G. Cost: O(|S| + the forest vertices
+    kept) steps, then the P3 check over the smaller of S and the kept
+    non-members and, with a member on the core side, its scan, plus
+    2·min(|A|, |B|) rows for each witness widening (see
+    ``_mono_violation``).
     """
     _check_universe(g, s)
     bits = s.bits
     core, trees, tops = _kept_core(g, bits)
     if not bits & core and trees == bits:
         return True, None
-    v = _p3_violation(g._adj, bits)
+    v = _p3_violation(g._adj, bits, core | trees)
     if v is not None:
         return False, ConvexityWitness(kind="p3-violation", vertex=v)
     hit = _mono_violation(g, bits, core, trees, tops)
@@ -489,22 +525,26 @@ def _hull_bits(g: Graph, bits: int) -> int:
     members (``_seen_twice``) and leaves those members in ``unfolded``;
     otherwise it folds (``graph._fold``) them and every unfolded member into
     the running fold and reads off ``twice & alive``. Either way it absorbs
-    every alive vertex seen twice at once. Each member is folded at most once, and a count round reads fewer
-    rows than the members it skipped, so the p3 work over the whole hull is
-    O(|hull|) mask operations. A p3-closed set gets a mono round. It first
-    crosses, by ``_forced_paths`` through all of ``alive``, from the first
-    member u with a neighbour in ``alive`` and a non-neighbour in S; with
-    one such non-neighbour the crossing meets in the middle. ``border``
-    holds the members that may still have an alive neighbour; as ``alive``
-    only shrinks, a member found without one leaves it for good, so finding
-    u costs O(|hull|) mask operations per closure. If no member qualifies,
-    every member next to ``alive`` sees all of S and S is closed. Only when
-    the crossing absorbs nothing does the full scan run: one search of
-    ``alive``, and every component whose attached members are not a clique
-    is crossed from the first of them with a non-neighbour among them.
-    ``scan`` then keeps the rest of the closure on the scan, so at most one
-    crossing absorbs nothing. The closure is unique, so the order vertices
-    join in does not change the hull.
+    every alive vertex seen twice at once. Each member is folded at most
+    once, and a count round reads fewer rows than the members it skipped, so
+    the p3 work over the whole hull is O(|hull|) mask operations. A
+    p3-closed set gets a mono round. It first crosses, by ``_forced_paths``
+    through all of ``alive``, from the first member u with a neighbour in
+    ``alive`` and a non-neighbour in S.
+    ``border`` holds the members that may still have an alive neighbour;
+    as ``alive`` only shrinks, a member found without one leaves it for
+    good, so finding u costs O(|hull|) mask operations per closure. If no
+    member qualifies, every member next to ``alive`` sees all of S and S is
+    closed. When u misses no more members than it has alive neighbours, the
+    crossing is one meet in the middle to the first missed member that has
+    an alive neighbour; otherwise it is one BFS to every missed member
+    (``_crossing_targets``). Only when no missed member has an alive
+    neighbour, or the crossing absorbs nothing, does the full scan run: one
+    search of ``alive``, and every component whose attached members are not
+    a clique is crossed from the first of them with a non-neighbour among
+    them. ``scan`` then keeps the rest of the closure on the scan, so at
+    most one member search per closure comes back empty. The closure is
+    unique, so the order vertices join in does not change the hull.
     """
     adj = g._adj
     core, trees, _ = _kept_core(g, bits)
@@ -530,12 +570,15 @@ def _hull_bits(g: Graph, bits: int) -> int:
             if not scan:
                 for u in bit_members(border):
                     row = adj[u]
-                    if not row & alive:
+                    near = row & alive
+                    if not near:
                         border ^= 1 << u
                         continue
                     missing = bits & ~row & ~(1 << u)
                     if missing:
-                        new = _forced_paths(adj, alive, u, missing)
+                        targets = _crossing_targets(adj, alive, near, missing)
+                        if targets:
+                            new = _forced_paths(adj, alive, u, targets)
                         break
                 else:
                     return bits | trees
@@ -562,7 +605,9 @@ def t_convex_hull(g: Graph, s: VertexSet) -> VertexSet:
     new members or counts the members of the vertices left outside, whichever
     side is smaller, and O(n) for each mono round, each of which but the
     last absorbs a vertex. A mono round that crosses to one member meets it
-    in the middle, reading the rows of the smaller side at each step.
+    in the middle, reading the rows of the smaller side at each step; the
+    member search crosses to one member whenever its member misses no more
+    members than it has neighbours outside.
     """
     _check_universe(g, s)
     return VertexSet(g.n, _hull_bits(g, s.bits))

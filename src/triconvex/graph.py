@@ -340,9 +340,16 @@ def _check_universe(g: Graph, *sets: VertexSet | None) -> None:
 
 
 def is_connected(g: Graph) -> bool:
+    """Read off the cached peel (``_pendant_forest``): a forest is connected
+    when it is one tree component, and a graph with a 2-core when it has no
+    tree component and one search of the core covers the core, as every hung
+    tree hangs from a core vertex. On a tree that is no search at all."""
     if g.n == 0:
         return True
-    return _component_bits(g._adj, (1 << g.n) - 1, 1) == (1 << g.n) - 1
+    core, _, _, _, _, components = _pendant_forest(g)
+    if not core:
+        return components == 1
+    return not components and _component_bits(g._adj, core, core & -core) == core
 
 
 def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> Path | None:

@@ -609,6 +609,24 @@ class TestSeenTwice:
             assert list(convexity._seen_twice(adj, bits, outside)) == expected, (n, size)
             assert wide == ([size] if size > _WIDE_LEVEL else []), (n, size)
 
+    def test_the_p3_witness_is_the_smallest_kept_non_member_seen_twice(self):
+        # through the public test, with S the larger side and more than
+        # _WIDE_LEVEL kept non-members, so they are counted by bytes; the
+        # hung leaves are dropped and see one member at most
+        g = hang_blocks(random_connected_graph(120, 0.08, 5), [complete_graph(2)] * 30, 5)
+        adj = g._adj
+        core = list(bit_members(_pendant_forest(g)[0]))
+        rng = random.Random(79)
+        for _ in range(20):
+            bits = sum(1 << v for v in rng.sample(core, 80))
+            outside = kept_bits(g, bits) & ~bits
+            assert bits.bit_count() > outside.bit_count() > _WIDE_LEVEL
+            twice = [v for v in range(g.n) if not bits >> v & 1 and (adj[v] & bits).bit_count() > 1]
+            assert len(twice) > 1 and not (1 << twice[0]) & ~outside
+            convex, witness = is_t_convex(g, VertexSet(g.n, bits))
+            assert not convex and witness.kind == "p3-violation"
+            assert witness.vertex == twice[0], (sorted(bit_members(bits)), twice)
+
 
 class TestMonoStep:
     def test_p3_member_fold_and_outside_scan_agree(self):
@@ -886,6 +904,58 @@ class TestSmallerSide:
             assert one_sided_paths(rows, alive, u, targets) == inner
             assert met < rows.reads, (alive, u, targets)
 
+    def test_hulls_match_with_the_crossing_rule_off(self, monkeypatch):
+        # with every member search crossing by one BFS to all the members u
+        # misses, as before the rule, the hulls are the same. The dense
+        # graphs are where the rule picks one target of several; the cubic
+        # core with hung trees, the sparse-atoms shape, leaves it to a BFS
+        picked = collections.Counter()
+        rule = convexity._crossing_targets
+
+        def recorded(adj, alive, near, missing):
+            targets = rule(adj, alive, near, missing)
+            if targets and missing & (missing - 1):
+                picked["bfs" if targets == missing else "one of several"] += 1
+            return targets
+
+        graphs = [min_degree_gnp(600, 10 / 600, 3)]
+        graphs += [random_connected_graph(300, 0.03, seed) for seed in range(3)]
+        graphs.append(cubic_core_with_trees(150, 350, 5))
+        rng = random.Random(73)
+        cases = []
+        for g in graphs:
+            for size in (2, 2, 2, 2, 3, 3, 5, 20):
+                cases += [(g, vs(g.n, rng.sample(range(g.n), size))) for _ in range(8)]
+        monkeypatch.setattr(convexity, "_crossing_targets", recorded)
+        hulls = [t_convex_hull(g, s) for g, s in cases]
+        # the rule off: every member search crosses to all the members u misses
+        monkeypatch.setattr(convexity, "_crossing_targets", lambda *args: args[-1])
+        for (g, s), hull in zip(cases, hulls):
+            assert t_convex_hull(g, s) == hull, (g.n, sorted(s))
+        assert picked["one of several"] >= 50 and picked["bfs"] >= 50, picked
+
+    def test_a_missed_member_with_no_alive_neighbour_is_no_target(self, monkeypatch):
+        # the 6-cycle 0-4-5-2-7-6 with the path 0-3-1 hung at 0: member 1
+        # sees only member 3, so from 0 the search meets 2, the first missed
+        # member with an alive neighbour; with 2 left out, 0 misses only 1
+        # and the search crosses nowhere, leaving the scan to find S closed
+        g = Graph(8, [(0, 3), (3, 1), (0, 4), (4, 5), (5, 2), (0, 6), (6, 7), (7, 2)])
+        calls = []
+        crossing = convexity._forced_paths
+
+        def recorded(adj, alive, u, targets):
+            calls.append((u, targets))
+            return crossing(adj, alive, u, targets)
+
+        monkeypatch.setattr(convexity, "_forced_paths", recorded)
+        assert t_convex_hull(g, vs(8, [0, 1, 2, 3])) == VertexSet.full(8)
+        assert calls[0] == (0, 1 << 2)
+        calls.clear()
+        assert t_convex_hull(g, vs(8, [0, 1, 3])) == vs(8, [0, 1, 3])
+        assert calls == []
+        for bits in (0b1111, 0b1011):
+            assert t_convex_hull(g, VertexSet(8, bits)).bits == reference_hull_bits(g, bits)
+
 
 def reference_peel(g, bits):
     """The vertices of member-free pendant trees: sweep after sweep, delete
@@ -1070,6 +1140,45 @@ class TestKeptCore:
         assert g._forest is forest
         sub, _ = g.induced(VertexSet.full(g.n))
         assert sub._forest is None and sub == g
+
+
+class TestKeptP3Universe:
+    def test_the_kept_set_gives_the_whole_graph_answer(self, monkeypatch):
+        # is_t_convex checks P3 over what _kept_core keeps: a dropped vertex
+        # sees one member at most, so the smallest outside vertex seen twice
+        # is the one over all of G
+        calls = []
+        p3 = convexity._p3_violation
+
+        def recorded(adj, bits, universe=None):
+            calls.append((bits, universe))
+            return p3(adj, bits, universe)
+
+        monkeypatch.setattr(convexity, "_p3_violation", recorded)
+        rng = random.Random(59)
+        cases = [(g, hull_seeds(g, rng)) for g in pendant_graphs()]
+        for g, parts in forest_graphs():
+            if g.n:
+                cases.append((g, hull_seeds(g, rng) + tree_component_seeds(parts, rng)))
+        found = narrowed = seen_once = 0
+        for g, seeds in cases:
+            adj, full = g._adj, (1 << g.n) - 1
+            for bits in seeds:
+                hull = t_convex_hull(g, VertexSet(g.n, bits)).bits
+                for s_bits in (bits, full & ~bits, hull):
+                    calls.clear()
+                    is_t_convex(g, VertexSet(g.n, s_bits))
+                    for members, universe in calls:
+                        context = (g.n, sorted(g.edges()), bin(members))
+                        v = p3(adj, members, universe)
+                        assert v == p3(adj, members), context
+                        dropped = full & ~universe
+                        counts = [(adj[w] & members).bit_count() for w in bit_members(dropped)]
+                        assert max(counts, default=0) <= 1, context
+                        found += v is not None
+                        narrowed += bool(dropped)
+                        seen_once += 1 in counts
+        assert found > 80 and narrowed > 120 and seen_once > 100, (found, narrowed, seen_once)
 
 
 def member_tree_paths(g, parts, bits):

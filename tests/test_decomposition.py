@@ -17,7 +17,7 @@ from triconvex.decomposition import (
     is_prime,
     verify_d_ordering,
 )
-from triconvex.convexity_number import convex_extension
+from triconvex.convexity_number import convex_extension, convexity_number
 from triconvex.errors import AlgorithmError, ContractViolationError, ValidationError
 from triconvex.generators import (
     all_connected_graphs,
@@ -120,6 +120,39 @@ class TestDecompose:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValidationError, match="^decomposition needs at least one vertex$"):
             decompose(Graph(0))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # two trees: no 2-core, two tree components
+            Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]),
+            # a cycle and an isolated vertex: a 2-core and one tree component
+            Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            # two cycles: a 2-core the search from its smallest vertex misses
+            # part of, and no tree component
+            Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+            # a cycle with a hung tree beside a separate tree
+            Graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (5, 7)]),
+        ],
+        ids=["two trees", "cycle and isolated vertex", "two cycles", "cycle and tree"],
+    )
+    def test_disconnected_peels_are_refused(self, g):
+        # connectivity is read off the cached pendant peel
+        assert not is_connected(g)
+        with pytest.raises(ValidationError, match="^decomposition requires a connected graph$"):
+            decompose(g)
+        with pytest.raises(ValidationError, match="^convexity number requires a connected graph$"):
+            convexity_number(g)
+        with pytest.raises(ValidationError, match="^hull number requires a connected graph$"):
+            hull_number(g)
+
+    def test_connected_peels_are_accepted(self):
+        # K_1 is one tree component; a tree, a cycle with hung trees and a
+        # leafless graph are read off the peel too
+        assert is_connected(Graph(1)) and decompose(Graph(1)).t == 1
+        for g in (path_graph(6), star_graph(5), cubic_core_with_trees(10, 12, 0), cycle_graph(5)):
+            assert is_connected(g)
+            assert decompose(g).t >= 1
 
     def test_deterministic(self, sampled_corpus):
         for g in sampled_corpus[:120]:
