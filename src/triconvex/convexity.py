@@ -14,8 +14,10 @@ more than ``graph._WIDE_LEVEL`` members by bytes, as the BFS levels are
 listed, so a wide round pays a table lookup per member, not a low-bit step
 over the whole mask. A convexity test costs O(|S| + the forest vertices
 kept) steps, plus the P3 check over the smaller of S and the kept
-non-members, one scan when a member lies on the 2-core, and
-2·min(|A|, |B|) row reads to widen a witness, A and B its two sides.
+non-members, three mask operations per member in a tree component to
+count the pieces there, one scan when a member lies on the 2-core or
+those pieces are several, and 2·min(|A|, |B|) row reads to widen a
+witness, A and B its two sides.
 
 Where each mechanism lives:
 
@@ -27,8 +29,9 @@ Where each mechanism lives:
 - ``_forced_paths``: the one crossing, every shortest path from a member
   to its non-neighbours, meeting in the middle for a single target.
   ``_crossing_targets``: which non-neighbours a member search crosses to.
-- ``_violating_components`` and ``_tree_pieces``: the mono scan on the
-  core side and in the tree components.
+- ``_violating_components``: the one mono scan, of the core side, the
+  tree components or both. ``_lone_piece``: a tree part minus S that is one
+  piece, found by counting, with no scan.
 - ``_mono_violation`` and ``_lockstep``: the witness pick, widened to its
   whole component of G - S over the smaller side.
 - ``_hull_bits``: the closure's rounds. ``is_t_convex``: the test.
@@ -113,12 +116,12 @@ def _p3_violation(adj: list[int], bits: int, universe: int | None = None) -> int
     return next(_seen_twice(adj, bits, outside), None)
 
 
-def _kept_core(g: Graph, bits: int) -> tuple[int, int, dict[int, int]]:
-    """``(core, trees, tops)``: what deleting, again and again, a non-member
-    of ``bits`` with at most one neighbour left keeps of G, read off the
-    cached pendant forest, split into the part that meets the 2-core or
-    hangs from it and the part in tree components, and the topmost kept
-    vertex of each tree component that holds a member, by its root.
+def _kept_core(g: Graph, bits: int) -> tuple[int, int, int]:
+    """``(core, trees, member_trees)``: what deleting, again and again, a
+    non-member of ``bits`` with at most one neighbour left keeps of G, read
+    off the cached pendant forest, split into the part that meets the
+    2-core or hangs from it and the part in tree components, and the number
+    of tree components that hold a member.
 
     The 2-core is never deleted and neither is a member. A forest vertex
     stays exactly when a member hangs below it, on a tree hung from the
@@ -159,91 +162,69 @@ def _kept_core(g: Graph, bits: int) -> tuple[int, int, dict[int, int]]:
                 v, top = parent[v], parent[top]
                 trees |= (1 << v) | (1 << top)
             tops[t] = top
-    return kept & ~trees, trees, tops
+    return kept & ~trees, trees, len(tops)
 
 
 def _violating_components(
-    adj: list[int], core: int, bits: int
+    adj: list[int], within: int, bits: int
 ) -> Iterator[tuple[int, int, int]]:
-    """``(u, missing, D)`` for every component D of G[core] - S whose
+    """``(u, missing, D)`` for every component D of G[within] - S whose
     attached members A = N(D) & S are not a clique, by minimum vertex id of
-    D: the one scan of G[core] - S, for the hull and both tests.
+    D: the one scan of what is kept minus S, for the hull and both tests.
 
-    ``core`` is the core side of what ``_kept_core`` keeps. The boundaries
-    are taken within it (``graph._components_bits`` with ``within`` =
-    ``core``), so the members there are the whole outside, and the
-    boundaries are folded over the smaller of them and the rest of the
-    core, not over the dropped vertices as well. A dropped vertex hangs
-    from one kept vertex by a tree that reaches no member, so D lies in one
-    component of G - S, whose member boundary is also A; a component of
-    G - S that holds no kept vertex has at most one attached member.
+    ``within`` is the core side of what ``_kept_core`` keeps, its tree part,
+    or both: no edge joins the tree components to the core side, so one
+    search lists the components of either. The boundaries are taken within
+    it (``graph._components_bits``), so the members there are the whole
+    outside, and the boundaries are folded over the smaller of them and the
+    rest of ``within``, not over the dropped vertices as well. A dropped
+    vertex hangs from one kept vertex by a tree that reaches no member, so D
+    lies in one component of G - S, whose member boundary is also A; a
+    component of G - S that holds no kept vertex has at most one attached
+    member.
 
     ``(u, missing)`` is ``graph._non_edge`` of A: the smallest member of A
     with a non-neighbour in A, and all of its non-neighbours there.
-    One search: O(|core| - |S|) mask operations for the components plus the
-    smaller side's rows for every boundary, with no pass over the members
-    per component.
+    One search: O(|within| - |S|) mask operations for the components plus
+    the smaller side's rows for every boundary, with no pass over the
+    members per component.
     """
-    for comp, boundary in _components_bits(adj, core & ~bits, core):
+    for comp, boundary in _components_bits(adj, within & ~bits, within):
         hit = _non_edge(adj, boundary)
         if hit is not None:
             yield *hit, comp
 
 
-def _tree_pieces(
-    g: Graph, bits: int, trees: int, tops: dict[int, int]
-) -> list[tuple[int, int, int, int]]:
-    """``(low, u, v, piece)`` for every piece of the kept tree part minus S,
+def _lone_piece(
+    adj: list[int], bits: int, trees: int, member_trees: int
+) -> tuple[int, int, int, int] | None:
+    """``(low, u, v, piece)`` when the kept tree part minus S is one piece,
     a component of G[trees] - S, with ``low`` its minimum vertex and (u, v)
-    its two smallest attached members, in no particular order.
+    its two smallest attached members; None when it has none or several.
 
-    ``trees`` and ``tops`` are what ``_kept_core`` keeps in the tree
-    components. Every leaf of a tree component's kept part is a member, so
-    each piece has at least two attached members, and no two of them are
-    adjacent: the edge would close a cycle through the piece. So every piece
-    lies in a component of G - S that violates, with the dropped trees
-    hanging from it, and its smallest pair is its two smallest members.
-
-    The pieces are read off the forest's parent links: every member below
-    its component's top climbs from its parent through non-members until it
-    meets a piece already climbed, a vertex whose parent is a member, or the
-    top. Each kept vertex is climbed once, with set and dict lookups and no
-    mask operation; a lone piece is ``trees - S`` itself, and only when
-    there are more are their masks built from the climbed vertices.
+    ``trees`` and ``member_trees`` are what ``_kept_core`` keeps in the tree
+    components. That part T is a forest, so with M = S & T it has
+    c_T - |M| + sum of deg_T(m) over M - |E(M)| pieces, c_T being
+    ``member_trees``: three mask operations per member, and no climb.
+    Every leaf of T is a member, so a piece has at least two attached
+    members, and no two of them are adjacent: the edge would close a cycle
+    through the piece. So a piece violates, and its smallest pair is its
+    two smallest members.
     """
-    _, parent, _, tree, _, _ = _pendant_forest(g)
-    order = list(bit_members(bits & trees))
-    members = set(order)
-    piece: dict[int, list] = {}
-    found = []
-    for m in order:
-        top = tops[tree[m]]
-        x = parent[m]
-        if m == top or x in members:
-            continue
-        climbed = []
-        rec = piece.get(x)
-        while rec is None:
-            climbed.append(x)
-            up = parent[x]
-            if x == top or up in members:
-                # [low, attached members, vertices]
-                rec = [x, [] if x == top else [up], []]
-                found.append(rec)
-                break
-            x = up
-            rec = piece.get(x)
-        if climbed:
-            piece.update(dict.fromkeys(climbed, rec))
-            rec[2] += climbed
-            rec[0] = min(rec[0], min(climbed))
-        rec[1].append(m)
-    out = []
-    for low, attached, vertices in found:
-        u, v = sorted(attached)[:2]
-        mask = trees & ~bits if len(found) == 1 else sum(1 << x for x in vertices)
-        out.append((low, u, v, mask))
-    return out
+    piece = trees & ~bits
+    members = trees & bits
+    count = member_trees - members.bit_count()
+    inner = 0
+    attached = []
+    for m in bit_members(members):
+        row = adj[m]
+        count += (row & trees).bit_count()
+        inner += (row & members).bit_count()
+        if row & piece:
+            attached.append(m)
+    if count - inner // 2 != 1:
+        return None
+    return (piece & -piece).bit_length() - 1, attached[0], attached[1], piece
 
 
 def _lockstep(adj: list[int], alive: int, a: int, b: int) -> tuple[bool, int]:
@@ -275,22 +256,24 @@ def _lockstep(adj: list[int], alive: int, a: int, b: int) -> tuple[bool, int]:
 
 
 def _mono_violation(
-    g: Graph, bits: int, core: int, trees: int, tops: dict[int, int]
+    g: Graph, bits: int, core: int, trees: int, member_trees: int
 ) -> tuple[int, int, int] | None:
     """``(u, v, component)``: the first non-adjacent pair of the set attached
     to a common component of G - S.
 
     The component is the first by minimum vertex id and the pair the
     lexicographically smallest one it is attached to, so witnesses are
-    reproducible. ``(core, trees, tops)`` is what ``_kept_core`` keeps, and
-    every violating component of G - S holds kept vertices: on the core
-    side a component D of G[core] - S from ``_violating_components``, run
-    only when a member lies there, and in the tree components a piece from
-    ``_tree_pieces``, each of which violates. When nothing is dropped the
-    smallest of them is the answer. Otherwise the smallest vertex of a
-    widened D may lie in a dropped tree, so each D is widened to its
-    component of G - S, by increasing minimum, until neither a D nor any
-    dropped vertex can go below the best widened minimum found.
+    reproducible. ``(core, trees, member_trees)`` is what ``_kept_core``
+    keeps, and every violating component of G - S holds kept vertices: a
+    component D of what is kept minus S. A lone piece of the tree part is
+    found by counting (``_lone_piece``); otherwise the tree part joins the
+    core side, when a member lies there, in the one scan
+    (``_violating_components``), which runs only when one of them is to be
+    searched. When nothing is dropped the smallest D is the answer.
+    Otherwise the smallest vertex of a widened D may lie in a dropped tree,
+    so each D is widened to its component of G - S, by increasing minimum,
+    until neither a D nor any dropped vertex can go below the best widened
+    minimum found.
 
     A widening works the smaller side. The dropped vertices that hang from
     a kept vertex split by hang point: side A hangs from D, side B from the
@@ -310,14 +293,19 @@ def _mono_violation(
     kept = core | trees
     dropped = full & ~kept
     hits = []
-    if bits & core:
-        for u, missing, comp in _violating_components(adj, core, bits):
+    scan = core if bits & core else 0
+    if trees & ~bits:
+        lone = _lone_piece(adj, bits, trees, member_trees)
+        if lone is None:
+            scan |= trees
+        else:
+            hits.append(lone)
+    if scan:
+        for u, missing, comp in _violating_components(adj, scan, bits):
             low = (comp & -comp).bit_length() - 1
             hits.append((low, u, (missing & -missing).bit_length() - 1, comp))
             if not dropped:
                 break
-    if trees & ~bits:
-        hits += _tree_pieces(g, bits, trees, tops)
     if not hits:
         return None
     hits.sort()  # by minimum vertex: the components are disjoint
@@ -342,7 +330,7 @@ def _mono_violation(
         if not a_first:
             if hang is None:
                 hang = dropped
-                if components > len(tops):
+                if components > member_trees:
                     hang &= _component_bits(adj, full, kept)
             grown = hang & ~grown
         comp |= grown
@@ -458,7 +446,7 @@ def is_m_convex(g: Graph, s: VertexSet) -> bool:
 
     A verdict needs no witness component, so the tree components are read
     off the climb alone: a piece of their kept part minus S always violates
-    (see ``_tree_pieces``), so they pass exactly when that part is S there.
+    (see ``_lone_piece``), so they pass exactly when that part is S there.
     The core side is scanned only when a member lies on it.
     """
     _check_universe(g, s)
@@ -478,27 +466,29 @@ def is_t_convex(g: Graph, s: VertexSet) -> tuple[bool, ConvexityWitness | None]:
     G - S touches one member at most. That verdict takes no fold and no
     search. Otherwise the outside-vertex condition is reported first:
     absorbing one vertex is cheaper than a path, and the hull is the same
-    either way. The mono witness (``_mono_violation``) comes from the core
-    side's scan and from the pieces of the kept tree part minus S, read off
-    the forest; its component is still the whole component of G - s, the
-    first by minimum vertex id. The P3 check reads only the kept set,
-    ``core | trees``: a dropped vertex sees at most one member (see
+    either way. The mono witness (``_mono_violation``) comes from one scan
+    of the kept set minus S, or, when the kept tree part minus S is one
+    piece, from that piece, found by counting, and the core side's scan
+    when a member lies there; its component is still the whole component of
+    G - s, the first by minimum vertex id. The P3 check reads only the kept
+    set, ``core | trees``: a dropped vertex sees at most one member (see
     ``_p3_violation``), so the witness, the smallest outside vertex seen
     twice, is the same as over all of G. Cost: O(|S| + the forest vertices
     kept) steps, then the P3 check over the smaller of S and the kept
-    non-members and, with a member on the core side, its scan, plus
-    2·min(|A|, |B|) rows for each witness widening (see
-    ``_mono_violation``).
+    non-members, three mask operations per tree member to count the
+    pieces, and the scan when a member lies on the core side or the tree
+    part splits into several pieces, plus 2·min(|A|, |B|) rows for each
+    witness widening (see ``_mono_violation``).
     """
     _check_universe(g, s)
     bits = s.bits
-    core, trees, tops = _kept_core(g, bits)
+    core, trees, member_trees = _kept_core(g, bits)
     if not bits & core and trees == bits:
         return True, None
     v = _p3_violation(g._adj, bits, core | trees)
     if v is not None:
         return False, ConvexityWitness(kind="p3-violation", vertex=v)
-    hit = _mono_violation(g, bits, core, trees, tops)
+    hit = _mono_violation(g, bits, core, trees, member_trees)
     if hit is not None:
         u, v, comp = hit
         return False, ConvexityWitness(

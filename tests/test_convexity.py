@@ -11,6 +11,7 @@ from triconvex.bitset import VertexSet, bit_members, byte_members
 from triconvex.convexity import (
     _forced_paths,
     _kept_core,
+    _lone_piece,
     _mono_violation,
     _p3_violation,
     _violating_components,
@@ -1248,6 +1249,60 @@ class TestTreeComponentPaths:
         assert climbs > 30
 
 
+def chorded_forest(rng):
+    """1-4 random recursive trees side by side under one relabelling, with up
+    to five chords, each of which closes a cycle in a component or joins
+    two."""
+    sizes = [rng.randint(1, 25) for _ in range(rng.randint(1, 4))]
+    trees = [random_recursive_tree(n, rng.randrange(10**6)) for n in sizes]
+    g, _ = disjoint_union(trees, rng.randrange(10**6))
+    chords = [tuple(rng.sample(range(g.n), 2)) for _ in range(rng.randint(0, 5)) if g.n > 1]
+    return Graph(g.n, list(g.edges()) + chords)
+
+
+def sets_with_an_edge(g, rng, reps):
+    """``reps`` sets of 1-7 members, half of them with both ends of an edge
+    added."""
+    edges = list(g.edges())
+    sets = []
+    for _ in range(reps):
+        bits = sum(1 << v for v in rng.sample(range(g.n), rng.randint(1, min(g.n, 7))))
+        if edges and rng.random() < 0.5:
+            u, v = rng.choice(edges)
+            bits |= (1 << u) | (1 << v)
+        sets.append(bits)
+    return sets
+
+
+class TestLonePiece:
+    def test_is_the_one_component_of_the_tree_part(self):
+        # the count c_T - |M| + sum deg_T(m) - |E(M)| against a search of
+        # the kept tree part minus S: the piece and its two smallest
+        # attached members when there is one, None when there are none or
+        # several, with adjacent members and chords that turn trees cyclic
+        rng = random.Random(107)
+        lone = several = adjacent = 0
+        for _ in range(400):
+            g = chorded_forest(rng)
+            adj = g._adj
+            for bits in sets_with_an_edge(g, rng, 8):
+                core, trees, member_trees = _kept_core(g, bits)
+                pieces = _components_bits(adj, trees & ~bits, trees)
+                got = _lone_piece(adj, bits, trees, member_trees)
+                context = (g.n, sorted(g.edges()), bin(bits))
+                if len(pieces) == 1:
+                    (piece, attached), = pieces
+                    u, v = itertools.islice(bit_members(attached), 2)
+                    assert got == ((piece & -piece).bit_length() - 1, u, v, piece), context
+                    lone += 1
+                    members = bits & trees
+                    adjacent += any(adj[m] & members for m in bit_members(members))
+                else:
+                    assert got is None, context
+                    several += len(pieces) > 1
+        assert lone > 400 and several > 300 and adjacent > 250
+
+
 def p3_closure(g, bits):
     """The smallest superset of ``bits`` with no outside vertex seen twice."""
     while True:
@@ -1389,19 +1444,29 @@ class TestWitnessesOnTheKeptCore:
 
     def test_tree_pair_tests_make_no_component_search(self, monkeypatch):
         # a work guard, not a clock: a pair or its hull in a tree is judged
-        # from the climb and its pieces, never by a component search
+        # from the climb and a count of its pieces, never by a component
+        # search
         searches = []
         search = convexity._components_bits
         monkeypatch.setattr(
             convexity, "_components_bits", lambda *args: searches.append(args) or search(*args)
         )
         rng = random.Random(101)
+        lone = 0
         for g in (path_graph(2000), random_recursive_tree(2000, 102)):
             for _ in range(200):
                 s = vs(g.n, rng.sample(range(g.n), 2))
                 is_t_convex(g, s)
                 is_t_convex(g, t_convex_hull(g, s))
+                # a pair with a neighbour of one end added, whose kept tree
+                # part minus S is still one piece: counted, not searched
+                a, b = s
+                s = vs(g.n, [a, b, rng.choice(list(g.neighbors(a)))])
+                _, trees, member_trees = _kept_core(g, s.bits)
+                lone += _lone_piece(g._adj, s.bits, trees, member_trees) is not None
+                is_t_convex(g, s)
             assert not searches
+        assert lone > 300
 
     def test_a_widening_reads_twice_the_smaller_side(self, monkeypatch):
         # a work guard, not a clock: on the shape of the sparse-atoms
