@@ -90,9 +90,13 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], list[int], int]:
     non-empty mask. The search from x is graded over these masks: at level
     w it bumps the label-w vertices next to the region (x plus the
     unnumbered vertices it reaches through labels below w), then admits
-    the label-w vertices. The region grows, by ORing adjacency rows, only
-    before a layer that has a vertex outside its reach: a layer inside it
-    is bumped whole however far the region would grow.
+    the label-w vertices. The bumped part of a layer, its AND with the
+    reach, is taken first. Only when it is not the whole layer and the
+    reach meets an admitted vertex outside the region does the region
+    grow, by ORing adjacency rows, and the part is retaken after that. The
+    levels end at the highest non-empty layer once x has left its own: no
+    unnumbered vertex lies above it, so no mask of the labels not yet
+    admitted is needed.
 
     H is not stored. ``madj[y]`` collects the vertices that reached y
     before y was numbered, which are y's H-neighbours eliminated after it.
@@ -120,8 +124,6 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], list[int], int]:
     generators = 0
     visit_order: list[int] = []
     while live & unnumbered:
-        while not by_w[top]:
-            top -= 1
         low = by_w[top] & -by_w[top]
         by_w[top] ^= low
         unnumbered ^= low
@@ -130,21 +132,22 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], list[int], int]:
         if top <= prev:
             generators |= low
         prev = top
-        # reach = N(region); pending = admitted vertices outside the region;
-        # above = vertices of labels not yet admitted.
+        # every unnumbered vertex lies at or below the highest non-empty
+        # layer once x has left its own, so the search ends there
+        while top and not by_w[top]:
+            top -= 1
+        # reach = N(region); pending = admitted vertices outside the region
         reach = adj[x]
         pending = 0
-        above = unnumbered
         bumped = 0
         # the snapshot keeps a vertex bumped into w + 1 out of the next layer
         for w, layer in enumerate(by_w[: top + 1]):
-            if not above:
-                break
             if not layer:
                 continue
-            # a layer inside N(region) is bumped whole, flood or not
-            if layer & ~reach:
-                frontier = reach & pending
+            b = reach & layer
+            # a layer inside N(region) is bumped whole, flood or not, and a
+            # flood needs an admitted vertex that the region reaches
+            if b != layer and (frontier := reach & pending):
                 while frontier:
                     pending ^= frontier
                     # not _reach: a call per wave made _mcs_m about 10 % slower on dense
@@ -154,12 +157,11 @@ def _mcs_m(g: Graph, within: int) -> tuple[list[int], list[int], int]:
                         reach |= adj[v]
                         frontier ^= 1 << v
                     frontier = reach & pending
-            b = reach & layer
+                b = reach & layer
             if b:
                 by_w[w] ^= b
                 by_w[w + 1] |= b
                 bumped |= b
-            above ^= layer
             pending |= layer
         if by_w[top + 1]:
             top += 1
@@ -239,6 +241,14 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
     vertex-to-atom incidence lists of the core. No atom contains another,
     so a core atom whose weight reaches its size minus one cannot improve:
     it is dropped from the incidence lists at their next scan.
+
+    A hub, a vertex in many atoms, would have its list rescanned for every
+    atom placed through it. So a core atom skips the list of its covered
+    member with the longest list, and an atom met through the other lists
+    gains 1 when it holds that vertex. No update is lost: an atom met only
+    through the skipped list shares just that vertex with the new atom, and
+    has had weight 1 or more since the vertex was first covered, by an atom
+    that read its list.
     """
     n = g.n
     adj = g._adj
@@ -279,6 +289,9 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
             # covered now, whose forest edges enter
             scan = members[i]
             fresh = bit_members(mask & ~union)
+            # the covered member with the longest list, whose list is skipped
+            covered = mask & union
+            skip = covered and 1 << max(bit_members(covered), key=lambda v: len(incident[v]))
         else:
             a, b = divmod(key >> 1, n)
             mask = (1 << a) | (1 << b)
@@ -287,6 +300,7 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
             # only an edge with an end on the core meets a core atom, and one
             # at a covered end already has a weight of 1 or more
             scan = fresh if mask & core else ()
+            skip = 0
         if ordered:
             r = mask & union
             if not r:
@@ -303,11 +317,15 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
         if scan:
             shared: dict[int, int] = {}
             for v in scan:
+                if (skip >> v) & 1:
+                    continue
                 # a forest vertex has no core atom
                 live = incident[v] = [j for j in incident.get(v, ()) if not done[j]]
                 for j in live:
                     shared[j] = shared.get(j, 0) + 1
             for j, w in shared.items():
+                if atoms[j] & skip:
+                    w += 1
                 if w > weight[j]:
                     weight[j] = w
                     parent[j] = pos

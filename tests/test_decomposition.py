@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -630,6 +632,18 @@ def with_pendant_paths(g, paths, seed):
     return shuffled(Graph(n, edges), seed)
 
 
+def k4_windmill(k):
+    """k K4s sharing the vertex 0."""
+    quads = [(0, 3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(k)]
+    return Graph(3 * k + 1, [e for quad in quads for e in itertools.combinations(quad, 2)])
+
+
+def k4_book(k):
+    """k K4s sharing the edge {0, 1}."""
+    quads = [(0, 1, 2 * i + 2, 2 * i + 3) for i in range(k)]
+    return Graph(2 * k + 2, [e for quad in quads for e in itertools.combinations(quad, 2)])
+
+
 def differential_corpus():
     graphs = []
     for n, p, seed in itertools.product((12, 25, 50, 100, 200), (0.02, 0.05, 0.15), range(3)):
@@ -684,6 +698,13 @@ def differential_corpus():
         for paths in (0, 3, 8)
         for seed in range(3)
     ]
+    # hubs, vertices in many atoms, whose incidence lists D-ordering skips:
+    # one shared vertex, two, and a hub first covered off the root atom or
+    # by a forest edge
+    hubs = [triangle_star_graph(k) for k in (1, 2, 7, 30)]
+    hubs += [k4_windmill(k) for k in (1, 3, 20)] + [k4_book(k) for k in (2, 5, 20)]
+    graphs += hubs + [shuffled(g, seed) for g in hubs for seed in range(2)]
+    graphs += [with_pendant_paths(g, 6, seed) for g in hubs[2:] for seed in range(2)]
     return graphs
 
 
@@ -694,6 +715,35 @@ def leaf_zero_on_core(k, seed):
     edges = [(u + 1, v + 1) for u, v in g.edges()]
     on_core = random.Random(seed).choice(list(bit_members(_pendant_forest(g)[0]))) + 1
     return Graph(g.n + 1, edges + [(0, on_core)])
+
+
+def incidence_reads(g):
+    """Line events on the line of ``_d_order`` that reads an incidence
+    list, one per list and one per entry, while g is decomposed."""
+    code = decomposition._d_order.__code__
+    source, start = inspect.getsourcelines(decomposition._d_order)
+    lines = {start + i for i, text in enumerate(source) if "incident.get(" in text}
+    assert lines
+    reads = 0
+
+    def on_line(frame, event, arg):
+        nonlocal reads
+        if event == "line" and frame.f_lineno in lines:
+            reads += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        # _d_order, and the comprehensions it runs in frames of their own
+        inner = frame.f_code is code or frame.f_back is not None and frame.f_back.f_code is code
+        return on_line if inner and frame.f_code.co_filename == code.co_filename else None
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        decompose(g)
+    finally:
+        sys.settrace(outer)
+    return reads
 
 
 class TestAgainstReferenceRoute:
@@ -751,6 +801,16 @@ class TestAgainstReferenceRoute:
         assert 1 < len(core_atoms) < dec.t
         assert masks and all(not bits & ~core for bits in masks)
         assert set(core_atoms) <= set(masks)
+
+    @pytest.mark.parametrize("family", [triangle_star_graph, k4_windmill])
+    def test_d_order_reads_hub_lists_linearly(self, family):
+        # a doubling work guard, not a clock: the hub's incidence list is
+        # skipped, so the reads double with the atoms; rescanning it grew
+        # them about 4x. A K4 book has no guard: each K4 shares two vertices
+        # with the rest, and the second one's list is still rescanned, so
+        # its reads grow about 4x (ROADMAP item 13)
+        small, large = incidence_reads(family(200)), incidence_reads(family(400))
+        assert large <= 2.2 * small, (small, large)
 
     def test_full_component_test_matches_per_member_loop(self):
         # every R-set, and cliques grown at random from a random vertex
