@@ -29,7 +29,7 @@ from .convexity_number import convexity_number
 from .decomposition import decompose, is_prime
 from .errors import ContractViolationError, Error, ValidationError
 from .generators import all_connected_graphs, from_spec, random_connected_graph
-from .graph import FORMATS, Graph, edge_list_lines, load_graph
+from .graph import FORMATS, Graph, edge_list_lines, load_graph, parse_graph, to_edge_list
 from .hull_number import hull_number
 from .oracle import MAX_PATH_VERTICES, run_cross_validation
 from .prime import enumerate_prime_convex_sets
@@ -239,6 +239,8 @@ _BENCH_RUNS = {
     "convex-test": lambda g: is_t_convex(g, VertexSet.from_iterable(g.n, {0, g.n - 1})),
     "convexity-number": convexity_number,
     "hull-number": hull_number,
+    # parse_graph of the graph's edge-list text, rendered before the timed calls
+    "parse": parse_graph,
 }
 _BENCH_COLUMNS = ("algorithm", "spec", "n", "m", "median_ms", "reps")
 
@@ -260,10 +262,11 @@ def _bench(args: argparse.Namespace, _: None) -> tuple[dict, list[str]]:
     rows = []
     for spec in specs:
         g = from_spec(spec, default_seed=args.seed)
+        arg = to_edge_list(g) if args.algorithm == "parse" else g
         times = []
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            run(g)
+            run(arg)
             times.append((time.perf_counter() - t0) * 1000.0)
         median = round(statistics.median(times), 3)
         values = (args.algorithm, spec, g.n, g.m, median, len(times))

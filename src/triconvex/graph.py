@@ -9,6 +9,7 @@ algorithm built on top. External 1-based formats (DIMACS) are shifted to
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
@@ -390,23 +391,82 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
 # Parsing and serialization.
 
 
+# The plain texts that the parsers read in one pass: ASCII decimal ids,
+# fields split by one space, every line ended by "\n". An edge list is
+# ``u v`` lines; a DIMACS text is comment lines, one ``p edge n m`` line and
+# ``e u v`` lines. A comment holds no character that ``str.splitlines``
+# ends a line at, so the text has the lines that the line loop would read.
+_PLAIN_EDGE_LIST = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_PLAIN_DIMACS = re.compile(
+    r"(?:c[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*"
+    r"p edge ([0-9]+) [0-9]+\n((?:e [0-9]+ [0-9]+\n)*)"
+)
+# An id as the formats spell it (see ``_check_decimal``).
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _check_decimal(fields: list[str]) -> None:
+    """Raise ValueError unless each of ``fields`` is an ASCII decimal
+    integer. A line loop calls this only on a line that is not ASCII or
+    holds a "+" or "_", the characters that ``int`` reads in an id but the
+    formats do not: on any other line, a field that ``int`` reads matches."""
+    if not all(map(_DECIMAL.fullmatch, fields)):
+        raise ValueError(fields)
+
+
+def _plain_rows(ids: list[int], first: int, n: int) -> list[int] | None:
+    """The rows of the graph on ``n`` vertices whose edges are ``(ids[0],
+    ids[1]), (ids[2], ids[3]), ...``, ids counted from ``first`` and already
+    checked to lie in ``first..first + n - 1``; None when an edge is a
+    self-loop, for the line loop to report at its line. Every id is known
+    before any row exists, so each row is set in place."""
+    adj = [0] * (first + n)
+    pairs = iter(ids)
+    for u, v in zip(pairs, pairs):
+        if u == v:
+            return None
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return [row >> first for row in adj[first:]] if first else adj
+
+
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse the whitespace edge-list format from a text or its lines.
 
-    One ``u v`` pair per line, 0-based ids, ``#`` comments. A line holding a
-    single integer declares an (isolated) vertex. The vertex count is the
-    largest id mentioned plus one; an id past the cap fails at its line.
-    Each line sets its adjacency bits as it is read, in a row list that
-    grows as ids appear, so repeated edges take no memory. Row v holds
-    neighbour w as bit ``w - low[v]``, with ``low[v]`` the smallest of v and
-    its neighbours read so far: a smaller neighbour shifts the row, and
-    every row is shifted into place at the end. So a row spans only its own
-    ids, and a long path read up to the line that crosses the cap holds
-    O(n) bits, not the n^2/16 bytes its placed rows take.
+    One ``u v`` pair per line, ASCII decimal 0-based ids, ``#`` comments. A
+    line holding a single integer declares an (isolated) vertex. The vertex
+    count is the largest id mentioned plus one; an id past the cap fails at
+    its line.
+
+    Two routes give the same graph or the same error. A text in plain form
+    (``_PLAIN_EDGE_LIST``: ``u v`` lines, single spaces, each line ended by
+    a newline) is read in one pass: one match checks it, one ``split`` and
+    ``map(int)`` read every id, and one ``max`` checks them against
+    ``MAX_VERTICES`` before the rows are set. Every other text, and every
+    iterable of lines (``load_graph`` among them), goes through the line
+    loop, as does a plain text with an id past the cap or a self-loop, so
+    that each error is raised at its line.
+
+    The line loop sets each line's adjacency bits as it is read, in a row
+    list that grows as ids appear, so repeated edges take no memory. Row v
+    holds neighbour w as bit ``w - low[v]``, with ``low[v]`` the smallest of
+    v and its neighbours read so far: a smaller neighbour shifts the row,
+    and every row is shifted into place at the end. So a row spans only its
+    own ids, and a long path streamed up to the line that crosses the cap
+    holds O(n) bits, not the n^2/16 bytes its placed rows take; the plain
+    route sets placed rows only once every id is known to be under the cap.
     """
+    if isinstance(text, str):
+        if _PLAIN_EDGE_LIST.fullmatch(text):
+            ids = list(map(int, text.split()))
+            n = max(ids, default=-1) + 1
+            adj = _plain_rows(ids, 0, n) if n <= MAX_VERTICES else None
+            if adj is not None:
+                return Graph._from_rows(adj)
+        text = text.splitlines()
     rows: list[int] = []
     low: list[int] = []
-    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+    for lineno, raw in enumerate(text, 1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         parts = raw.split()
@@ -414,6 +474,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
             continue
         # u and v: the smallest and largest id; an edge line takes no sort
         try:
+            if not raw.isascii() or "_" in raw or "+" in raw:
+                _check_decimal(parts)
             if len(parts) == 2:
                 u, v = int(parts[0]), int(parts[1])
                 if u > v:
@@ -444,11 +506,34 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
 
 def parse_dimacs(text: str | Iterable[str]) -> Graph:
-    """Parse DIMACS format, from a text or its lines: ``p edge n m`` header,
-    checked whole at its line, n against 0 and ``MAX_VERTICES``, and
-    1-based ``e u v`` lines, each setting its adjacency bits as it is read."""
+    """Parse DIMACS format, from a text or its lines: a ``p edge n m`` or
+    ``p col n m`` header, checked whole at its line, n against 0 and
+    ``MAX_VERTICES``; 1-based ``e u v`` lines with ASCII decimal ids; and
+    comment lines, whose first field starts with ``c``.
+
+    As in :func:`parse_edge_list`, a text in plain form (``_PLAIN_DIMACS``:
+    comments, then one ``p edge`` line, then ``e u v`` lines, single spaces,
+    each line ended by a newline) is read in one pass, its ids checked against
+    ``1..n`` by one ``min`` and one ``max``. Every other text, every iterable
+    of lines, and a plain text with an id out of range, a self-loop or n
+    past the cap goes through the line loop, which raises each error at its
+    line. The header bounds every row before the first edge line, so the
+    line loop sets each line's adjacency bits as it is read.
+    """
+    if isinstance(text, str):
+        plain = _PLAIN_DIMACS.fullmatch(text)
+        if plain:
+            n = int(plain[1])
+            fields = plain[2].split()
+            del fields[::3]  # the "e" of each line
+            ids = list(map(int, fields))
+            in_range = n <= MAX_VERTICES and min(ids, default=1) >= 1 and max(ids, default=n) <= n
+            adj = _plain_rows(ids, 1, n) if in_range else None
+            if adj is not None:
+                return Graph._from_rows(adj)
+        text = text.splitlines()
     n = None
-    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+    for lineno, raw in enumerate(text, 1):
         parts = raw.split()
         if not parts:
             continue
@@ -459,6 +544,8 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"malformed edge line {raw.strip()!r}", line=lineno)
             try:
+                if not raw.isascii() or "_" in raw or "+" in raw:
+                    _check_decimal(parts[1:])
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(f"malformed edge line {raw.strip()!r}", line=lineno) from None
@@ -475,6 +562,8 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed problem line {line!r}", line=lineno)
             try:
+                if not raw.isascii() or "_" in raw or "+" in raw:
+                    _check_decimal(parts[2:])
                 n, _ = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=lineno) from None

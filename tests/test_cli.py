@@ -15,7 +15,13 @@ import pytest
 
 from triconvex import cli
 from triconvex.errors import ValidationError
-from triconvex.generators import MAX_COMPLETE_VERTICES, bowtie_graph, complete_graph
+from triconvex.generators import (
+    MAX_COMPLETE_VERTICES,
+    bowtie_graph,
+    complete_graph,
+    path_graph,
+    star_graph,
+)
 from triconvex.graph import MAX_VERTICES, to_dimacs, to_edge_list
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -138,6 +144,23 @@ class TestSubcommands:
             ("random_connected:30,0.1", 30), ("triangle_star:3", 7)
         ]
         assert report["input"] is None
+
+    def test_bench_parse_renders_each_text_once(self, capsys, monkeypatch):
+        rendered, parsed = [], []
+        render, parse = cli.to_edge_list, cli._BENCH_RUNS["parse"]
+        monkeypatch.setattr(cli, "to_edge_list", lambda g: rendered.append(g) or render(g))
+        monkeypatch.setitem(cli._BENCH_RUNS, "parse", lambda t: parsed.append(parse(t)))
+        code, out = run(
+            capsys, "bench", "--algorithm", "parse",
+            "--generate", "path:40", "--generate", "star:9", "--reps", "3",
+        )
+        assert code == 0
+        assert [line.split(",")[:4] for line in out.strip().splitlines()[1:]] == [
+            ["parse", "path:40", "40", "39"],
+            ["parse", "star:9", "10", "9"],
+        ]
+        assert rendered == [path_graph(40), star_graph(9)]
+        assert parsed == [path_graph(40)] * 3 + [star_graph(9)] * 3
 
     def test_bench_refuses_generate_beside_sizes(self, capsys):
         argv = ["bench", "--algorithm", "decompose", "--generate", "path:5", "--sizes", "5"]

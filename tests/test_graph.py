@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import collections
+import importlib
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from triconvex.convexity import is_t_convex
 from triconvex.errors import ParseError, ValidationError
 from triconvex.generators import cycle_graph, path_graph, star_graph
 from triconvex.graph import (
+    FORMATS,
     Graph,
     _component_bits,
     _components_bits,
@@ -143,6 +146,16 @@ class TestParsing:
                 "line 1: vertex count 60000 exceeds the limit of 50000",
             ),
             ("dimacs", "c only\n", ParseError, "missing problem line"),
+            # int() reads each of these ids; the formats take ASCII decimal only
+            ("edge-list", "0 1_0\n", ParseError, "line 1: expected integers, got '0 1_0'"),
+            ("edge-list", "0 1\n0 \u0663\n", ParseError, "line 2: expected integers, got '0 \u0663'"),
+            ("edge-list", "0 +1\n", ParseError, "line 1: expected integers, got '0 +1'"),
+            ("dimacs", "p edge 3 1\ne 1 1_0\n", ParseError, "line 2: malformed edge line 'e 1 1_0'"),
+            ("dimacs", "p edge 3 1\ne 1 \u0663\n", ParseError, "line 2: malformed edge line 'e 1 \u0663'"),
+            ("dimacs", "p edge 3 1\ne +1 2\n", ParseError, "line 2: malformed edge line 'e +1 2'"),
+            ("dimacs", "p edge 1_0 1\n", ParseError, "line 1: malformed problem line 'p edge 1_0 1'"),
+            ("dimacs", "p edge \u0663 1\n", ParseError, "line 1: malformed problem line 'p edge \u0663 1'"),
+            ("dimacs", "p edge +3 1\n", ParseError, "line 1: malformed problem line 'p edge +3 1'"),
             ("xml", "", ValidationError, "unknown graph format 'xml'"),
         ],
     )
@@ -193,10 +206,106 @@ class TestParsing:
         assert g.n == 2 and g.m == 1
         assert peak < 5_000_000, peak
 
+    def test_non_ascii_whitespace_still_splits_fields(self):
+        # only the ids must be ASCII: str.split() separates at any whitespace
+        assert parse_edge_list(["0\u30001"]) == Graph(2, [(0, 1)])
+        assert parse_dimacs(["p\u00a0edge 2 1", "e 1\u00a02"]) == Graph(2, [(0, 1)])
+
+    def test_one_pass_and_line_loop_agree(self, monkeypatch):
+        # a text in plain form is read in one pass, its lines by the line
+        # loop: both give the same graph, or the same error at the same line
+        calls = collections.Counter()
+        rows = graph._plain_rows
+
+        def counted(ids, first, n):
+            out = rows(ids, first, n)
+            calls["graph" if out is not None else "loop"] += 1
+            return out
+
+        monkeypatch.setattr(graph, "_plain_rows", counted)
+        texts = [parse_text(random.Random(seed)) for seed in range(2000)]
+        texts += benchmark_texts(monkeypatch)
+        for fmt, text in texts:
+            assert parse_outcome(text, fmt) == parse_outcome(text.splitlines(), fmt), (fmt, text)
+        # the one-pass route built a graph, and met a self-loop, many times
+        assert calls["graph"] > 400 and calls["loop"] > 20, calls
+
     @given(graphs(max_n=8))
     def test_round_trip_both_formats(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
         assert parse_dimacs(to_dimacs(g)) == g
+
+
+def parse_outcome(text, fmt):
+    """The graph ``parse_graph`` returns, or its error's type, message and line."""
+    try:
+        return parse_graph(text, fmt)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+CAP = graph.MAX_VERTICES
+
+# Lines that keep a text out of the plain form, or are plain but go to the
+# line loop all the same: self-loops, ids out of range, a vertex count past
+# the cap. "{u}" and "{v}" stand for small ids, "{n}" for the vertex count.
+ODD_EDGE_LIST = (
+    "# note", "", "   ", "{u}", "{u} {v} # note", "{u}\t{v}", " {u} {v}", "{u}  {v}",
+    "{u} {v} {u}", "{u} {u}", "0 {cap_last}", "{cap} 0", "-1 {u}", "{u} 1_0", "{u} +1",
+    "{u} \u0663", "x {u}",
+)
+ODD_DIMACS = (
+    "c note", "comment", "", "p edge {n} 1", "p col {n} 2", "p edge {n}", "e {u} {v}",
+    "e {u}\t{v}", "e {u}", "e {u} {u}", "e 0 {v}", "e 1 {n}", "e {u} {over}", "x {u} {v}",
+    "e {u} 1_0", "e +{u} {v}",
+)
+
+
+def parse_text(rng):
+    """A seeded edge-list or DIMACS text: about a third in plain form, the
+    rest with some of the odd lines above, CRLF line ends or no final
+    newline."""
+    fmt = rng.choice(FORMATS)
+    n = rng.choice((1, 2, 5, 9, 12, CAP, CAP + 1) if rng.random() < 0.05 else (1, 2, 5, 9, 12))
+    small = range(min(n, 12))
+    odd = rng.random() < 0.65
+    lines = []
+    if fmt == "dimacs":
+        lines += ["c " + rng.choice(("a", "x y", "\u0663", "", "1_0"))] * rng.randrange(3)
+        lines.append(f"p edge {n} {rng.randrange(20)}")
+    for _ in range(rng.randrange(12)):
+        u, v = rng.sample(small, 2) if n > 1 else (0, 0)
+        if odd and rng.random() < 0.3:
+            line = rng.choice(ODD_DIMACS if fmt == "dimacs" else ODD_EDGE_LIST)
+            line = line.format(u=u + 1, v=v + 1, n=n, over=n + 1, cap=CAP, cap_last=CAP - 1)
+        elif fmt == "dimacs":
+            line = f"e {u + 1} {v + 1}" if rng.random() > 0.03 else f"e {u + 1} {u + 1}"
+        else:
+            line = f"{u} {v}" if rng.random() > 0.03 else f"{u} {u}"
+        lines.append(line)
+    if fmt == "edge-list" and rng.random() < 0.03:
+        lines.append(rng.choice((f"0 {CAP - 1}", f"{CAP} 1")))
+    if odd and fmt == "dimacs" and rng.random() < 0.3:
+        lines.insert(rng.randrange(len(lines) + 1), "e 1 2")
+    end = "\r\n" if odd and rng.random() < 0.2 else "\n"
+    text = "".join(line + end for line in lines)
+    return fmt, text[: -len(end)] if odd and rng.random() < 0.2 else text
+
+
+def benchmark_texts(monkeypatch):
+    """Both texts of every graph of the benchmark's workloads, seed 0 at
+    full size and seeds 0-2 at the size its own tests run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    inputs = importlib.import_module("inputs")
+    workloads = importlib.import_module("workloads")
+    texts = []
+    for scale, seeds in (("full", (0,)), ("tiny", (0, 1, 2))):
+        for name, workload in workloads.SCALES[scale].items():
+            for seed in seeds:
+                for i, spec in enumerate(workload.graphs):
+                    gi = inputs.build_graph(name, seed, i, spec)
+                    texts += [("edge-list", gi.edge_list_text()), ("dimacs", gi.dimacs_text())]
+    return texts
 
 
 def components(g, removed=0):
