@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
@@ -391,43 +392,119 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
 # Parsing and serialization.
 
 
-# The plain texts that the parsers read in one pass: ASCII decimal ids,
-# fields split by one space, every line ended by "\n". An edge list is
-# ``u v`` lines; a DIMACS text is comment lines, one ``p edge n m`` line and
-# ``e u v`` lines. A comment holds no character that ``str.splitlines``
-# ends a line at, so the text has the lines that the line loop would read.
-_PLAIN_EDGE_LIST = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
-_PLAIN_DIMACS = re.compile(
-    r"(?:c[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*"
-    r"p edge ([0-9]+) [0-9]+\n((?:e [0-9]+ [0-9]+\n)*)"
-)
+# The plain texts that the parsers read in one pass: ASCII decimal ids of at
+# most nine digits, fields split by one space, every line ended by "\n". An
+# edge list is ``u v`` lines; a DIMACS text is comment lines, one ``p edge n
+# m`` line and ``e u v`` lines. A comment holds no character that
+# ``str.splitlines`` ends a line at, so the text has the lines that the line
+# loop would read. A longer number goes to the line loop, whose ``int`` may
+# refuse it (past 4300 digits) and which then reports it at its line.
+_ID = "[0-9]{1,9}"
+
+
+def _line_run(line: str) -> tuple[re.Pattern, re.Pattern]:
+    """Patterns for a run of lines that each match ``line``, a regex ending
+    in a newline: one matches the run's first line, the other is searched
+    for at the first newline not followed by such a line (see
+    ``_run_end``). Neither keeps state per line, whereas a fullmatch of
+    ``(?:line)*`` keeps some 190 bytes a line on the regex engine's stack
+    (and ``*+``, which keeps none, needs Python 3.11)."""
+    return re.compile(line), re.compile(rf"\n(?!{line})")
+
+
+_EDGE_LINES = _line_run(rf"{_ID} {_ID}\n")
+_COMMENT_LINES = _line_run(r"c[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n")
+_E_LINES = _line_run(rf"e {_ID} {_ID}\n")
+_PROBLEM_LINE = re.compile(rf"p edge ({_ID}) {_ID}\n")
+# Characters of a plain text split into fields at once (see ``_plain_ids``).
+_BLOCK = 1 << 16
 # An id as the formats spell it (see ``_check_decimal``).
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _check_decimal(fields: list[str]) -> None:
-    """Raise ValueError unless each of ``fields`` is an ASCII decimal
-    integer. A line loop calls this only on a line that is not ASCII or
-    holds a "+" or "_", the characters that ``int`` reads in an id but the
-    formats do not: on any other line, a field that ``int`` reads matches."""
-    if not all(map(_DECIMAL.fullmatch, fields)):
+def _check_decimal(raw: str, fields: list[str], first: int = 0) -> None:
+    """Raise ValueError unless each of ``fields`` from index ``first`` on,
+    read from the line ``raw``, is an ASCII decimal integer. ``int`` also
+    reads a "+" sign, "_" between digits and non-ASCII digits, so only a
+    line that is not ASCII or holds a "+" or "_" is matched: on any other
+    line, a field that ``int`` reads is decimal."""
+    if (not raw.isascii() or "_" in raw or "+" in raw) and not all(
+        map(_DECIMAL.fullmatch, fields[first:])
+    ):
         raise ValueError(fields)
 
 
-def _plain_rows(ids: list[int], first: int, n: int) -> list[int] | None:
-    """The rows of the graph on ``n`` vertices whose edges are ``(ids[0],
-    ids[1]), (ids[2], ids[3]), ...``, ids counted from ``first`` and already
-    checked to lie in ``first..first + n - 1``; None when an edge is a
-    self-loop, for the line loop to report at its line. Every id is known
+def _run_end(text: str, pos: int, run: tuple[re.Pattern, re.Pattern]) -> int:
+    """Where the run of lines of ``text`` from ``pos`` on that ``run`` (see
+    ``_line_run``) matches ends: at the start of the first line that it
+    does not match, or at the end of the text."""
+    first, not_next = run
+    return not_next.search(text, pos).end() if first.match(text, pos) else pos
+
+
+def _plain_ids(text: str, start: int, keyword: bool) -> list[list[int] | array]:
+    """The ids of the plain lines of ``text`` from ``start`` on, in runs of
+    consecutive ids; with ``keyword``, each line's first field is a keyword
+    and is skipped. A text of up to ``_BLOCK`` characters is one list. A
+    longer one is split a block of whole lines at a time and each run is
+    kept as 4-byte ints, so that at most one block's fields and int objects
+    are alive at once, not a str and an int for every id of the text."""
+    runs: list[list[int] | array] = []
+    end = len(text)
+    while start < end:
+        # a plain line is at most 22 characters, so a block ends at a newline
+        stop = text.rfind("\n", start, start + _BLOCK) + 1
+        fields = text[start:stop].split()
+        if keyword:
+            del fields[::3]
+        ids = list(map(int, fields))
+        runs.append(ids if not runs and stop == end else array("i", ids))
+        start = stop
+    return runs
+
+
+def _plain_rows(runs: list[list[int] | array], first: int, n: int) -> list[int] | None:
+    """The rows of the graph on ``n`` vertices whose edges are the
+    consecutive pairs of ids in ``runs``, ids counted from ``first`` and
+    already checked to lie in ``first..first + n - 1``; None when an edge is
+    a self-loop, for the line loop to report at its line. Every id is known
     before any row exists, so each row is set in place."""
     adj = [0] * (first + n)
-    pairs = iter(ids)
-    for u, v in zip(pairs, pairs):
-        if u == v:
-            return None
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for ids in runs:
+        pairs = iter(ids)
+        for u, v in zip(pairs, pairs):
+            if u == v:
+                return None
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return [row >> first for row in adj[first:]] if first else adj
+
+
+def _plain_edge_list(text: str) -> Graph | None:
+    """The graph of ``text`` when it is a plain edge list with every id under
+    ``MAX_VERTICES`` and no self-loop, else None. Its ids go when it returns,
+    before any line loop runs."""
+    if _run_end(text, 0, _EDGE_LINES) < len(text):
+        return None
+    runs = _plain_ids(text, 0, False)
+    n = max(map(max, runs), default=-1) + 1
+    adj = _plain_rows(runs, 0, n) if n <= MAX_VERTICES else None
+    return None if adj is None else Graph._from_rows(adj)
+
+
+def _plain_dimacs(text: str) -> Graph | None:
+    """The graph of ``text`` when it is a plain DIMACS text with n at most
+    ``MAX_VERTICES``, every id in ``1..n`` and no self-loop, else None."""
+    header = _PROBLEM_LINE.match(text, _run_end(text, 0, _COMMENT_LINES))
+    if not header or _run_end(text, header.end(), _E_LINES) < len(text):
+        return None
+    n = int(header[1])
+    if n > MAX_VERTICES:
+        return None
+    runs = _plain_ids(text, header.end(), True)
+    in_range = min(map(min, runs), default=1) >= 1 and max(map(max, runs), default=n) <= n
+    adj = _plain_rows(runs, 1, n) if in_range else None
+    return None if adj is None else Graph._from_rows(adj)
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
@@ -439,9 +516,10 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     its line.
 
     Two routes give the same graph or the same error. A text in plain form
-    (``_PLAIN_EDGE_LIST``: ``u v`` lines, single spaces, each line ended by
-    a newline) is read in one pass: one match checks it, one ``split`` and
-    ``map(int)`` read every id, and one ``max`` checks them against
+    (``u v`` lines of ids up to nine digits, single spaces, each line ended
+    by a newline) is read in one pass: one regex match and one search check
+    it (``_run_end``), ``split`` and ``map(int)`` read its ids a block of
+    lines at a time (``_plain_ids``), and ``max`` checks them against
     ``MAX_VERTICES`` before the rows are set. Every other text, and every
     iterable of lines (``load_graph`` among them), goes through the line
     loop, as does a plain text with an id past the cap or a self-loop, so
@@ -457,12 +535,9 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     route sets placed rows only once every id is known to be under the cap.
     """
     if isinstance(text, str):
-        if _PLAIN_EDGE_LIST.fullmatch(text):
-            ids = list(map(int, text.split()))
-            n = max(ids, default=-1) + 1
-            adj = _plain_rows(ids, 0, n) if n <= MAX_VERTICES else None
-            if adj is not None:
-                return Graph._from_rows(adj)
+        g = _plain_edge_list(text)
+        if g is not None:
+            return g
         text = text.splitlines()
     rows: list[int] = []
     low: list[int] = []
@@ -474,8 +549,7 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
             continue
         # u and v: the smallest and largest id; an edge line takes no sort
         try:
-            if not raw.isascii() or "_" in raw or "+" in raw:
-                _check_decimal(parts)
+            _check_decimal(raw, parts)
             if len(parts) == 2:
                 u, v = int(parts[0]), int(parts[1])
                 if u > v:
@@ -511,26 +585,20 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
     ``MAX_VERTICES``; 1-based ``e u v`` lines with ASCII decimal ids; and
     comment lines, whose first field starts with ``c``.
 
-    As in :func:`parse_edge_list`, a text in plain form (``_PLAIN_DIMACS``:
-    comments, then one ``p edge`` line, then ``e u v`` lines, single spaces,
-    each line ended by a newline) is read in one pass, its ids checked against
-    ``1..n`` by one ``min`` and one ``max``. Every other text, every iterable
-    of lines, and a plain text with an id out of range, a self-loop or n
-    past the cap goes through the line loop, which raises each error at its
-    line. The header bounds every row before the first edge line, so the
-    line loop sets each line's adjacency bits as it is read.
+    As in :func:`parse_edge_list`, a text in plain form (comments, then one
+    ``p edge`` line, then ``e u v`` lines, single spaces, each line ended by
+    a newline) is read in one pass, its ids read a block of lines at a time
+    and checked against ``1..n`` by ``min`` and ``max``. Every other text,
+    every iterable of lines, and a plain text with an id out of range, a
+    self-loop or n past the cap goes through the line loop, which raises
+    each error at its line. The header bounds every row before the first
+    edge line, so the line loop sets each line's adjacency bits as it is
+    read.
     """
     if isinstance(text, str):
-        plain = _PLAIN_DIMACS.fullmatch(text)
-        if plain:
-            n = int(plain[1])
-            fields = plain[2].split()
-            del fields[::3]  # the "e" of each line
-            ids = list(map(int, fields))
-            in_range = n <= MAX_VERTICES and min(ids, default=1) >= 1 and max(ids, default=n) <= n
-            adj = _plain_rows(ids, 1, n) if in_range else None
-            if adj is not None:
-                return Graph._from_rows(adj)
+        g = _plain_dimacs(text)
+        if g is not None:
+            return g
         text = text.splitlines()
     n = None
     for lineno, raw in enumerate(text, 1):
@@ -544,8 +612,7 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"malformed edge line {raw.strip()!r}", line=lineno)
             try:
-                if not raw.isascii() or "_" in raw or "+" in raw:
-                    _check_decimal(parts[1:])
+                _check_decimal(raw, parts, 1)
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(f"malformed edge line {raw.strip()!r}", line=lineno) from None
@@ -562,8 +629,7 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed problem line {line!r}", line=lineno)
             try:
-                if not raw.isascii() or "_" in raw or "+" in raw:
-                    _check_decimal(parts[2:])
+                _check_decimal(raw, parts, 2)
                 n, _ = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=lineno) from None

@@ -147,8 +147,8 @@ class TestSubcommands:
 
     def test_bench_parse_renders_each_text_once(self, capsys, monkeypatch):
         rendered, parsed = [], []
-        render, parse = cli.to_edge_list, cli._BENCH_RUNS["parse"]
-        monkeypatch.setattr(cli, "to_edge_list", lambda g: rendered.append(g) or render(g))
+        render, parse = cli._BENCH_INPUTS["parse"], cli._BENCH_RUNS["parse"]
+        monkeypatch.setitem(cli._BENCH_INPUTS, "parse", lambda g: rendered.append(g) or render(g))
         monkeypatch.setitem(cli._BENCH_RUNS, "parse", lambda t: parsed.append(parse(t)))
         code, out = run(
             capsys, "bench", "--algorithm", "parse",

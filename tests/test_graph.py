@@ -35,6 +35,9 @@ from triconvex.oracle import is_triangle_path
 from .strategies import graphs, graphs_with_subsets
 from .test_convexity import cubic_core_with_trees, min_degree_gnp, wide_mask_cases
 
+# A number that int() refuses: it reads at most 4300 digits.
+LONG = "1" * 4301
+
 
 class TestGraph:
     def test_basic_structure(self):
@@ -156,6 +159,12 @@ class TestParsing:
             ("dimacs", "p edge 1_0 1\n", ParseError, "line 1: malformed problem line 'p edge 1_0 1'"),
             ("dimacs", "p edge \u0663 1\n", ParseError, "line 1: malformed problem line 'p edge \u0663 1'"),
             ("dimacs", "p edge +3 1\n", ParseError, "line 1: malformed problem line 'p edge +3 1'"),
+            # int() refuses a number of more than 4300 digits, which both
+            # routes report at its line
+            ("edge-list", f"0 {LONG}\n", ParseError, f"line 1: expected integers, got '0 {LONG}'"),
+            ("dimacs", f"p edge {LONG} 1\n", ParseError, f"line 1: malformed problem line 'p edge {LONG} 1'"),
+            ("dimacs", f"p edge 2 {LONG}\ne 1 2\n", ParseError, f"line 1: malformed problem line 'p edge 2 {LONG}'"),
+            ("dimacs", f"p edge 3 1\ne 1 {LONG}\n", ParseError, f"line 2: malformed edge line 'e 1 {LONG}'"),
             ("xml", "", ValidationError, "unknown graph format 'xml'"),
         ],
     )
@@ -206,14 +215,49 @@ class TestParsing:
         assert g.n == 2 and g.m == 1
         assert peak < 5_000_000, peak
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("edge-list", "0 1\n" * 1_000_000), ("dimacs", "p edge 2 1\n" + "e 1 2\n" * 1_000_000)],
+        ids=FORMATS,
+    )
+    def test_a_long_plain_text_is_read_in_blocks(self, fmt, text):
+        # a fullmatch of the whole text and its ids split at once peaked at
+        # 193 MB (edge list) and 296 MB (DIMACS); its lines, as the line
+        # loop reads them, at 60 MB
+        tracemalloc.start()
+        try:
+            g = parse_graph(text, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 2 and g.m == 1
+        assert peak < 12_000_000, peak
+
+    def test_a_plain_text_past_the_cap_leaves_its_ids_behind(self):
+        # the one-pass route lets go of its ids before the line loop reads
+        # the lines and fails at the cap, which on its own peaks at 16 MB;
+        # while the ids were held, this peaked at 40 MB
+        text = "".join(f"{i} {i + 1}\n" for i in range(200_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="^line 50000: vertex id out of range"):
+                parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24_000_000, peak
+
     def test_non_ascii_whitespace_still_splits_fields(self):
         # only the ids must be ASCII: str.split() separates at any whitespace
         assert parse_edge_list(["0\u30001"]) == Graph(2, [(0, 1)])
         assert parse_dimacs(["p\u00a0edge 2 1", "e 1\u00a02"]) == Graph(2, [(0, 1)])
 
-    def test_one_pass_and_line_loop_agree(self, monkeypatch):
+    @pytest.mark.parametrize("block", [graph._BLOCK, 24])
+    def test_one_pass_and_line_loop_agree(self, monkeypatch, block):
         # a text in plain form is read in one pass, its lines by the line
-        # loop: both give the same graph, or the same error at the same line
+        # loop: both give the same graph, or the same error at the same line;
+        # blocks of 24 characters split most texts in several runs
+        monkeypatch.setattr(graph, "_BLOCK", block)
         calls = collections.Counter()
         rows = graph._plain_rows
 
@@ -252,12 +296,12 @@ CAP = graph.MAX_VERTICES
 ODD_EDGE_LIST = (
     "# note", "", "   ", "{u}", "{u} {v} # note", "{u}\t{v}", " {u} {v}", "{u}  {v}",
     "{u} {v} {u}", "{u} {u}", "0 {cap_last}", "{cap} 0", "-1 {u}", "{u} 1_0", "{u} +1",
-    "{u} \u0663", "x {u}",
+    "{u} \u0663", "x {u}", "{u} {long}", "{u} 000000000{v}",
 )
 ODD_DIMACS = (
     "c note", "comment", "", "p edge {n} 1", "p col {n} 2", "p edge {n}", "e {u} {v}",
     "e {u}\t{v}", "e {u}", "e {u} {u}", "e 0 {v}", "e 1 {n}", "e {u} {over}", "x {u} {v}",
-    "e {u} 1_0", "e +{u} {v}",
+    "e {u} 1_0", "e +{u} {v}", "e {u} {long}", "e {u} 00000000{v}",
 )
 
 
@@ -271,13 +315,20 @@ def parse_text(rng):
     odd = rng.random() < 0.65
     lines = []
     if fmt == "dimacs":
-        lines += ["c " + rng.choice(("a", "x y", "\u0663", "", "1_0"))] * rng.randrange(3)
-        lines.append(f"p edge {n} {rng.randrange(20)}")
+        # str.splitlines ends a line at "\x85" and "\u2028" too
+        comments = ("a", "x y", "\u0663", "", "1_0", "a\x85b", "a\u2028e 1 2")
+        lines += ["c " + rng.choice(comments)] * rng.randrange(3)
+        header = f"p edge {n} {rng.randrange(20)}"
+        if odd and rng.random() < 0.1:
+            header = rng.choice((f"p edge {n:010d} 1", f"p edge {n} {LONG}", f"p edge {LONG} 1"))
+        lines.append(header)
     for _ in range(rng.randrange(12)):
         u, v = rng.sample(small, 2) if n > 1 else (0, 0)
         if odd and rng.random() < 0.3:
             line = rng.choice(ODD_DIMACS if fmt == "dimacs" else ODD_EDGE_LIST)
-            line = line.format(u=u + 1, v=v + 1, n=n, over=n + 1, cap=CAP, cap_last=CAP - 1)
+            line = line.format(
+                u=u + 1, v=v + 1, n=n, over=n + 1, cap=CAP, cap_last=CAP - 1, long=LONG
+            )
         elif fmt == "dimacs":
             line = f"e {u + 1} {v + 1}" if rng.random() > 0.03 else f"e {u + 1} {u + 1}"
         else:
