@@ -29,7 +29,15 @@ from .convexity_number import convexity_number
 from .decomposition import decompose, is_prime
 from .errors import ContractViolationError, Error, ValidationError
 from .generators import all_connected_graphs, from_spec, random_connected_graph
-from .graph import FORMATS, Graph, edge_list_lines, load_graph, parse_graph, to_edge_list
+from .graph import (
+    FORMATS,
+    Graph,
+    _check_decimal,
+    edge_list_lines,
+    load_graph,
+    parse_graph,
+    to_edge_list,
+)
 from .hull_number import hull_number
 from .oracle import MAX_PATH_VERTICES, run_cross_validation
 from .prime import enumerate_prime_convex_sets
@@ -114,9 +122,12 @@ def _read_graph(args: argparse.Namespace) -> Graph:
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
-    """Comma-separated integers, or a ValidationError naming ``what``."""
+    """Comma-separated ASCII decimal integers, as in graph files, each with
+    the whitespace around it dropped, or a ValidationError naming ``what``."""
+    fields = [tok.strip() for tok in text.split(",")]
     try:
-        return [int(tok) for tok in text.split(",")]
+        _check_decimal(text, fields)
+        return [int(tok) for tok in fields]
     except ValueError:
         raise ValidationError(f"{what} must be comma-separated integers, got {text!r}") from None
 

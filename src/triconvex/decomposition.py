@@ -24,10 +24,16 @@ search over the whole graph per candidate.
 
 One walk (``_d_order``) then puts the atoms in a D-ordering, so every
 atom's overlap with its predecessors sits inside one earlier atom, and
-takes those overlaps as it goes. Only the 2-core's atoms are sorted and
-indexed by vertex; each forest edge is read off the graph's rows as its
-first end is covered, and ranked among the core atoms by an integer key
-made of its two ends, which orders them as their member tuples would.
+takes those overlaps as it goes. It is Prim's algorithm over the atoms,
+and an atom's weight is the number of its members already covered: the
+placed atoms form a subtree of a clique tree, so that count is the
+atom's largest overlap with one placed atom, and the atom whose placement
+last raised it is its parent. Each vertex's incidence list is read once,
+when the vertex is first covered, however many atoms share it. Only the
+2-core's atoms are sorted and indexed by vertex; each forest edge is
+read off the graph's rows as its first end is covered, and ranked among
+the core atoms by an integer key made of its two ends, which orders them
+as their member tuples would.
 """
 
 from __future__ import annotations
@@ -213,17 +219,27 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
     a join tree of the atom family.
 
     The atoms are the maximal cliques of the chordal graph obtained by
-    completing each atom, so a maximum-weight spanning tree of their
-    intersection graph is a join tree: along it, an atom's overlap with
-    all previously placed atoms is contained in its parent. Prim's
-    addition order (rooted at the lexicographically smallest atom, ties
-    to the lexicographically smaller atom) is therefore a valid ordering.
-    Each atom's R-set, its overlap with the atoms placed before it, is
-    taken as it is placed and checked to be nonempty and inside its
-    parent.
+    completing each atom, so a maximum-weight spanning tree T of their
+    intersection graph is a clique tree (Blair and Peyton, "An introduction
+    to chordal graphs and clique trees", 1993). Prim's addition order, with
+    weight |F_j & F_p| maximised over the placed atoms p, rooted at the
+    lexicographically smallest atom, ties to the lexicographically smaller
+    atom, is therefore a valid ordering. Each atom's R-set, its overlap
+    with the atoms placed before it, is taken as it is placed and checked
+    to be nonempty and inside its parent.
 
-    An atom's weight is its largest overlap with a placed atom, and the
-    next atom comes off a lazy heap keyed (-weight, rank). The rank is
+    The weight is read as a count: the number of members of F_j already
+    covered. Every placed prefix P is a subtree of T, so every covered
+    member of an unplaced F_j lies in each atom on T's path from F_j into
+    P, and so in the atom p* where that path enters P; the count is
+    |F_j & F_p*|, the largest overlap. A member covered now lies in no
+    earlier atom, so p* is the atom just placed: ``parent``, the position
+    of the atom whose placement last raised the count, is the join-tree
+    parent. Each core vertex's incidence list is read once, when the
+    vertex is first covered, and each core atom on it, but the one being
+    placed, gains 1.
+
+    The next atom comes off a lazy heap keyed (-weight, rank). The rank is
     2(a·n + b) for an atom whose two smallest members are a < b, plus 1
     on a core atom, and then the core atom's index in member-tuple order.
     Two atoms with different (a, b) compare as their member tuples do, and
@@ -233,22 +249,10 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
 
     A forest edge {v, w} shares at most one vertex with any other atom, so
     it enters the heap once, with weight 1 and as its parent the atom
-    that first covers v, and is never updated: when v is first covered,
-    each edge from v to an uncovered vertex w is pushed, where every edge
-    of a forest vertex is a forest edge and the forest edges at a core
-    vertex go to its neighbours off the core. Placing an atom updates only
-    the core atoms that share a vertex with it, found through the
-    vertex-to-atom incidence lists of the core. No atom contains another,
-    so a core atom whose weight reaches its size minus one cannot improve:
-    it is dropped from the incidence lists at their next scan.
-
-    A hub, a vertex in many atoms, would have its list rescanned for every
-    atom placed through it. So a core atom skips the list of its covered
-    member with the longest list, and an atom met through the other lists
-    gains 1 when it holds that vertex. No update is lost: an atom met only
-    through the skipped list shares just that vertex with the new atom, and
-    has had weight 1 or more since the vertex was first covered, by an atom
-    that read its list.
+    that first covers v: when v is first covered, each edge from v to an
+    uncovered vertex w is pushed, where every edge of a forest vertex is a
+    forest edge and the forest edges at a core vertex go to its neighbours
+    off the core.
     """
     n = g.n
     adj = g._adj
@@ -263,11 +267,10 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
             incident.setdefault(v, []).append(i)
     # every vertex off the core but a tree's root hangs from its forest edge
     k = len(atoms) + n - core.bit_count() - components
+    # the covered members of each core atom
     weight = [0] * len(atoms)
-    # the position in the order of the atom that set the weight
+    # the position in the order of the atom that last raised the weight
     parent = [0] * len(atoms)
-    # placed, or sharing all but one vertex with a placed atom
-    done = [False] * len(atoms)
     heap: list[tuple[int, int, int]] = []
     ordered: list[VertexSet] = []
     r_sets: list[VertexSet] = []
@@ -283,24 +286,13 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
         _, key, i = pick
         if key & 1:
             mask = atoms[i]
-            done[i] = True
             up = parent[i]
-            # the members whose incidence lists are read, and those first
-            # covered now, whose forest edges enter
-            scan = members[i]
             fresh = bit_members(mask & ~union)
-            # the covered member with the longest list, whose list is skipped
-            covered = mask & union
-            skip = covered and 1 << max(bit_members(covered), key=lambda v: len(incident[v]))
         else:
             a, b = divmod(key >> 1, n)
             mask = (1 << a) | (1 << b)
             up = i
             fresh = (b,) if (union >> a) & 1 else (a,) if union else (a, b)
-            # only an edge with an end on the core meets a core atom, and one
-            # at a covered end already has a weight of 1 or more
-            scan = fresh if mask & core else ()
-            skip = 0
         if ordered:
             r = mask & union
             if not r:
@@ -314,36 +306,30 @@ def _d_order(g: Graph, core_atoms: list[int]) -> Decomposition:
         if pos + 1 == k:
             break
         union |= mask
-        if scan:
-            shared: dict[int, int] = {}
-            for v in scan:
-                if (skip >> v) & 1:
-                    continue
-                # a forest vertex has no core atom
-                live = incident[v] = [j for j in incident.get(v, ()) if not done[j]]
-                for j in live:
-                    shared[j] = shared.get(j, 0) + 1
-            for j, w in shared.items():
-                if atoms[j] & skip:
-                    w += 1
-                if w > weight[j]:
-                    weight[j] = w
-                    parent[j] = pos
-                    heapq.heappush(heap, (-w, rank[j], j))
-                    done[j] = w == len(members[j]) - 1
+        shared: dict[int, int] = {}
         for v in fresh:
             row = adj[v] & ~union
             if (core >> v) & 1:
                 row &= ~core
+                for j in incident.get(v, ()):
+                    shared[j] = shared.get(j, 0) + 1
             while row:
                 u = row.bit_length() - 1
                 row ^= 1 << u
                 heapq.heappush(heap, (-1, (v * n + u if v < u else u * n + v) * 2, pos))
+        if shared:
+            # a core atom is on the lists of its own fresh members
+            if key & 1:
+                del shared[i]
+            for j, w in shared.items():
+                weight[j] += w
+                parent[j] = pos
+                heapq.heappush(heap, (-weight[j], rank[j], j))
         while heap:
             pick = heapq.heappop(heap)
             neg_w, key, i = pick
-            # a forest edge is pushed once, and a core atom once per weight
-            # it reaches; placing it ends its updates, so its entries go stale
+            # a forest edge is pushed once, and a core atom once per rise of
+            # its count; placing it ends its rises, so its entries go stale
             if not key & 1 or -neg_w == weight[i]:
                 break
         else:

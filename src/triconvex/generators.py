@@ -8,7 +8,7 @@ from typing import Iterator
 
 from .bitset import bit_members
 from .errors import ValidationError
-from .graph import Graph, _components_bits, is_connected
+from .graph import Graph, _check_decimal, _components_bits, is_connected
 
 # Largest n random_connected_graph accepts, below graph.MAX_VERTICES: its
 # n(n-1)/2-pair scan takes some 20 s at this n (100 ns a pair, 2-vCPU host).
@@ -106,13 +106,15 @@ def from_spec(spec: str, default_seed: int = 0) -> Graph:
     if kind not in SPECS:
         raise ValidationError(f"unknown generator kind {kind!r}")
     form, build, types = SPECS[kind]
-    args = [a for a in argtext.split(",") if a]
+    args = [a.strip() for a in argtext.split(",") if a]
     if form.endswith("[,SEED]") and len(args) == len(types) - 1:
-        args.append(default_seed)
+        args.append(str(default_seed))
     bad = ValidationError(f"bad generator spec {spec!r}: expected {form}")
     if len(args) != len(types):
         raise bad
     try:
+        # an integer is ASCII decimal, as in graph files
+        _check_decimal(argtext, [a for t, a in zip(types, args) if t is int])
         return build(*(t(a) for t, a in zip(types, args)))
     except ValueError:
         raise bad from None

@@ -76,6 +76,12 @@ class TestSubcommands:
         jsonschema.validate(report["result"], load_schema("hull.json"))
         assert report["result"]["hull"] == [0, 1, 2, 3]
 
+    def test_integer_lists_take_spaces_around_fields(self, capsys):
+        # each field is stripped before its digits are checked
+        code, report = run_json(capsys, "hull", "--generate", "path: 4", "--vertices", "0, 3 ")
+        assert code == 0
+        assert report["result"]["hull"] == [0, 1, 2, 3]
+
     def test_enumerate_prime(self, capsys):
         code, report = run_json(capsys, "enumerate-prime", "--generate", "cycle:5")
         jsonschema.validate(report["result"], load_schema("enumerate-prime.json"))
@@ -350,6 +356,15 @@ class TestExitCodes:
             ["decompose", "--graph", "long.col"],
             # a vertex of a graph with no vertices, once "outside 0..-1"
             ["hull", "--graph", "empty.txt", "--vertices", "0"],
+            # integers that int() reads but graph files refuse: a "+" sign,
+            # "_" between digits and digits of another script, which int()
+            # reads as 10 and 1, as 3, and as path:12
+            ["hull", "--generate", "path:12", "--vertices", "1_0,+1"],
+            ["hull", "--generate", "path:12", "--vertices", "\u0663,0"],
+            ["decompose", "--generate", "path:1_2"],
+            ["generate", "--generate", "random_connected:10,0.5,+1"],
+            ["bench", "--algorithm", "hull", "--sizes", "1_0"],
+            ["oracle-compare", "--corpus", "exhaustive:+3"],
         ],
     )
     def test_malformed_argument_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, argv):
